@@ -14,6 +14,7 @@ bound, by a non-replayable reason trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import RealdimError
@@ -272,54 +273,62 @@ def covering_switch(original: GainGraph, replayed: GainGraph):
     """
     if not set(original.vertices) <= set(replayed.vertices):
         return None
-    for v in original.vertices:
-        pool = sorted(abs(e.label) for e in replayed.loops_at(v))
-        for a in sorted(abs(e.label) for e in original.loops_at(v)):
-            if a in pool:
-                pool.remove(a)
-            else:
-                return None
+    have = Counter((f.tail, abs(f.label)) for f in replayed.edges if f.is_loop)
+    if Counter((e.tail, abs(e.label)) for e in original.edges if e.is_loop) - have:
+        return None
+    gains: dict = {}  # (tail, head) -> gains of the replayed edges read from tail
+    for f in replayed.edges:
+        if not f.is_loop:
+            gains.setdefault((f.tail, f.head), set()).add(f.label)
+            gains.setdefault((f.head, f.tail), set()).add(-f.label)
 
+    adj: dict = {v: [] for v in original.vertices}
+    for e in original.edges:
+        if not e.is_loop:
+            adj[e.tail].append((e.head, e.label))
+            adj[e.head].append((e.tail, -e.label))
     psi: dict = {}
-    for comp in original.underlying_simple_graph().components():
-        comp_edges = [e for e in original.edges if not e.is_loop and e.tail in comp]
-        local = {min(comp): 0}
-        if not _assign(original, replayed, comp_edges, local):
-            return None
-        psi.update(local)
     for v in original.vertices:
-        psi.setdefault(v, 0)
+        if v not in psi and not _assign(adj, gains, v, psi):
+            return None
     return psi
 
 
-def _assign(original, replayed, edges, psi) -> bool:
-    """Backtracking assignment of switching shifts over one component."""
-    pending = [e for e in edges if e.tail not in psi or e.head not in psi]
-    ready = [e for e in edges if e.tail in psi and e.head in psi]
-    for e in ready:
-        want = e.label + psi[e.tail] - psi[e.head]
-        if not any(
-            f.gain_from(e.tail) == want for f in replayed.edges_between(e.tail, e.head)
-        ):
-            return False
-    if not pending:
-        return True
-    # pick an edge with exactly one assigned endpoint
-    e = next(
-        (f for f in pending if (f.tail in psi) != (f.head in psi)), None
-    )
-    if e is None:
-        # disconnected remainder within the component cannot happen
-        raise CertificateError("component traversal stalled")
-    known, new = (e.tail, e.head) if e.tail in psi else (e.head, e.tail)
-    z = e.gain_from(known)
-    for f in replayed.edges_between(e.tail, e.head):
-        # want f.gain_from(known) == z + psi[known] - psi[new]
-        psi[new] = z + psi[known] - f.gain_from(known)
-        if _assign(original, replayed, pending, psi):
-            return True
-        del psi[new]
-    return False
+def _assign(adj, gains, root, psi) -> bool:
+    """Assign switching shifts over root's component, in BFS order.
+
+    A vertex's shift is fixed by matching its BFS tree edge to one of the
+    replayed edges between the same two vertices; the edges back to
+    earlier vertices then check it.  Only the choice among parallel
+    replayed edges is ever undone.
+    """
+    tree = {root: None}
+    order = [root]
+    for u in order:
+        for w, z in adj[u]:
+            if w not in tree:
+                tree[w] = (u, z)
+                order.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[(w, z) for w, z in adj[v] if pos[w] < i] for i, v in enumerate(order)]
+    options: list = [None] * len(order)
+    psi[root] = 0
+    i = 1
+    while 0 < i < len(order):
+        v = order[i]
+        if options[i] is None:
+            u, z = tree[v]
+            options[i] = sorted(z + psi[u] - g for g in gains.get((u, v), ()))
+        while options[i]:
+            psi[v] = options[i].pop()
+            if all(z + psi[v] - psi[w] in gains.get((v, w), ()) for w, z in back[i]):
+                i += 1
+                break
+        else:
+            options[i] = None
+            psi.pop(v, None)
+            i -= 1
+    return i > 0
 
 
 def verify_decomposition(tree: DecompositionTree, original: GainGraph, dimension: int):

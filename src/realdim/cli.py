@@ -118,7 +118,7 @@ def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
     g = _read_graph(path)
     v1 = is_1_realizable(g)
     v2 = is_2_realizable(g)
-    bounds = realizable_dimension_bounds(g)
+    bounds = realizable_dimension_bounds(g, d1=v1, d2=v2)
     out.say(f"graph: {path}")
     out.say(f"1-realizable: {'yes' if v1.answer else 'no'}")
     out.say(f"2-realizable: {'yes' if v2.answer else 'no'}")

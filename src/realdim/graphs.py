@@ -430,10 +430,6 @@ class GainGraph:
     def loops_at(self, v: int) -> list:
         return [e for e in self.edges if e.is_loop and e.tail == v]
 
-    def incident(self, v: int) -> list:
-        """Non-loop edges touching v."""
-        return [e for e in self.edges if not e.is_loop and v in (e.tail, e.head)]
-
     def edges_between(self, a: int, b: int) -> list:
         """Edges joining a and b in either orientation (loops if a == b)."""
         if a == b:

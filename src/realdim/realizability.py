@@ -10,10 +10,12 @@ or by deleting it after a balance check (one doubled side).
 
 Every *yes* comes with a decomposition tree whose leaves are single
 edges/vertices (dimension one) or balanced triangles and two-vertex
-graphs (dimension two).  Every *no* comes with a replayable minor witness
-reaching a forbidden shape: a parallel pair or balanced triangle for
-dimension one; the doubled-double-pair triangle or the balanced complete
-graph on four vertices for dimension two.  Witness construction for the
+graphs (dimension two).  Its one-sum layers are glued at centroids of
+the block-cut tree, so they add only logarithmic depth.  Every *no*
+comes with a replayable minor witness reaching a forbidden shape: a
+parallel pair or balanced triangle for dimension one; the
+doubled-double-pair triangle or the balanced complete graph on four
+vertices for dimension two.  Witness construction for the
 minimum-degree-three case falls back to the exhaustive engine, so for
 graphs beyond its bound a non-replayable reason trace is attached
 instead.
@@ -95,14 +97,12 @@ def is_1_realizable(g: GainGraph) -> RealizabilityVerdict:
 
 
 def _smallest_parallel_pair(g: GainGraph):
-    best = None
+    count: dict = {}
     for e in g.edges:
-        if e.is_loop:
-            continue
-        a, b = min(e.tail, e.head), max(e.tail, e.head)
-        if g.multiplicity(a, b) >= 2 and (best is None or (a, b) < best):
-            best = (a, b)
-    return best
+        if not e.is_loop:
+            pair = (min(e.tail, e.head), max(e.tail, e.head))
+            count[pair] = count.get(pair, 0) + 1
+    return min((pair for pair, c in count.items() if c >= 2), default=None)
 
 
 def _keep_only(g: GainGraph, keep_vertices, keep_edge_ids) -> list:
@@ -146,49 +146,161 @@ def _witness_simple_cycle(g: GainGraph, cycle: list) -> MinorWitness:
 
 
 def _forest_tree(g: GainGraph) -> DecompositionTree:
-    loops = [e for e in g.edges if e.is_loop]
-    core = g.delete_edges([e.id for e in loops]) if loops else g
-    si = core.underlying_simple_graph()
-    comp_trees = []
-    for comp in si.components():
-        order = _bfs_order(si, comp)
-        tree = None
-        for v, parent in order:
-            if parent is None:
-                continue
-            e = core.edges_between(parent, v)[0]
-            leaf = DecompositionTree.leaf(GainGraph((parent, v), (e,)))
-            tree = leaf if tree is None else DecompositionTree.one_sum(tree, leaf, parent)
-        if tree is None:
-            tree = DecompositionTree.leaf(GainGraph((min(comp),), ()))
-        comp_trees.append(tree)
-    tree = DecompositionTree.disjoint_union(comp_trees)
-    return _attach_loops(tree, loops)
+    pieces = [
+        ((e.tail, e.head), DecompositionTree.leaf(GainGraph((e.tail, e.head), (e,))))
+        for e in g.edges
+        if not e.is_loop
+    ]
+    return _glue(g.vertices, pieces + _loop_pieces(g.edges))
 
 
-def _bfs_order(si: SimpleGraph, comp) -> list:
-    root = min(comp)
-    seen = {root}
-    out = [(root, None)]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(si.neighbors(u)):
-            if w not in seen:
-                seen.add(w)
-                out.append((w, u))
-                queue.append(w)
-    return out
+# -- one-sum layers --------------------------------------------------------------
 
 
-def _attach_loops(tree: DecompositionTree, loops) -> DecompositionTree:
+def _loop_pieces(edges) -> list:
+    """One leaf per vertex holding all of its selfloops."""
     by_vertex: dict = {}
-    for e in loops:
-        by_vertex.setdefault(e.tail, []).append(e)
-    for v in sorted(by_vertex):
-        leaf = DecompositionTree.leaf(GainGraph((v,), by_vertex[v]))
-        tree = DecompositionTree.one_sum(tree, leaf, v)
+    for e in edges:
+        if e.is_loop:
+            by_vertex.setdefault(e.tail, []).append(e)
+    return [
+        ((v,), DecompositionTree.leaf(GainGraph((v,), by_vertex[v])))
+        for v in sorted(by_vertex)
+    ]
+
+
+def _glue(vertices, pieces) -> DecompositionTree:
+    """Glue pieces by one-sums within each component, then by disjoint union.
+
+    ``pieces`` are (vertices, tree) pairs that pairwise share at most one
+    vertex and whose block-cut graph is a forest.  A vertex in no piece
+    becomes a one-vertex leaf.  Components come in order of their least
+    vertex.
+    """
+    at: dict = {}
+    for i, (vs, _) in enumerate(pieces):
+        for v in vs:
+            at.setdefault(v, []).append(i)
+    seen: set = set()
+    trees = []
+    for v in sorted(vertices):
+        if v in seen:
+            continue
+        if v not in at:
+            trees.append(DecompositionTree.leaf(GainGraph((v,), ())))
+            continue
+        ids = []
+        taken = {at[v][0]}
+        stack = [at[v][0]]
+        while stack:
+            i = stack.pop()
+            ids.append(i)
+            for u in pieces[i][0]:
+                seen.add(u)
+                for j in at[u]:
+                    if j not in taken:
+                        taken.add(j)
+                        stack.append(j)
+        trees.append(_fold(pieces, sorted(ids)))
+    return DecompositionTree.disjoint_union(trees)
+
+
+_PIECE, _CUT = 0, 1  # node kinds of the block-cut tree
+
+
+def _fold(pieces, ids) -> DecompositionTree:
+    """One-sum a connected set of pieces, splitting at a centroid.
+
+    The centroid is taken in the block-cut tree whose nodes are the pieces
+    and the vertices shared by several of them, each piece weighing one.
+    At a shared vertex every branch weighs at most half, and the branches
+    are glued there in a weight-balanced binary tree.  At a piece, each
+    part hanging off one of its shared vertices weighs at most half, and
+    the parts are glued onto the piece one after the other, lightest
+    first.  The depth is thus logarithmic in the number of pieces, plus
+    the number of shared vertices on one piece.
+    """
+    if len(ids) == 1:
+        return pieces[ids[0]][1]
+    at: dict = {}
+    for i in ids:
+        for v in pieces[i][0]:
+            at.setdefault(v, []).append(i)
+    cuts = {v: js for v, js in at.items() if len(js) > 1}
+
+    def neighbours(node):
+        kind, x = node
+        if kind == _PIECE:
+            return [(_CUT, v) for v in pieces[x][0] if v in cuts]
+        return [(_PIECE, j) for j in cuts[x]]
+
+    # Root the block-cut tree at a piece; in depth-first preorder every
+    # subtree is a contiguous run of ``order``.
+    root = (_PIECE, ids[0])
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for nb in neighbours(node):
+            if nb != parent[node]:
+                parent[nb] = node
+                stack.append(nb)
+    pos = {node: k for k, node in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    weight = {node: int(node[0] == _PIECE) for node in order}
+    heaviest_child = dict.fromkeys(order, 0)
+    for node in reversed(order[1:]):
+        up = parent[node]
+        size[up] += size[node]
+        weight[up] += weight[node]
+        heaviest_child[up] = max(heaviest_child[up], weight[node])
+    total = len(ids)
+    centre = min(
+        order,
+        key=lambda node: (
+            max(total - weight[node], heaviest_child[node]),
+            node[0] == _PIECE,
+        ),
+    )
+
+    def pieces_in(nodes):
+        return sorted(x for kind, x in nodes if kind == _PIECE)
+
+    # The branches at the centre: one per child, and the rest of the tree
+    # through its parent.
+    branches = [
+        (nb, pieces_in(order[pos[nb] : pos[nb] + size[nb]]))
+        for nb in neighbours(centre)
+        if nb != parent[centre]
+    ]
+    if parent[centre] is not None:
+        lo, hi = pos[centre], pos[centre] + size[centre]
+        branches.append((parent[centre], pieces_in(order[:lo] + order[hi:])))
+
+    if centre[0] == _CUT:
+        parts = sorted(p for _, p in branches)
+        return _one_sum_balanced([(len(p), _fold(pieces, p)) for p in parts], centre[1])
+    tree = pieces[centre[1]][1]
+    for _, v, p in sorted((len(p), v, p) for (_, v), p in branches):
+        tree = DecompositionTree.one_sum(tree, _fold(pieces, p), v)
     return tree
+
+
+def _one_sum_balanced(parts, v: int) -> DecompositionTree:
+    """One-sum (weight, tree) parts that share only ``v``, halving by weight."""
+    if len(parts) == 1:
+        return parts[0][1]
+    half = sum(w for w, _ in parts) / 2
+    acc = 0
+    for k, (w, _) in enumerate(parts[:-1], start=1):
+        acc += w
+        if acc >= half:
+            break
+    return DecompositionTree.one_sum(
+        _one_sum_balanced(parts[:k], v), _one_sum_balanced(parts[k:], v), v
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +314,40 @@ def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
     alloc = _IdAlloc(g.fresh_edge_id())
     loops = [e for e in g.edges if e.is_loop]
     core = g.delete_edges([e.id for e in loops]) if loops else g
-    res = _decide2(core, alloc)
+    res = _decide2_split(core, core.underlying_simple_graph(), alloc, {}, loops)
     if isinstance(res, _No):
         res = _prefix(res, [MinorOp("delete_edge", e.id) for e in loops])
         return RealizabilityVerdict(2, False, res.witness)
-    return RealizabilityVerdict(2, True, _attach_loops(res.tree, loops))
+    return RealizabilityVerdict(2, True, res.tree)
 
 
-def _decide2(h: GainGraph, alloc: _IdAlloc):
-    """Core recursion on a loopless graph; answers in h's own labelling frame."""
+# The recursion switches its graphs as it goes, but every tree it returns
+# is in the labelling frame of the input.  ``phi`` is the switching that
+# takes the input's labels to those of the graph at hand (input labels
+# plus phi[tail] - phi[head]); a step that switches by psi adds psi to
+# phi for its child and takes it off again when the child returns.
+
+
+def _shift(phi: dict, psi, sign: int):
+    for v, s in psi.items():
+        phi[v] = phi.get(v, 0) + sign * s
+
+
+def _in_input_frame(g: GainGraph, phi: dict) -> GainGraph:
+    undo = {v: -phi[v] for v in g.vertices if phi.get(v)}
+    return g.switch_many(undo) if undo else g
+
+
+def _decide2(h: GainGraph, alloc: _IdAlloc, phi: dict):
+    """Core recursion on a loopless graph in frame ``phi``."""
     if h.n <= 2:
-        return _Yes(DecompositionTree.leaf(h))
+        return _Yes(DecompositionTree.leaf(_in_input_frame(h, phi)))
     si = h.underlying_simple_graph()
-
-    comps = si.components()
-    if len(comps) > 1:
-        children = []
-        for comp in comps:
-            res = _decide2(h.induced(comp), alloc)
-            if isinstance(res, _No):
-                ops = [MinorOp("delete_vertex", v) for v in h.vertices if v not in comp]
-                return _prefix(res, ops)
-            children.append(res.tree)
-        return _Yes(DecompositionTree.disjoint_union(children))
-
-    arts = si.articulation_points()
-    if arts:
-        return _decide2_blocks(h, si, alloc)
+    if len(si.components()) > 1 or si.articulation_points():
+        return _decide2_split(h, si, alloc, phi)
 
     if h.n == 3:
-        return _decide2_triangle(h, alloc)
+        return _decide2_triangle(h, alloc, phi)
 
     degree = {v: si.degree(v) for v in h.vertices}
     if min(degree.values()) >= 3:
@@ -249,52 +365,48 @@ def _decide2(h: GainGraph, alloc: _IdAlloc):
     if mvx >= 2 and mvy >= 2:
         return _No(_witness_both_doubled(h, v, x, y))
     if mvx == 1 and mvy == 1:
-        return _contract_step(h, v, x, y, alloc)
+        return _contract_step(h, v, x, y, alloc, phi)
     if mvy >= 2:
         x, y = y, x
-    return _deletion_step(h, v, x, y, alloc)
+    return _deletion_step(h, v, x, y, alloc, phi)
 
 
-def _decide2_blocks(h: GainGraph, si: SimpleGraph, alloc: _IdAlloc):
+def _decide2_split(h: GainGraph, si: SimpleGraph, alloc: _IdAlloc, phi: dict, loops=()):
+    """Decide every block, then glue blocks and selfloop leaves by one-sums."""
+    comps = si.components()
     blocks = si.blocks()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    blocks_in = [0] * len(comps)
+    for vset, _ in blocks:
+        blocks_in[comp_of[min(vset)]] += 1
+    by_pair: dict = {}
+    for e in h.edges:
+        by_pair.setdefault(e.pair(), []).append(e)
 
-    def block_subgraph(idx):
-        vset, eset = blocks[idx]
-        edges = [e for e in h.edges if e.pair() in eset]
-        return GainGraph(vset, edges)
-
-    results = []
-    for idx in range(len(blocks)):
-        sub = block_subgraph(idx)
-        res = _decide2(sub, alloc)
+    pieces = []
+    for vset, eset in blocks:
+        sub = GainGraph(vset, [e for pair in eset for e in by_pair[pair]])
+        res = _decide2(sub, alloc, phi)
         if isinstance(res, _No):
-            keep_edges = {e.id for e in sub.edges}
-            ops = _keep_only(h, set(sub.vertices), keep_edges)
+            # Trim to the component, then to the block within it.
+            ci = comp_of[min(vset)]
+            comp = comps[ci]
+            ops = []
+            if len(comps) > 1:
+                ops += [MinorOp("delete_vertex", u) for u in h.vertices if u not in comp]
+            if blocks_in[ci] > 1:
+                ops += [
+                    MinorOp("delete_edge", e.id)
+                    for e in h.edges
+                    if e.tail in comp and e.pair() not in eset
+                ]
+                ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in vset]
             return _prefix(res, ops)
-        results.append(res.tree)
-
-    # Fold the blocks along the block-cut structure with one-sums.
-    order = sorted(range(len(blocks)), key=lambda i: sorted(blocks[i][0]))
-    start = order[0]
-    covered = set(blocks[start][0])
-    tree = results[start]
-    pending = [i for i in order if i != start]
-    while pending:
-        for i in list(pending):
-            shared = covered & blocks[i][0]
-            if shared:
-                if len(shared) != 1:
-                    raise RealdimError("blocks overlap in more than a cut vertex")
-                tree = DecompositionTree.one_sum(tree, results[i], min(shared))
-                covered |= blocks[i][0]
-                pending.remove(i)
-                break
-        else:
-            raise RealdimError("block-cut structure is not connected")
-    return _Yes(tree)
+        pieces.append((vset, res.tree))
+    return _Yes(_glue(h.vertices, pieces + _loop_pieces(loops)))
 
 
-def _decide2_triangle(h: GainGraph, alloc: _IdAlloc):
+def _decide2_triangle(h: GainGraph, alloc: _IdAlloc, phi: dict):
     """Three vertices, two-connected (complete) simplified graph."""
     if h.multiplicity_graph().is_spanning_connected(h.vertices):
         return _No(_witness_trim_to_double_double(h))
@@ -307,10 +419,10 @@ def _decide2_triangle(h: GainGraph, alloc: _IdAlloc):
         if all(h.multiplicity(v, u) == 1 for u in others[v])
     )
     a, b = sorted(others[w])
-    return _contract_step(h, w, a, b, alloc)
+    return _contract_step(h, w, a, b, alloc, phi)
 
 
-def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc):
+def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc, phi: dict):
     """Both multiplicities at w are one: contract the w-a edge.
 
     On yes, the answer glues a balanced triangle on {w, a, b} to the
@@ -319,34 +431,38 @@ def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc):
     ea = h.edges_between(w, a)[0]
     eb = h.edges_between(w, b)[0]
     psi = {a: ea.gain_from(w), b: eb.gain_from(w)}
-    h2 = h.switch_many(psi)
-    child = h2.contract_edge(ea.id, survivor=a)
-    res = _decide2(child, alloc)
-    if isinstance(res, _No):
-        return _prefix(res, [MinorOp("contract_edge", ea.id, a)])
-    # Fresh ids throughout: reusing real ids here can collide with the same
-    # id drifting to other endpoints inside the sibling subtree.
-    triangle = GainGraph(
-        (w, a, b),
-        (
-            GainEdge(alloc.take(), w, a, 0),
-            GainEdge(alloc.take(), w, b, 0),
-            GainEdge(alloc.take(), a, b, 0),
-        ),
+    child = h.switch_many(psi).contract_edge(ea.id, survivor=a)
+    _shift(phi, psi, 1)
+    try:
+        res = _decide2(child, alloc, phi)
+        if isinstance(res, _No):
+            return _prefix(res, [MinorOp("contract_edge", ea.id, a)])
+        # Fresh ids throughout: reusing real ids here can collide with the
+        # same id drifting to other endpoints inside the sibling subtree.
+        # The triangle is balanced with label 0 in the child's frame.
+        triangle = GainGraph(
+            (w, a, b),
+            [
+                GainEdge(alloc.take(), t, u, phi.get(u, 0) - phi.get(t, 0))
+                for t, u in ((w, a), (w, b), (a, b))
+            ],
+        )
+    finally:
+        _shift(phi, psi, -1)
+    return _Yes(
+        DecompositionTree.balanced_two_sum(
+            DecompositionTree.leaf(triangle), res.tree, (a, b), zero_child=0
+        )
     )
-    node = DecompositionTree.balanced_two_sum(
-        DecompositionTree.leaf(triangle), res.tree, (a, b), zero_child=0
-    )
-    return _Yes(node.switched({u: -s for u, s in psi.items()}))
 
 
-def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc):
+def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc, phi: dict):
     """Multiplicity two towards x, one towards y: delete v after a balance check."""
     rest = h.delete_vertex(v)
     bal = rest.balance()
     if not bal.balanced:
         return _No(_witness_unbalanced_rest(h, v, x, y, bal.witness))
-    psi = dict(bal.potentials)
+    psi = bal.potentials
     h2 = h.switch_many(psi)
     rest2 = h2.delete_vertex(v)
     existing = rest2.edges_between(x, y)
@@ -358,28 +474,31 @@ def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc):
         shared_id = alloc.take()
         child = rest2.with_edge(x, y, 0, id=shared_id)
         added = True
-    res = _decide2(child, alloc)
-    if isinstance(res, _No):
-        if not added and isinstance(res.witness, MinorWitness):
-            return _prefix(res, [MinorOp("delete_vertex", v)])
-        return _No(
-            _fallback_witness(
-                h,
-                "deleting the degree-two vertex leaves a balanced graph whose "
-                "completion is not two-realizable",
+    _shift(phi, psi, 1)
+    try:
+        res = _decide2(child, alloc, phi)
+        if isinstance(res, _No):
+            if not added and isinstance(res.witness, MinorWitness):
+                return _prefix(res, [MinorOp("delete_vertex", v)])
+            return _No(
+                _fallback_witness(
+                    h,
+                    "deleting the degree-two vertex leaves a balanced graph whose "
+                    "completion is not two-realizable",
+                )
             )
-        )
-    piece = h2.induced({v, x, y})
-    if added:
-        piece = piece.with_edge(x, y, 0, id=shared_id)
-    piece_res = _contract_step(piece, y, x, v, alloc)
+        piece = h2.induced({v, x, y})
+        if added:
+            piece = piece.with_edge(x, y, 0, id=shared_id)
+        piece_res = _contract_step(piece, y, x, v, alloc, phi)
+    finally:
+        _shift(phi, psi, -1)
     if isinstance(piece_res, _No):
         raise RealdimError("internal: three-vertex piece with non-spanning "
                            "multiplicity graph must be two-realizable")
-    node = DecompositionTree.balanced_two_sum(
-        piece_res.tree, res.tree, (x, y), zero_child=1
+    return _Yes(
+        DecompositionTree.balanced_two_sum(piece_res.tree, res.tree, (x, y), zero_child=1)
     )
-    return _Yes(node.switched({u: -s for u, s in psi.items()}))
 
 
 # -- no-witness constructions ---------------------------------------------------
@@ -613,15 +732,26 @@ class RdBounds:
         return (self.lower, self.upper)
 
 
-def realizable_dimension_bounds(g: GainGraph, brute_force_bound: int = 10) -> RdBounds:
+def realizable_dimension_bounds(
+    g: GainGraph,
+    brute_force_bound: int = 10,
+    *,
+    d1: RealizabilityVerdict | None = None,
+    d2: RealizabilityVerdict | None = None,
+) -> RdBounds:
     """Sound interval for the realizable dimension.
 
     The lower bound combines the finite-graph dimension of the simplified
     graph, the complete-case value, and the deciders' refusals; the upper
     bound is the vertex count, tightened when a decider answers yes.  The
-    interval collapses to a point for every decided case.
+    interval collapses to a point for every decided case.  ``d1`` and
+    ``d2`` are verdicts of ``is_1_realizable`` and ``is_2_realizable`` on
+    ``g`` already at hand; a decider whose verdict is given is not run.
     """
     _require_nonempty(g)
+    for dim, verdict in ((1, d1), (2, d2)):
+        if verdict is not None and verdict.dimension_bound != dim:
+            raise RealdimError(f"d{dim} must be a dimension-{dim} verdict")
     n = g.n
     lower = 1
     si = g.underlying_simple_graph()
@@ -636,10 +766,10 @@ def realizable_dimension_bounds(g: GainGraph, brute_force_bound: int = 10) -> Rd
             lower = max(lower, 4 if f == ">=4" else f)
         else:
             lower = max(lower, 3)
-    if is_1_realizable(g).answer:
+    if (d1 if d1 is not None else is_1_realizable(g)).answer:
         return RdBounds(1, 1)
     lower = max(lower, 2)
-    if is_2_realizable(g).answer:
+    if (d2 if d2 is not None else is_2_realizable(g)).answer:
         return RdBounds(2, 2)
     lower = max(lower, 3)
     return RdBounds(lower, n)

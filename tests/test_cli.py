@@ -83,6 +83,25 @@ def test_classify_yes_graph(tmp_path, capsys):
     assert "[1, 1]" in out_text
 
 
+def test_classify_decides_once(cx_file, capsys, monkeypatch):
+    import realdim.cli
+    import realdim.realizability
+
+    calls = {"is_1_realizable": 0, "is_2_realizable": 0}
+    for name in calls:
+        decide = getattr(realdim.realizability, name)
+
+        def counted(g, _decide=decide, _name=name):
+            calls[_name] += 1
+            return _decide(g)
+
+        monkeypatch.setattr(realdim.realizability, name, counted)
+        monkeypatch.setattr(realdim.cli, name, counted)
+    code, out_text = run(capsys, "classify", cx_file)
+    assert code == 1 and "[3, 4]" in out_text
+    assert calls == {"is_1_realizable": 1, "is_2_realizable": 1}
+
+
 def test_classify_batch(tmp_path, capsys):
     (tmp_path / "a.graph").write_text(K2)
     (tmp_path / "b.graph").write_text(COUNTEREXAMPLE_C)

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -240,6 +242,22 @@ def test_bounds_classification_table():
     assert realizable_dimension_bounds(counterexample_c()) == RdBounds(3, 4)
 
 
+def test_bounds_with_given_verdicts_agree():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_simple_gain_graph(rng, max_vertices=6, max_edges=10)
+        given = realizable_dimension_bounds(
+            g, d1=is_1_realizable(g), d2=is_2_realizable(g)
+        )
+        assert given == realizable_dimension_bounds(g)
+
+
+def test_bounds_reject_verdict_of_wrong_dimension():
+    g = counterexample_c()
+    with pytest.raises(RealdimError):
+        realizable_dimension_bounds(g, d1=is_2_realizable(g))
+
+
 def test_bounds_always_ordered():
     rng = random.Random(19)
     for _ in range(50):
@@ -298,3 +316,53 @@ def test_certificate_json_roundtrip():
             assert back.answer == v.answer
             assert back.dimension_bound == v.dimension_bound
             back.verify(g)
+
+
+# -- certificate depth --------------------------------------------------------------
+# These run at the default recursion limit: one-sum layers are glued as
+# balanced trees, so certificates stay logarithmically deep.
+
+
+def tree_depth(tree) -> int:
+    deepest = 0
+    stack = [(tree, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in node.children)
+    return deepest
+
+
+def tree_with_loops(n, rng):
+    edges = [(rng.randint(1, v - 1), v, rng.randint(-3, 3)) for v in range(2, n + 1)]
+    edges += [(v, v, rng.randint(1, 3)) for v in range(1, n + 1, 10)]
+    return GainGraph.of(n, edges)
+
+
+def assert_shallow_roundtrip(g, verdict):
+    from realdim.certificates import (
+        certificate_from_json_dict,
+        certificate_to_json_dict,
+    )
+
+    assert verdict.answer
+    assert tree_depth(verdict.certificate) <= 4 * math.log2(g.n)
+    text = json.dumps(certificate_to_json_dict(verdict), indent=2)
+    back = certificate_from_json_dict(json.loads(text))
+    assert tree_depth(back.certificate) == tree_depth(verdict.certificate)
+    assert back.verify(g) is True
+
+
+def test_d1_certificate_of_long_path_is_shallow():
+    g = GainGraph.of(2000, [(i, i + 1, i % 3 - 1) for i in range(1, 2000)])
+    assert_shallow_roundtrip(g, is_1_realizable(g))
+
+
+def test_d1_certificate_of_tree_with_loops_is_shallow():
+    g = tree_with_loops(1000, random.Random(29))
+    assert_shallow_roundtrip(g, is_1_realizable(g))
+
+
+def test_d2_certificate_of_tree_with_loops_is_shallow():
+    g = tree_with_loops(1000, random.Random(31))
+    assert_shallow_roundtrip(g, is_2_realizable(g))
