@@ -51,13 +51,9 @@ from .graphs import (
     BalanceResult,
     GainEdge,
     GainGraph,
-    KSumRecord,
     SimpleGraph,
     WalkWitness,
-    balanced_k_sum,
-    intersection,
     union,
-    validate_simple,
 )
 from .minors import (
     MinorOp,

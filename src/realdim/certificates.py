@@ -5,7 +5,8 @@ labelled graphs, internal nodes glue children by disjoint union, one-sum
 (a single shared vertex), or balanced two-sum (a single shared edge, one
 summand balanced).  Replaying the tree bottom-up builds a supergraph of
 the input on the same vertex set, up to a switching; gluing of these
-kinds never raises realizable dimension beyond the leaves'.
+kinds never raises realizable dimension beyond the leaves'.  Every node
+kind glues through :func:`realdim.graphs.union` once its shape is checked.
 
 A *no* answer is certified by a replayable minor witness (see
 :mod:`realdim.minors`) or, when the witness search would exceed its size
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph
+from .graphs import GainEdge, GainGraph, union
 from .minors import MinorOp, MinorPattern, MinorWitness, ReasonTrace
 
 LEAF = "leaf"
@@ -29,35 +30,6 @@ BALANCED_TWO_SUM = "balanced_two_sum"
 
 class CertificateError(RealdimError):
     """A certificate failed structural validation or replay."""
-
-
-def _content_key(e):
-    if e.is_loop:
-        return ("loop", e.tail, abs(e.label))
-    a = min(e.tail, e.head)
-    b = max(e.tail, e.head)
-    return ("pair", a, b, e.gain_from(a))
-
-
-def _merge(a: GainGraph, b: GainGraph) -> GainGraph:
-    """Union by id, collapsing edges that describe the same orbit.
-
-    Children of a gluing node may carry the shared part under different
-    ids (fresh ids appear when trees are assembled), so merging by id
-    alone could produce a non-simple union.
-    """
-    shared = {e.id for e in a.edges} & {e.id for e in b.edges}
-    for eid in sorted(shared):
-        if not a.edge(eid).same_content(b.edge(eid)):
-            raise CertificateError(f"edge {eid} differs between glued parts")
-    edges = list(a.edges)
-    contents = {_content_key(e) for e in a.edges}
-    for e in b.edges:
-        if e.id in shared or _content_key(e) in contents:
-            continue
-        contents.add(_content_key(e))
-        edges.append(e)
-    return GainGraph(set(a.vertices) | set(b.vertices), edges)
 
 
 @dataclass(frozen=True)
@@ -129,9 +101,10 @@ class DecompositionTree:
     def replay(self) -> GainGraph:
         """Build the glued graph bottom-up, checking each node's shape.
 
-        Children may represent the shared part with different edge ids, so
-        gluing merges by content: edges describing the same orbit collapse
-        to one.  Shared ids must agree on content.
+        Children are glued by :func:`realdim.graphs.union`.  They may carry
+        the shared part under different edge ids; edges describing the same
+        orbit collapse to one.  An id shared by two children must name the
+        same orbit in both.
         """
         if self.kind == LEAF:
             if self.graph is None:
@@ -146,10 +119,17 @@ class DecompositionTree:
                 if seen & set(r.vertices):
                     raise CertificateError("disjoint union children share vertices")
                 seen |= set(r.vertices)
-            out = replays[0]
+        else:
+            self._check_sum(replays)
+        out = replays[0]
+        try:
             for r in replays[1:]:
-                out = _merge(out, r)
-            return out
+                out = union(out, r)
+        except RealdimError as exc:
+            raise CertificateError(f"glued parts disagree: {exc}") from None
+        return out
+
+    def _check_sum(self, replays):
         if len(replays) != 2:
             raise CertificateError(f"{self.kind} needs exactly two children")
         a, b = replays
@@ -159,31 +139,30 @@ class DecompositionTree:
                 raise CertificateError(
                     f"one-sum must share exactly vertex {self.shared_vertex}, got {sorted(shared_vs)}"
                 )
-            return _merge(a, b)
-        if self.kind == BALANCED_TWO_SUM:
-            x, y = self.shared_pair
-            if shared_vs != {x, y}:
-                raise CertificateError(
-                    f"two-sum must share exactly {self.shared_pair}, got {sorted(shared_vs)}"
-                )
-            common = {f.gain_from(x) for f in a.edges_between(x, y)} & {
-                f.gain_from(x) for f in b.edges_between(x, y)
-            }
-            if len(common) != 1:
-                raise CertificateError(
-                    "two-sum sides must share exactly one edge between the shared pair"
-                )
-            for v in (x, y):
-                la = {abs(e.label) for e in a.loops_at(v)}
-                lb = {abs(e.label) for e in b.loops_at(v)}
-                if la & lb:
-                    raise CertificateError("two-sum sides share a selfloop")
-            if self.zero_child not in (0, 1):
-                raise CertificateError("two-sum must name its balanced summand")
-            if not replays[self.zero_child].is_balanced():
-                raise CertificateError("the designated two-sum summand is not balanced")
-            return _merge(a, b)
-        raise CertificateError(f"unknown node kind {self.kind!r}")
+            return
+        if self.kind != BALANCED_TWO_SUM:
+            raise CertificateError(f"unknown node kind {self.kind!r}")
+        x, y = self.shared_pair
+        if shared_vs != {x, y}:
+            raise CertificateError(
+                f"two-sum must share exactly {self.shared_pair}, got {sorted(shared_vs)}"
+            )
+        common = {f.gain_from(x) for f in a.edges_between(x, y)} & {
+            f.gain_from(x) for f in b.edges_between(x, y)
+        }
+        if len(common) != 1:
+            raise CertificateError(
+                "two-sum sides must share exactly one edge between the shared pair"
+            )
+        for v in (x, y):
+            la = {abs(e.label) for e in a.loops_at(v)}
+            lb = {abs(e.label) for e in b.loops_at(v)}
+            if la & lb:
+                raise CertificateError("two-sum sides share a selfloop")
+        if self.zero_child not in (0, 1):
+            raise CertificateError("two-sum must name its balanced summand")
+        if not replays[self.zero_child].is_balanced():
+            raise CertificateError("the designated two-sum summand is not balanced")
 
     # -- serialization -----------------------------------------------------------------
 
@@ -429,15 +408,21 @@ def certificate_to_json_dict(verdict: RealizabilityVerdict) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> RealizabilityVerdict:
-    answer = data.get("answer") == "yes"
-    dim = data["dimension"]
-    kind = data.get("kind")
-    if kind == "decomposition-tree":
-        cert = DecompositionTree.from_json_dict(data["root"])
-    elif kind == "minor-witness":
-        cert = witness_from_json_dict(data)
-    elif kind == "reason-trace":
-        cert = ReasonTrace(data.get("reason", ""))
-    else:
-        raise CertificateError(f"unknown certificate kind {kind!r}")
+    """Read a certificate; a missing or ill-typed field raises CertificateError."""
+    try:
+        answer = data.get("answer") == "yes"
+        dim = data["dimension"]
+        kind = data.get("kind")
+        if kind == "decomposition-tree":
+            cert = DecompositionTree.from_json_dict(data["root"])
+        elif kind == "minor-witness":
+            cert = witness_from_json_dict(data)
+        elif kind == "reason-trace":
+            cert = ReasonTrace(data.get("reason", ""))
+        else:
+            raise CertificateError(f"unknown certificate kind {kind!r}")
+    except KeyError as exc:
+        raise CertificateError(f"certificate misses field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CertificateError(f"certificate has an ill-typed field: {exc}") from None
     return RealizabilityVerdict(dim, answer, cert)

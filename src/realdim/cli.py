@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import certificate_from_json_dict, certificate_to_json_dict
+from .certificates import CertificateError, certificate_from_json_dict, certificate_to_json_dict
 from .documents import (
     FrameworkDocument,
     GraphDocument,
@@ -380,7 +380,10 @@ def _svg_window(window, fw, index) -> str:
 def cmd_verify_cert(args) -> int:
     out = _Output(args.json)
     g = _read_graph(args.graph)
-    data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CertificateError(f"certificate is not valid JSON: {exc}") from None
     verdict = certificate_from_json_dict(data)
     try:
         verdict.verify(g)
@@ -405,7 +408,6 @@ def cmd_selftest(args) -> int:
         random_isomorphic_copy,
         random_simple_gain_graph,
     )
-    from .frameworks import restrict_to_affine_span
 
     failures = 0
 
@@ -458,7 +460,6 @@ def cmd_selftest(args) -> int:
             ok = False
         if not np.allclose(flat.squared_lengths(), fw.squared_lengths(), rtol=1e-9, atol=1e-9):
             ok = False
-        flat = restrict_to_affine_span(flat)
     suite("flattening", ok)
 
     return out.flush(0 if failures == 0 else 1)

@@ -29,6 +29,7 @@ round-trip doubles.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -355,6 +356,17 @@ def _load_json(text: str) -> dict:
         raise DocumentError(f"invalid JSON: {exc}") from None
 
 
+@contextlib.contextmanager
+def _json_fields(kind: str):
+    """A missing or ill-typed field of a JSON document raises DocumentError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DocumentError(f"{kind} document misses field {exc}", field=exc.args[0]) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DocumentError(f"{kind} document has an ill-typed field: {exc}") from None
+
+
 def _graph_document_to_json(doc: GraphDocument) -> dict:
     out = {"kind": GRAPH_MAGIC, "version": doc.version, "vertices": doc.vertex_count,
            "edges": [list(e) for e in doc.edges]}
@@ -367,8 +379,9 @@ def _graph_document_from_json(text: str) -> GraphDocument:
     data = _load_json(text)
     if data.get("kind") != GRAPH_MAGIC:
         raise DocumentError(f"expected kind {GRAPH_MAGIC!r}")
-    edges = tuple(tuple(int(x) for x in e) for e in data.get("edges", []))
-    return GraphDocument(int(data["vertices"]), edges, data.get("name"))
+    with _json_fields(GRAPH_MAGIC):
+        edges = tuple(tuple(int(x) for x in e) for e in data.get("edges", []))
+        return GraphDocument(int(data["vertices"]), edges, data.get("name"))
 
 
 def _framework_document_to_json(doc: FrameworkDocument) -> dict:
@@ -388,16 +401,17 @@ def _framework_document_from_json(text: str) -> FrameworkDocument:
     data = _load_json(text)
     if data.get("kind") != FRAMEWORK_MAGIC:
         raise DocumentError(f"expected kind {FRAMEWORK_MAGIC!r}")
-    edges = tuple(tuple(int(x) for x in e) for e in data.get("edges", []))
-    gdoc = GraphDocument(int(data["vertices"]), edges, data.get("name"))
-    positions = tuple(
-        (int(v), tuple(float(c) for c in coords))
-        for v, coords in sorted(data.get("positions", {}).items(), key=lambda kv: int(kv[0]))
-    )
-    lattice = tuple(float(c) for c in data["lattice"])
-    stress = None
-    if "stress" in data:
-        stress = tuple(
-            ("L" if k == "L" else int(k.lstrip("e")), v) for k, v in data["stress"].items()
+    with _json_fields(FRAMEWORK_MAGIC):
+        edges = tuple(tuple(int(x) for x in e) for e in data.get("edges", []))
+        gdoc = GraphDocument(int(data["vertices"]), edges, data.get("name"))
+        positions = tuple(
+            (int(v), tuple(float(c) for c in coords))
+            for v, coords in sorted(data.get("positions", {}).items(), key=lambda kv: int(kv[0]))
         )
-    return FrameworkDocument(gdoc, int(data["dimension"]), positions, lattice, stress)
+        lattice = tuple(float(c) for c in data["lattice"])
+        stress = None
+        if "stress" in data:
+            stress = tuple(
+                ("L" if k == "L" else int(k.lstrip("e")), v) for k, v in data["stress"].items()
+            )
+        return FrameworkDocument(gdoc, int(data["dimension"]), positions, lattice, stress)

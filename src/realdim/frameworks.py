@@ -85,9 +85,6 @@ class StressVector:
     def as_array(self, graph: GainGraph) -> np.ndarray:
         return np.array([float(x) for x in self.as_list(graph)])
 
-    def is_exact(self, graph: GainGraph) -> bool:
-        return all(_is_exact(x) for x in self.as_list(graph))
-
 
 @dataclass(frozen=True)
 class StressSignature:

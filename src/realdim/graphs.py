@@ -62,12 +62,18 @@ class GainEdge:
             return -self.label
         raise KeyError(f"vertex {v} is not an endpoint of edge {self.id}")
 
-    def same_content(self, other: "GainEdge") -> bool:
-        """Equal as labelled edges up to inversion (ids ignored)."""
-        return (self.tail, self.head, self.label) in (
-            (other.tail, other.head, other.label),
-            (other.head, other.tail, -other.label),
-        )
+    def orbit_key(self) -> tuple:
+        """Equal for exactly the edges that describe the same orbit.
+
+        Inverting an edge while negating its label gives the same orbit,
+        so a non-loop is keyed (a, b, gain read from a) with a < b, and a
+        selfloop at v is keyed (v, v, |label|).  Ids are ignored.
+        """
+        if self.tail < self.head:
+            return (self.tail, self.head, self.label)
+        if self.tail > self.head:
+            return (self.head, self.tail, -self.label)
+        return (self.tail, self.tail, abs(self.label))
 
 
 @dataclass(frozen=True)
@@ -80,38 +86,28 @@ class Violation:
 
 
 def _simplicity_violations(edges) -> list:
-    violations = []
-    nonloop_groups: dict = {}
-    loop_groups: dict = {}
+    """Zero-loops in edge order, then duplicate parallel edges, then
+    duplicate selfloops, each group in orbit-key order."""
+    violations = [
+        Violation("zero-loop", (e.id,), f"selfloop {e.id} at {e.tail} has label 0")
+        for e in edges
+        if e.label == 0 and e.tail == e.head
+    ]
+    groups: dict = {}
     for e in edges:
-        if e.is_loop:
-            if e.label == 0:
-                violations.append(
-                    Violation("zero-loop", (e.id,), f"selfloop {e.id} at {e.tail} has label 0")
-                )
-            loop_groups.setdefault((e.tail, abs(e.label)), []).append(e.id)
-        else:
-            a, b = min(e.tail, e.head), max(e.tail, e.head)
-            gain = e.label if e.tail == a else -e.label
-            nonloop_groups.setdefault((a, b, gain), []).append(e.id)
-    for (a, b, gain), ids in sorted(nonloop_groups.items()):
-        if len(ids) > 1:
-            violations.append(
-                Violation(
-                    "duplicate-parallel",
-                    tuple(sorted(ids)),
-                    f"edges {sorted(ids)} between {a} and {b} describe the same orbit",
-                )
-            )
-    for (v, a), ids in sorted(loop_groups.items()):
-        if len(ids) > 1:
-            violations.append(
-                Violation(
-                    "duplicate-loop",
-                    tuple(sorted(ids)),
-                    f"selfloops {sorted(ids)} at {v} describe the same orbit",
-                )
-            )
+        groups.setdefault(e.orbit_key(), []).append(e.id)
+    duplicates = sorted((key, sorted(ids)) for key, ids in groups.items() if len(ids) > 1)
+    for (a, b, _), ids in duplicates:
+        if a != b:
+            violations.append(Violation(
+                "duplicate-parallel", tuple(ids),
+                f"edges {ids} between {a} and {b} describe the same orbit",
+            ))
+    for (v, w, _), ids in duplicates:
+        if v == w:
+            violations.append(Violation(
+                "duplicate-loop", tuple(ids), f"selfloops {ids} at {v} describe the same orbit"
+            ))
     return violations
 
 
@@ -371,8 +367,7 @@ class GainGraph:
     graph.
     """
 
-    def __init__(self, vertices: Iterable[int], edges: Iterable[GainEdge] = (),
-                 check_simple: bool = True):
+    def __init__(self, vertices: Iterable[int], edges: Iterable[GainEdge] = ()):
         self.vertices = tuple(sorted(set(vertices)))
         vset = set(self.vertices)
         edges = tuple(sorted(edges, key=lambda e: e.id))
@@ -383,23 +378,22 @@ class GainGraph:
             if e.tail not in vset or e.head not in vset:
                 raise RealdimError(f"edge {e.id} uses unknown vertices")
         self.edges = edges
-        if check_simple:
-            violations = _simplicity_violations(edges)
-            if violations:
-                raise SimplicityError(violations)
+        violations = _simplicity_violations(edges)
+        if violations:
+            raise SimplicityError(violations)
         self._by_id = {e.id: e for e in edges}
         self._vset = vset
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def of(cls, n: int, triples: Iterable[tuple], check_simple: bool = True) -> "GainGraph":
+    def of(cls, n: int, triples: Iterable[tuple]) -> "GainGraph":
         """Build a graph on vertices 1..n from (tail, head, label) triples."""
         edges = [GainEdge(i, t, h, z) for i, (t, h, z) in enumerate(triples, start=1)]
-        return cls(range(1, n + 1), edges, check_simple=check_simple)
+        return cls(range(1, n + 1), edges)
 
-    def replace_edges(self, edges, check_simple=True) -> "GainGraph":
-        return GainGraph(self.vertices, edges, check_simple=check_simple)
+    def replace_edges(self, edges) -> "GainGraph":
+        return GainGraph(self.vertices, edges)
 
     def with_edge(self, tail: int, head: int, label: int, id: int | None = None) -> "GainGraph":
         eid = self.fresh_edge_id() if id is None else id
@@ -424,9 +418,6 @@ class GainGraph:
         except KeyError:
             raise RealdimError(f"unknown edge id {eid}") from None
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vset
-
     def loops_at(self, v: int) -> list:
         return [e for e in self.edges if e.is_loop and e.tail == v]
 
@@ -439,9 +430,6 @@ class GainGraph:
 
     def multiplicity(self, a: int, b: int) -> int:
         return len(self.edges_between(a, b)) if a != b else 0
-
-    def all_zero(self) -> bool:
-        return all(e.label == 0 for e in self.edges)
 
     def __eq__(self, other):
         if not isinstance(other, GainGraph):
@@ -549,11 +537,7 @@ class GainGraph:
 
         kept: dict = {}
         for f in merged:
-            if f.is_loop:
-                key = ("loop", f.tail, abs(f.label))
-            else:
-                a, b = min(f.tail, f.head), max(f.tail, f.head)
-                key = ("pair", a, b, f.gain_from(a))
+            key = f.orbit_key()
             if key not in kept or f.id < kept[key].id:
                 kept[key] = f
         return GainGraph((u for u in self.vertices if u != gone), kept.values())
@@ -791,64 +775,26 @@ class GainGraph:
         return best
 
 
-# -- checks and composition -----------------------------------------------------
-
-
-def validate_simple(g: GainGraph) -> list:
-    """Return all simplicity violations (empty list means simple)."""
-    return _simplicity_violations(g.edges)
-
-
-def _check_shared_ids(g1: GainGraph, g2: GainGraph):
-    shared = set(e.id for e in g1.edges) & set(e.id for e in g2.edges)
-    for eid in sorted(shared):
-        if not g1.edge(eid).same_content(g2.edge(eid)):
-            raise RealdimError(
-                f"edge {eid} has conflicting endpoints or label in the two graphs"
-            )
-    return shared
+# -- composition ------------------------------------------------------------------
 
 
 def union(g1: GainGraph, g2: GainGraph) -> GainGraph:
-    """Edgewise and vertexwise union over a shared id universe."""
-    shared = _check_shared_ids(g1, g2)
-    edges = list(g1.edges) + [e for e in g2.edges if e.id not in shared]
-    return GainGraph(set(g1.vertices) | set(g2.vertices), edges)
+    """Vertexwise and edgewise union over a shared id universe.
 
-
-def intersection(g1: GainGraph, g2: GainGraph) -> GainGraph:
-    shared = _check_shared_ids(g1, g2)
-    vs = set(g1.vertices) & set(g2.vertices)
-    return GainGraph(vs, [e for e in g1.edges if e.id in shared])
-
-
-@dataclass(frozen=True)
-class KSumRecord:
-    """Decomposition record attached to a balanced k-sum."""
-
-    k: int
-    shared_vertices: tuple
-    shared_edge_ids: tuple
-
-
-def balanced_k_sum(g1: GainGraph, g2: GainGraph) -> tuple:
-    """Glue an all-zero-labelled graph to another along a balanced clique.
-
-    Requires every label of ``g1`` to be zero and the intersection to be a
-    complete all-zero graph on the shared vertices.  Returns the union and
-    the decomposition record.
+    An id in both graphs must name the same orbit in each, or this raises
+    ``RealdimError``.  An edge of ``g2`` whose orbit ``g1`` already carries
+    under another id is dropped, so the union of simple graphs is simple.
     """
-    if not g1.all_zero():
-        raise RealdimError("first summand must have all labels zero")
-    inter = intersection(g1, g2)
-    shared = inter.vertices
-    k = len(shared)
-    if any(e.is_loop or e.label != 0 for e in inter.edges):
-        raise RealdimError("intersection is not an all-zero complete graph")
-    for a, b in itertools.combinations(shared, 2):
-        if not inter.edges_between(a, b):
-            raise RealdimError(
-                f"intersection misses the edge between shared vertices {a} and {b}"
-            )
-    record = KSumRecord(k, shared, tuple(sorted(e.id for e in inter.edges)))
-    return union(g1, g2), record
+    carried = {e.orbit_key() for e in g1.edges}
+    edges = list(g1.edges)
+    for e in g2.edges:
+        key = e.orbit_key()
+        mine = g1._by_id.get(e.id)
+        if mine is not None:
+            if mine.orbit_key() != key:
+                raise RealdimError(
+                    f"edge {e.id} has conflicting endpoints or label in the two graphs"
+                )
+        elif key not in carried:
+            edges.append(e)
+    return GainGraph(set(g1.vertices) | set(g2.vertices), edges)

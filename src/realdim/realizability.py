@@ -23,6 +23,7 @@ instead.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,29 +55,11 @@ def _require_nonempty(g: GainGraph):
         raise RealdimError("realizability is undefined for the empty graph")
 
 
-class _IdAlloc:
-    def __init__(self, start: int):
-        self._next = start
-
-    def take(self) -> int:
-        self._next += 1
-        return self._next - 1
-
-
-@dataclass
-class _Yes:
-    tree: DecompositionTree
-
-
-@dataclass
-class _No:
-    witness: object  # MinorWitness | ReasonTrace
-
-
-def _prefix(no: _No, ops) -> _No:
-    if isinstance(no.witness, MinorWitness):
-        return _No(MinorWitness(no.witness.pattern, tuple(ops) + no.witness.ops))
-    return no
+def _prefix(witness, ops):
+    """Put ops before a minor witness; a reason trace is returned as is."""
+    if isinstance(witness, MinorWitness):
+        return MinorWitness(witness.pattern, tuple(ops) + witness.ops)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +294,14 @@ def _one_sum_balanced(parts, v: int) -> DecompositionTree:
 def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
     """Plane realizability, decided by the degree-two recursion."""
     _require_nonempty(g)
-    alloc = _IdAlloc(g.fresh_edge_id())
+    alloc = itertools.count(g.fresh_edge_id())
     loops = [e for e in g.edges if e.is_loop]
     core = g.delete_edges([e.id for e in loops]) if loops else g
     res = _decide2_split(core, core.underlying_simple_graph(), alloc, {}, loops)
-    if isinstance(res, _No):
-        res = _prefix(res, [MinorOp("delete_edge", e.id) for e in loops])
-        return RealizabilityVerdict(2, False, res.witness)
-    return RealizabilityVerdict(2, True, res.tree)
+    if isinstance(res, DecompositionTree):
+        return RealizabilityVerdict(2, True, res)
+    witness = _prefix(res, [MinorOp("delete_edge", e.id) for e in loops])
+    return RealizabilityVerdict(2, False, witness)
 
 
 # The recursion switches its graphs as it goes, but every tree it returns
@@ -338,10 +321,14 @@ def _in_input_frame(g: GainGraph, phi: dict) -> GainGraph:
     return g.switch_many(undo) if undo else g
 
 
-def _decide2(h: GainGraph, alloc: _IdAlloc, phi: dict):
-    """Core recursion on a loopless graph in frame ``phi``."""
+def _decide2(h: GainGraph, alloc, phi: dict):
+    """Core recursion on a loopless graph in frame ``phi``.
+
+    Returns a decomposition tree for yes and a witness (``MinorWitness``
+    or ``ReasonTrace``) for no; ``alloc`` yields fresh edge ids.
+    """
     if h.n <= 2:
-        return _Yes(DecompositionTree.leaf(_in_input_frame(h, phi)))
+        return DecompositionTree.leaf(_in_input_frame(h, phi))
     si = h.underlying_simple_graph()
     if len(si.components()) > 1 or si.articulation_points():
         return _decide2_split(h, si, alloc, phi)
@@ -351,19 +338,17 @@ def _decide2(h: GainGraph, alloc: _IdAlloc, phi: dict):
 
     degree = {v: si.degree(v) for v in h.vertices}
     if min(degree.values()) >= 3:
-        return _No(
-            _fallback_witness(
-                h,
-                "every vertex of the simplified graph has degree at least three "
-                "in a two-connected piece, forcing a forbidden minor",
-            )
+        return _fallback_witness(
+            h,
+            "every vertex of the simplified graph has degree at least three "
+            "in a two-connected piece, forcing a forbidden minor",
         )
 
     v = min(u for u in h.vertices if degree[u] == 2)
     x, y = sorted(si.neighbors(v))
     mvx, mvy = h.multiplicity(v, x), h.multiplicity(v, y)
     if mvx >= 2 and mvy >= 2:
-        return _No(_witness_both_doubled(h, v, x, y))
+        return _witness_both_doubled(h, v, x, y)
     if mvx == 1 and mvy == 1:
         return _contract_step(h, v, x, y, alloc, phi)
     if mvy >= 2:
@@ -371,7 +356,7 @@ def _decide2(h: GainGraph, alloc: _IdAlloc, phi: dict):
     return _deletion_step(h, v, x, y, alloc, phi)
 
 
-def _decide2_split(h: GainGraph, si: SimpleGraph, alloc: _IdAlloc, phi: dict, loops=()):
+def _decide2_split(h: GainGraph, si: SimpleGraph, alloc, phi: dict, loops=()):
     """Decide every block, then glue blocks and selfloop leaves by one-sums."""
     comps = si.components()
     blocks = si.blocks()
@@ -387,7 +372,7 @@ def _decide2_split(h: GainGraph, si: SimpleGraph, alloc: _IdAlloc, phi: dict, lo
     for vset, eset in blocks:
         sub = GainGraph(vset, [e for pair in eset for e in by_pair[pair]])
         res = _decide2(sub, alloc, phi)
-        if isinstance(res, _No):
+        if not isinstance(res, DecompositionTree):
             # Trim to the component, then to the block within it.
             ci = comp_of[min(vset)]
             comp = comps[ci]
@@ -402,14 +387,14 @@ def _decide2_split(h: GainGraph, si: SimpleGraph, alloc: _IdAlloc, phi: dict, lo
                 ]
                 ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in vset]
             return _prefix(res, ops)
-        pieces.append((vset, res.tree))
-    return _Yes(_glue(h.vertices, pieces + _loop_pieces(loops)))
+        pieces.append((vset, res))
+    return _glue(h.vertices, pieces + _loop_pieces(loops))
 
 
-def _decide2_triangle(h: GainGraph, alloc: _IdAlloc, phi: dict):
+def _decide2_triangle(h: GainGraph, alloc, phi: dict):
     """Three vertices, two-connected (complete) simplified graph."""
     if h.multiplicity_graph().is_spanning_connected(h.vertices):
-        return _No(_witness_trim_to_double_double(h))
+        return _witness_trim_to_double_double(h)
     others = {
         v: [u for u in h.vertices if u != v] for v in h.vertices
     }
@@ -422,7 +407,7 @@ def _decide2_triangle(h: GainGraph, alloc: _IdAlloc, phi: dict):
     return _contract_step(h, w, a, b, alloc, phi)
 
 
-def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc, phi: dict):
+def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc, phi: dict):
     """Both multiplicities at w are one: contract the w-a edge.
 
     On yes, the answer glues a balanced triangle on {w, a, b} to the
@@ -435,7 +420,7 @@ def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc, phi: d
     _shift(phi, psi, 1)
     try:
         res = _decide2(child, alloc, phi)
-        if isinstance(res, _No):
+        if not isinstance(res, DecompositionTree):
             return _prefix(res, [MinorOp("contract_edge", ea.id, a)])
         # Fresh ids throughout: reusing real ids here can collide with the
         # same id drifting to other endpoints inside the sibling subtree.
@@ -443,25 +428,23 @@ def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc: _IdAlloc, phi: d
         triangle = GainGraph(
             (w, a, b),
             [
-                GainEdge(alloc.take(), t, u, phi.get(u, 0) - phi.get(t, 0))
+                GainEdge(next(alloc), t, u, phi.get(u, 0) - phi.get(t, 0))
                 for t, u in ((w, a), (w, b), (a, b))
             ],
         )
     finally:
         _shift(phi, psi, -1)
-    return _Yes(
-        DecompositionTree.balanced_two_sum(
-            DecompositionTree.leaf(triangle), res.tree, (a, b), zero_child=0
-        )
+    return DecompositionTree.balanced_two_sum(
+        DecompositionTree.leaf(triangle), res, (a, b), zero_child=0
     )
 
 
-def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc, phi: dict):
+def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc, phi: dict):
     """Multiplicity two towards x, one towards y: delete v after a balance check."""
     rest = h.delete_vertex(v)
     bal = rest.balance()
     if not bal.balanced:
-        return _No(_witness_unbalanced_rest(h, v, x, y, bal.witness))
+        return _witness_unbalanced_rest(h, v, x, y, bal.witness)
     psi = bal.potentials
     h2 = h.switch_many(psi)
     rest2 = h2.delete_vertex(v)
@@ -471,21 +454,19 @@ def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc, phi: d
         shared_id = existing[0].id
         added = False
     else:
-        shared_id = alloc.take()
+        shared_id = next(alloc)
         child = rest2.with_edge(x, y, 0, id=shared_id)
         added = True
     _shift(phi, psi, 1)
     try:
         res = _decide2(child, alloc, phi)
-        if isinstance(res, _No):
-            if not added and isinstance(res.witness, MinorWitness):
+        if not isinstance(res, DecompositionTree):
+            if not added and isinstance(res, MinorWitness):
                 return _prefix(res, [MinorOp("delete_vertex", v)])
-            return _No(
-                _fallback_witness(
-                    h,
-                    "deleting the degree-two vertex leaves a balanced graph whose "
-                    "completion is not two-realizable",
-                )
+            return _fallback_witness(
+                h,
+                "deleting the degree-two vertex leaves a balanced graph whose "
+                "completion is not two-realizable",
             )
         piece = h2.induced({v, x, y})
         if added:
@@ -493,12 +474,10 @@ def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc: _IdAlloc, phi: d
         piece_res = _contract_step(piece, y, x, v, alloc, phi)
     finally:
         _shift(phi, psi, -1)
-    if isinstance(piece_res, _No):
+    if not isinstance(piece_res, DecompositionTree):
         raise RealdimError("internal: three-vertex piece with non-spanning "
                            "multiplicity graph must be two-realizable")
-    return _Yes(
-        DecompositionTree.balanced_two_sum(piece_res.tree, res.tree, (x, y), zero_child=1)
-    )
+    return DecompositionTree.balanced_two_sum(piece_res, res, (x, y), zero_child=1)
 
 
 # -- no-witness constructions ---------------------------------------------------

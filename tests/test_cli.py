@@ -214,6 +214,56 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["stress", str(p2)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("classify", {"kind": "gaingraph", "edges": [[1, 2, 0]]}),
+        ("classify", {"kind": "gaingraph", "vertices": "two", "edges": []}),
+        ("classify", {"kind": "gaingraph", "vertices": 2, "edges": 5}),
+        ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
+                    "positions": {"1": [0], "2": [1]}}),
+        ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
+                    "positions": [[0], [1]], "lattice": [1]}),
+    ],
+)
+def test_malformed_json_document_exit_code(tmp_path, capsys, command, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "graph, mutate",
+    [
+        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][0].pop("target"), id="op-no-target"),
+        pytest.param(COUNTEREXAMPLE_C, lambda c: c.update(ops=5), id="ops-not-list"),
+        pytest.param(COUNTEREXAMPLE_C, lambda c: c.pop("dimension"), id="no-dimension"),
+        pytest.param(K2, lambda c: c.update(root=[]), id="root-not-object"),
+        pytest.param(K2, lambda c: c["root"].pop("graph"), id="leaf-no-graph"),
+    ],
+)
+def test_malformed_certificate_exit_code(tmp_path, capsys, graph, mutate):
+    g = tmp_path / "g.graph"
+    g.write_text(graph)
+    run(capsys, "classify", g, "--cert-out", tmp_path / "cert")
+    cert = tmp_path / "cert.d1.json"
+    data = json.loads(cert.read_text())
+    mutate(data)
+    cert.write_text(json.dumps(data))
+    assert main(["verify-cert", str(g), str(cert)]) == 2
+    assert "error: certificate" in capsys.readouterr().err
+
+
+def test_certificate_not_json_exit_code(tmp_path, capsys):
+    g = tmp_path / "k2.graph"
+    g.write_text(K2)
+    cert = tmp_path / "cert.json"
+    cert.write_text("{not json")
+    assert main(["verify-cert", str(g), str(cert)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_bound_exceeded_exit_code(tmp_path, capsys):
     lines = ["gaingraph v1", "vertices 9"] + [f"edge {i} {i+1} 0" for i in range(1, 9)]
     p = tmp_path / "big.graph"

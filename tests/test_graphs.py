@@ -4,15 +4,7 @@ import random
 import pytest
 
 from realdim.errors import RealdimError, SimplicityError
-from realdim.graphs import (
-    GainEdge,
-    GainGraph,
-    SimpleGraph,
-    balanced_k_sum,
-    intersection,
-    union,
-    validate_simple,
-)
+from realdim.graphs import GainEdge, GainGraph, SimpleGraph, union
 
 
 def k2_zero():
@@ -47,35 +39,71 @@ def ladder_graph():
 # -- simplicity -------------------------------------------------------------
 
 
+def violations(n, triples):
+    """The simplicity report of a labelling, read off the constructor's error."""
+    try:
+        GainGraph.of(n, triples)
+    except SimplicityError as exc:
+        return exc.violations
+    return []
+
+
 def test_validate_simple_same_direction_same_label():
-    g = GainGraph.of(2, [(1, 2, 0), (1, 2, 0)], check_simple=False)
-    report = validate_simple(g)
+    report = violations(2, [(1, 2, 0), (1, 2, 0)])
     assert len(report) == 1
     assert report[0].kind == "duplicate-parallel"
     assert report[0].edge_ids == (1, 2)
 
 
 def test_validate_simple_inverse_direction_inverse_label():
-    g = GainGraph.of(2, [(1, 2, 0), (2, 1, 0)], check_simple=False)
-    report = validate_simple(g)
+    report = violations(2, [(1, 2, 0), (2, 1, 0)])
     assert len(report) == 1
     assert report[0].kind == "duplicate-parallel"
 
-    g2 = GainGraph.of(2, [(1, 2, 3), (2, 1, -3)], check_simple=False)
-    assert validate_simple(g2)
+    assert violations(2, [(1, 2, 3), (2, 1, -3)])
 
 
 def test_validate_simple_zero_loop_and_loop_pairs():
-    g = GainGraph.of(1, [(1, 1, 0)], check_simple=False)
-    assert validate_simple(g)[0].kind == "zero-loop"
-    g2 = GainGraph.of(1, [(1, 1, 2), (1, 1, -2)], check_simple=False)
-    assert validate_simple(g2)[0].kind == "duplicate-loop"
-    g3 = GainGraph.of(1, [(1, 1, 1), (1, 1, 2)])
-    assert validate_simple(g3) == []
+    assert violations(1, [(1, 1, 0)])[0].kind == "zero-loop"
+    assert violations(1, [(1, 1, 2), (1, 1, -2)])[0].kind == "duplicate-loop"
+    assert violations(1, [(1, 1, 1), (1, 1, 2)]) == []
+
+
+def test_simplicity_report_order_and_messages():
+    report = violations(
+        3,
+        [(3, 3, 1), (2, 3, 4), (1, 1, 0), (3, 2, -4), (2, 2, 0), (3, 3, -1),
+         (2, 1, 1), (1, 2, -1), (1, 2, -1)],
+    )
+    assert [(v.kind, v.edge_ids, v.message) for v in report] == [
+        ("zero-loop", (3,), "selfloop 3 at 1 has label 0"),
+        ("zero-loop", (5,), "selfloop 5 at 2 has label 0"),
+        ("duplicate-parallel", (7, 8, 9), "edges [7, 8, 9] between 1 and 2 describe the same orbit"),
+        ("duplicate-parallel", (2, 4), "edges [2, 4] between 2 and 3 describe the same orbit"),
+        ("duplicate-loop", (1, 6), "selfloops [1, 6] at 3 describe the same orbit"),
+    ]
 
 
 def test_k2_bullet_is_simple():
-    assert validate_simple(k2_bullet(0, 1)) == []
+    assert k2_bullet(0, 1).m == 2  # the constructor raises on a non-simple labelling
+
+
+@pytest.mark.parametrize(
+    "e, f, same",
+    [
+        (GainEdge(1, 1, 2, 3), GainEdge(2, 2, 1, -3), True),  # inversion
+        (GainEdge(1, 1, 2, 3), GainEdge(2, 1, 2, 3), True),  # ids are ignored
+        (GainEdge(1, 1, 2, 3), GainEdge(2, 2, 1, 3), False),
+        (GainEdge(1, 1, 2, 3), GainEdge(2, 1, 2, -3), False),
+        (GainEdge(1, 1, 2, 3), GainEdge(2, 1, 3, 3), False),
+        (GainEdge(1, 4, 4, 2), GainEdge(2, 4, 4, -2), True),  # loops by |label|
+        (GainEdge(1, 4, 4, 2), GainEdge(2, 4, 4, 1), False),
+        (GainEdge(1, 4, 4, 2), GainEdge(2, 5, 5, 2), False),
+    ],
+)
+def test_orbit_key(e, f, same):
+    assert (e.orbit_key() == f.orbit_key()) is same
+    assert e.orbit_key() == e.inverted().orbit_key()
 
 
 def test_constructor_rejects_unsimple():
@@ -268,7 +296,7 @@ def test_balanced_potentials_zero_all_labels():
         g = g.switch_many(pot)
         res = g.balance()
         assert res.balanced
-        assert g.switch_many(res.potentials).all_zero()
+        assert all(e.label == 0 for e in g.switch_many(res.potentials).edges)
 
 
 def test_balance_invariant_under_switch_invert():
@@ -356,7 +384,7 @@ def test_canonical_balanced_triangles_agree():
     assert g1.canonical_form() == g2.canonical_form()
 
 
-# -- union / intersection / k-sum ---------------------------------------------
+# -- union ---------------------------------------------------------------------
 
 
 def counterexample_a():
@@ -393,12 +421,6 @@ def test_union_of_counterexample_pieces():
     assert c.n == 4 and c.m == 6
 
 
-def test_intersection_of_counterexample_pieces_is_k2_zero():
-    inter = intersection(counterexample_a(), counterexample_b())
-    assert set(inter.vertices) == {1, 2}
-    assert inter.m == 1 and inter.edge(4).label == 0
-
-
 def test_union_label_conflict_detected():
     g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 0)])
     g2 = GainGraph((1, 2), [GainEdge(1, 1, 2, 5)])
@@ -406,19 +428,12 @@ def test_union_label_conflict_detected():
         union(g1, g2)
 
 
-def test_balanced_one_sum_of_paths():
-    g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 0)])
-    g2 = GainGraph((2, 3), [GainEdge(2, 2, 3, 0)])
-    summed, record = balanced_k_sum(g1, g2)
-    assert record.k == 1 and record.shared_vertices == (2,)
-    assert summed.m == 2 and summed.n == 3
-
-
-def test_balanced_two_sum_precondition():
-    g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 1)])
-    g2 = GainGraph((1, 2, 3), [GainEdge(1, 1, 2, 1), GainEdge(2, 2, 3, 0)])
-    with pytest.raises(RealdimError):
-        balanced_k_sum(g1, g2)
+def test_union_collapses_an_orbit_carried_under_two_ids():
+    g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 3), GainEdge(2, 2, 2, 1)])
+    g2 = GainGraph((1, 2, 3), [GainEdge(5, 2, 1, -3), GainEdge(6, 2, 3, 0), GainEdge(7, 2, 2, -1)])
+    u = union(g1, g2)
+    assert u.vertices == (1, 2, 3)
+    assert [e.id for e in u.edges] == [1, 2, 6]
 
 
 # -- lift windows -----------------------------------------------------------------

@@ -295,6 +295,18 @@ def test_decomposition_rejects_tampering():
         verify_decomposition(bad, g, 2)
 
 
+def test_replay_rejects_shared_id_naming_two_orbits():
+    from realdim.graphs import GainEdge
+
+    left = DecompositionTree.leaf(GainGraph((1, 2), [GainEdge(1, 1, 2, 0)]))
+    right = DecompositionTree.leaf(GainGraph((2, 3), [GainEdge(1, 2, 3, 0)]))
+    tree = DecompositionTree.one_sum(left, right, 2)
+    with pytest.raises(CertificateError, match="edge 1"):
+        tree.replay()
+    with pytest.raises(CertificateError):
+        verify_decomposition(tree, GainGraph.of(3, [(1, 2, 0), (2, 3, 0)]), 1)
+
+
 def test_decomposition_rejects_wrong_leaf_family():
     g = k4_zero()
     tree = DecompositionTree.leaf(g)  # a 4-vertex leaf is in no family
