@@ -381,15 +381,21 @@ def cmd_verify_cert(args) -> int:
     out = _Output(args.json)
     g = _read_graph(args.graph)
     try:
-        data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CertificateError(f"certificate is not valid JSON: {exc}") from None
-    verdict = certificate_from_json_dict(data)
-    try:
-        verdict.verify(g)
-    except RealdimError as exc:
-        out.say(f"certificate: INVALID ({exc})", valid=False, reason=str(exc))
-        return out.flush(1)
+        try:
+            data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CertificateError(f"certificate is not valid JSON: {exc}") from None
+        verdict = certificate_from_json_dict(data)
+        try:
+            verdict.verify(g)
+        except RealdimError as exc:
+            out.say(f"certificate: INVALID ({exc})", valid=False, reason=str(exc))
+            return out.flush(1)
+    except RecursionError:
+        raise BoundExceededError(
+            "certificate nesting is too deep to parse or replay "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None
     out.say(
         f"certificate: valid ({verdict.certificate_kind}, dimension {verdict.dimension_bound}, "
         f"answer {'yes' if verdict.answer else 'no'})",

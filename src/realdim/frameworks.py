@@ -29,6 +29,8 @@ from .graphs import GainGraph
 
 DEFAULT_TOL = 1e-8
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 LATTICE_KEY = "L"
 
 
@@ -251,12 +253,16 @@ def is_equilibrium_stress(fw: QuotientFramework, stress: StressVector, tol=None)
 def stress_matrix(graph: GainGraph, stress: StressVector) -> np.ndarray:
     """Weighted sum of indicator outer products over the extended edge set.
 
-    Exact (integer or Fraction entries) whenever every weight is exact;
-    labels are always integers.  Equals I^T diag(w) I for the incidence
-    matrix I.
+    Exact whenever every weight is exact; labels are always integers.
+    Integer weights give an ``int64`` array when every entry fits in
+    int64, else an ``object`` array of Python ints; Fraction weights give
+    an ``object`` array of Fractions.  Equals I^T diag(w) I for the
+    incidence matrix I.
     """
     values = stress.as_list(graph)
     exact = all(_is_exact(x) for x in values)
+    if exact:  # numpy integer weights would wrap around in int64 products
+        values = [x if isinstance(x, Fraction) else int(x) for x in values]
     n = graph.n
     index = {v: k for k, v in enumerate(graph.vertices)}
     size = n + 1
@@ -279,7 +285,9 @@ def stress_matrix(graph: GainGraph, stress: StressVector) -> np.ndarray:
 
     if exact:
         if all(isinstance(x, Integral) for x in values):
-            return np.array(L, dtype=np.int64)
+            if all(_INT64_MIN <= x <= _INT64_MAX for row in L for x in row):
+                return np.array(L, dtype=np.int64)
+            return np.array(L, dtype=object)
         return np.array(
             [[Fraction(x) for x in row] for row in L], dtype=object
         )
@@ -289,14 +297,15 @@ def stress_matrix(graph: GainGraph, stress: StressVector) -> np.ndarray:
 def signature(L: np.ndarray, tol=None) -> StressSignature:
     """Inertia of a symmetric matrix.
 
-    Integer and Fraction matrices go through exact rational elimination;
-    floats are counted from eigenvalues against the scaled tolerance.
+    Integer, Python-int and Fraction matrices go through exact
+    elimination; floats are counted from eigenvalues against the scaled
+    tolerance.
     """
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise RealdimError("stress matrix must be square")
     if L.dtype == object or np.issubdtype(L.dtype, np.integer):
-        rows = [[x for x in row] for row in L.tolist()]
+        rows = L.tolist()
         for i in range(len(rows)):
             for j in range(len(rows)):
                 if rows[i][j] != rows[j][i]:
@@ -517,11 +526,7 @@ def span_check(graph: GainGraph) -> SpanCheck:
     """
     n = graph.n
     has_loop = any(e.is_loop for e in graph.edges)
-    import itertools as _it
-
-    mult_ok = all(
-        graph.multiplicity(a, b) <= 2 for a, b in _it.combinations(graph.vertices, 2)
-    )
+    mult_ok = all(c <= 2 for c in graph.pair_multiplicities().values())
     mg = graph.multiplicity_graph()
     independent = (not has_loop) and mult_ok and mg.is_forest()
     si = graph.underlying_simple_graph()

@@ -549,17 +549,17 @@ class GainGraph:
         pairs = {e.pair() for e in self.edges if not e.is_loop}
         return SimpleGraph(self.vertices, pairs)
 
-    def multiplicity_graph(self) -> SimpleGraph:
-        """Vertices joined by at least two parallel edges become adjacent."""
-        pairs = set()
+    def pair_multiplicities(self) -> dict:
+        """Number of non-loop edges joining each adjacent vertex pair."""
         count: dict = {}
         for e in self.edges:
-            if e.is_loop:
-                continue
-            count[e.pair()] = count.get(e.pair(), 0) + 1
-        for pair, c in count.items():
-            if c >= 2:
-                pairs.add(pair)
+            if not e.is_loop:
+                count[e.pair()] = count.get(e.pair(), 0) + 1
+        return count
+
+    def multiplicity_graph(self) -> SimpleGraph:
+        """Vertices joined by at least two parallel edges become adjacent."""
+        pairs = {pair for pair, c in self.pair_multiplicities().items() if c >= 2}
         return SimpleGraph(self.vertices, pairs)
 
     def lift_window(self, shift_min: int, shift_max: int) -> SimpleGraph:

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import realdim
+from realdim.certificates import RealizabilityVerdict
 from realdim.cli import main
 from realdim.documents import parse_framework_document
 
@@ -262,6 +267,44 @@ def test_certificate_not_json_exit_code(tmp_path, capsys):
     cert.write_text("{not json")
     assert main(["verify-cert", str(g), str(cert)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _nested_certificate(depth):
+    """A d=1 certificate whose root is a chain of one-child disjoint unions.
+
+    Built as text, since json.dumps itself recurses once per level.
+    """
+    leaf = json.dumps({"node": "leaf", "graph": {
+        "vertices": [1, 2], "edges": [{"id": 1, "tail": 1, "head": 2, "label": 0}]}})
+    root = '{"node": "disjoint_union", "children": [' * depth + leaf + "]}" * depth
+    return '{"dimension": 1, "answer": "yes", "kind": "decomposition-tree", "root": %s}' % root
+
+
+def test_deeply_nested_certificate_exceeds_bound(tmp_path):
+    g = tmp_path / "k2.graph"
+    g.write_text(K2)
+    cert = tmp_path / "deep.json"
+    cert.write_text(_nested_certificate(1200))
+    src = str(Path(realdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "realdim.cli", "verify-cert", str(g), str(cert)],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert "certificate nesting" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_recursion_in_certificate_replay_exceeds_bound(tmp_path, capsys, monkeypatch):
+    def deep_verify(self, original):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(RealizabilityVerdict, "verify", deep_verify)
+    g = tmp_path / "k2.graph"
+    g.write_text(K2)
+    run(capsys, "classify", g, "--cert-out", tmp_path / "cert")
+    assert main(["verify-cert", str(g), str(tmp_path / "cert.d1.json")]) == 3
+    assert "certificate nesting" in capsys.readouterr().err
 
 
 def test_bound_exceeded_exit_code(tmp_path, capsys):

@@ -65,6 +65,29 @@ def test_ladder_stress_matrix_exact():
     assert np.array_equal(L, LADDER_L)
 
 
+@pytest.mark.parametrize("scale", [10**19, 10**30])
+def test_stress_matrix_beyond_int64_is_exact(scale):
+    stress = ladder_stress()
+    big = StressVector({e: scale * w for e, w in stress.weights.items()}, scale * stress.lattice)
+    L = stress_matrix(ladder_graph(), big)
+    assert L.dtype == object
+    assert L.tolist() == [[scale * x for x in row] for row in LADDER_L.tolist()]
+    assert all(type(x) is int for row in L.tolist() for x in row)
+    assert signature(L).as_tuple() == (1, 0, 3)
+
+
+def test_stress_matrix_int64_boundary():
+    g = GainGraph((1,), ())
+    top = 2**63 - 1
+    assert stress_matrix(g, StressVector({}, top)).dtype == np.int64
+    L = stress_matrix(g, StressVector({}, top + 1))
+    assert L.dtype == object and L.tolist() == [[0, 0], [0, top + 1]]
+    assert signature(stress_matrix(g, StressVector({}, -(10**30)))).as_tuple() == (0, 1, 1)
+    loop = GainGraph.of(1, [(1, 1, 2)])
+    L = stress_matrix(loop, StressVector.from_sequence(loop, np.array([2**62, 0])))
+    assert L.dtype == object and L.tolist() == [[0, 0], [0, 2**64]]
+
+
 def test_ladder_signature():
     sig = signature(stress_matrix(ladder_graph(), ladder_stress()))
     assert sig.as_tuple() == (1, 0, 3)
