@@ -3,7 +3,7 @@
 Quotients of graphs with a free Z-symmetry are modelled as integer-
 labelled multigraphs.  The package decides whether every periodic
 realization admits an equivalent one on a line or in the plane (with
-replayable certificates either way), tests labelled minors exhaustively
+certificates that replay either way), tests labelled minors exhaustively
 on small graphs, and provides the numeric layer for periodic frameworks:
 rigidity matrices, equilibrium stresses and their signatures, the conic
 condition, affine flattening, and super-stability verification.
@@ -59,7 +59,6 @@ from .minors import (
     MinorOp,
     MinorPattern,
     MinorWitness,
-    ReasonTrace,
     balanced_complete_pattern,
     contains_forbidden,
     finite_has_minor,

@@ -8,9 +8,8 @@ the input on the same vertex set, up to a switching; gluing of these
 kinds never raises realizable dimension beyond the leaves'.  Every node
 kind glues through :func:`realdim.graphs.union` once its shape is checked.
 
-A *no* answer is certified by a replayable minor witness (see
-:mod:`realdim.minors`) or, when the witness search would exceed its size
-bound, by a non-replayable reason trace.
+A *no* answer is certified, at any size, by a minor witness that replays
+against the input (see :mod:`realdim.minors`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import RealdimError
 from .graphs import GainEdge, GainGraph, union
-from .minors import MinorOp, MinorPattern, MinorWitness, ReasonTrace
+from .minors import MinorOp, MinorPattern, MinorWitness
 
 LEAF = "leaf"
 DISJOINT_UNION = "disjoint_union"
@@ -336,7 +335,7 @@ class RealizabilityVerdict:
 
     dimension_bound: int
     answer: bool
-    certificate: object  # DecompositionTree | MinorWitness | ReasonTrace
+    certificate: object  # DecompositionTree | MinorWitness
 
     @property
     def certificate_kind(self) -> str:
@@ -344,8 +343,6 @@ class RealizabilityVerdict:
             return "decomposition-tree"
         if isinstance(self.certificate, MinorWitness):
             return "minor-witness"
-        if isinstance(self.certificate, ReasonTrace):
-            return "reason-trace"
         return "none"
 
     def verify(self, original: GainGraph) -> bool:
@@ -358,8 +355,6 @@ class RealizabilityVerdict:
             if not cert.verify(original):
                 raise CertificateError("minor witness failed to replay")
             return True
-        if isinstance(cert, ReasonTrace):
-            raise CertificateError("reason traces are not replayable")
         raise CertificateError("verdict carries no certificate")
 
 
@@ -400,10 +395,6 @@ def certificate_to_json_dict(verdict: RealizabilityVerdict) -> dict:
         base["root"] = cert.to_json_dict()
     elif isinstance(cert, MinorWitness):
         base.update(witness_to_json_dict(cert))
-    elif isinstance(cert, ReasonTrace):
-        base["kind"] = "reason-trace"
-        base["replayable"] = False
-        base["reason"] = cert.reason
     return base
 
 
@@ -417,8 +408,6 @@ def certificate_from_json_dict(data: dict) -> RealizabilityVerdict:
             cert = DecompositionTree.from_json_dict(data["root"])
         elif kind == "minor-witness":
             cert = witness_from_json_dict(data)
-        elif kind == "reason-trace":
-            cert = ReasonTrace(data.get("reason", ""))
         else:
             raise CertificateError(f"unknown certificate kind {kind!r}")
     except KeyError as exc:

@@ -20,8 +20,10 @@ import numpy as np
 from . import __version__
 from .certificates import CertificateError, certificate_from_json_dict, certificate_to_json_dict
 from .documents import (
+    FRAMEWORK_MAGIC,
     FrameworkDocument,
     GraphDocument,
+    document_kind,
     parse_framework_document,
     parse_graph_document,
     parse_weights_document,
@@ -33,6 +35,7 @@ from .frameworks import (
     affine_dimension,
     conic_condition,
     flatten,
+    is_equilibrium_stress,
     signature,
     span_check,
     stress_kernel,
@@ -40,7 +43,7 @@ from .frameworks import (
     verify_super_stable,
 )
 from .graphs import GainGraph
-from .minors import MinorPattern, balanced_complete_pattern, has_minor
+from .minors import MinorPattern, balanced_complete_pattern, contains_forbidden, has_minor
 from .realizability import (
     is_1_realizable,
     is_2_realizable,
@@ -90,9 +93,8 @@ def _jsonable(obj):
 
 def _read_graph(path: str) -> GainGraph:
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
     # graph commands also accept framework documents, using their graph part
-    if stripped.startswith("framework") or stripped.startswith("{") and '"framework"' in text:
+    if document_kind(text) == FRAMEWORK_MAGIC:
         doc = parse_framework_document(text).graph
     else:
         doc = parse_graph_document(text)
@@ -225,8 +227,6 @@ def cmd_stress(args) -> int:
         for row in kernel:
             out.say("  " + " ".join(format(x, ".6g") for x in row))
         return out.flush(0)
-    from .frameworks import is_equilibrium_stress
-
     ok = is_equilibrium_stress(fw, stress, args.tol)
     L = stress_matrix(fw.graph, stress)
     sig = signature(L, args.tol)
@@ -297,8 +297,8 @@ def cmd_lift(args) -> int:
         g = fw.graph
         if args.graph != args.framework:
             other = _read_graph(args.graph)
-            mine = {(e.tail, e.head, e.label) for e in g.edges}
-            theirs = {(e.tail, e.head, e.label) for e in other.edges}
+            mine = {e.orbit_key() for e in g.edges}
+            theirs = {e.orbit_key() for e in other.edges}
             if g.vertices != other.vertices or mine != theirs:
                 raise DocumentError("framework and graph documents disagree")
     else:
@@ -408,7 +408,6 @@ def cmd_verify_cert(args) -> int:
 def cmd_selftest(args) -> int:
     out = _Output(args.json)
     rng = random.Random(args.seed)
-    from .minors import contains_forbidden
     from .randgen import (
         random_framework,
         random_isomorphic_copy,
@@ -426,10 +425,14 @@ def cmd_selftest(args) -> int:
     ok = True
     for _ in range(args.count):
         g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
-        if is_1_realizable(g).answer != (not contains_forbidden(g, 1)):
-            ok = False
-        if is_2_realizable(g).answer != (not contains_forbidden(g, 2)):
-            ok = False
+        for dim, decide in ((1, is_1_realizable), (2, is_2_realizable)):
+            verdict = decide(g)
+            if verdict.answer != (not contains_forbidden(g, dim)):
+                ok = False
+            try:
+                verdict.verify(g)
+            except RealdimError:
+                ok = False
     suite("oracle agreement", ok)
 
     ok = True
@@ -451,9 +454,7 @@ def cmd_selftest(args) -> int:
 
     ok = True
     for _ in range(max(3, args.count // 5)):
-        from .graphs import GainGraph as GG
-
-        g = GG.of(3, [(1, 2, 0), (1, 3, 0), (2, 3, 0)])
+        g = GainGraph.of(3, [(1, 2, 0), (1, 3, 0), (2, 3, 0)])
         fw = random_framework(rng, g, 3)
         if affine_dimension(fw) != 3:
             continue

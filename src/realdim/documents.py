@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import DocumentError, SimplicityError
@@ -163,6 +164,9 @@ def stress_from_items(g: GainGraph, items) -> StressVector:
     weights: dict = {}
     lattice = None
     for key, value in items:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            name = "L" if key == "L" else f"e{key}"
+            raise DocumentError(f"stress entry {name} is not a number: {value!r}")
         if key == "L":
             if lattice is not None:
                 raise DocumentError("duplicate lattice stress entry")
@@ -192,6 +196,14 @@ def _logical_lines(text: str):
         if not line or line.startswith("#"):
             continue
         yield lineno, line.split()
+
+
+def document_kind(text: str):
+    """The kind a document declares: the first word of a text document's
+    header, or the ``kind`` field of a JSON one (None if there is none)."""
+    if text.lstrip().startswith("{"):
+        return _load_json(text).get("kind")
+    return next((tokens[0] for _, tokens in _logical_lines(text)), None)
 
 
 def parse_graph_document(text: str) -> GraphDocument:
@@ -256,6 +268,8 @@ def parse_framework_document(text: str) -> FrameworkDocument:
     for lineno, tokens in rest:
         key = tokens[0]
         if key == "dimension":
+            if len(tokens) != 2:
+                raise DocumentError("dimension line takes one value", line=lineno)
             dimension = _parse_int(tokens[1], lineno, "dimension")
         elif key == "position":
             if len(tokens) < 3:
@@ -331,8 +345,9 @@ def parse_weights_document(text: str, g: GainGraph) -> StressVector:
     items = []
     if text_stripped.startswith("{"):
         data = _load_json(text)
-        for key, value in data.get("stress", {}).items():
-            items.append(("L" if key == "L" else int(key.lstrip("e")), value))
+        with _json_fields("stress"):
+            for key, value in data.get("stress", {}).items():
+                items.append(("L" if key == "L" else int(key.lstrip("e")), value))
     else:
         for lineno, tokens in _logical_lines(text):
             if tokens[0] != "stress" or len(tokens) != 3:

@@ -187,12 +187,7 @@ class SimpleGraph:
 
     def is_spanning_connected(self, vertices) -> bool:
         """Connected and touching every vertex of the given set."""
-        vs = frozenset(vertices)
-        if not vs <= self.vertices:
-            return False
-        if self.vertices != vs:
-            return False
-        return self.is_connected()
+        return self.vertices == frozenset(vertices) and self.is_connected()
 
     def is_forest(self) -> bool:
         return all(
@@ -447,19 +442,7 @@ class GainGraph:
 
     def switch(self, v: int, gamma: int) -> "GainGraph":
         """Add gamma to labels leaving v, subtract at labels entering v."""
-        if v not in self._vset:
-            raise RealdimError(f"unknown vertex {v}")
-        out = []
-        for e in self.edges:
-            if e.is_loop:
-                out.append(e)
-            elif e.tail == v:
-                out.append(GainEdge(e.id, e.tail, e.head, e.label + gamma))
-            elif e.head == v:
-                out.append(GainEdge(e.id, e.tail, e.head, e.label - gamma))
-            else:
-                out.append(e)
-        return self.replace_edges(out)
+        return self.switch_many({v: gamma})
 
     def switch_many(self, potentials: Mapping[int, int]) -> "GainGraph":
         """Apply a whole switching potential at once."""
@@ -491,10 +474,15 @@ class GainGraph:
         return self.replace_edges([e for e in self.edges if e.id not in drop])
 
     def delete_vertex(self, v: int) -> "GainGraph":
-        if v not in self._vset:
-            raise RealdimError(f"unknown vertex {v}")
-        keep = [e for e in self.edges if v not in (e.tail, e.head)]
-        return GainGraph((u for u in self.vertices if u != v), keep)
+        return self.delete_vertices((v,))
+
+    def delete_vertices(self, vs) -> "GainGraph":
+        drop = set(vs)
+        for v in drop:
+            if v not in self._vset:
+                raise RealdimError(f"unknown vertex {v}")
+        keep = [e for e in self.edges if e.tail not in drop and e.head not in drop]
+        return GainGraph((u for u in self.vertices if u not in drop), keep)
 
     def induced(self, vertices) -> "GainGraph":
         vs = set(vertices)

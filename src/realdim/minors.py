@@ -3,8 +3,8 @@
 Minors arise from edge deletions, vertex deletions, and contractions of
 non-loop edges (contraction switches the label to zero first).  The
 labelled search is a memoised DFS over isomorphism classes, feasible only
-for small hosts; it serves as the correctness oracle for the polynomial
-deciders.
+for small hosts; it is the correctness oracle for the polynomial
+deciders, which never call it.
 
 Patterns come in two flavours.  *Exact* patterns match up to isomorphism
 against a fixed labelled graph.  *Family* patterns match a structural
@@ -20,7 +20,7 @@ for K5 and K222.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundExceededError, RealdimError
@@ -109,28 +109,30 @@ class MinorOp:
     target: int
     survivor: int | None = None
 
-    def apply(self, g: GainGraph) -> GainGraph:
-        if self.kind == "delete_edge":
-            return g.delete_edge(self.target)
-        if self.kind == "delete_vertex":
-            return g.delete_vertex(self.target)
-        if self.kind == "contract_edge":
-            return g.contract_edge(self.target, survivor=self.survivor)
-        raise RealdimError(f"unknown minor operation {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class MinorWitness:
-    """A replayable reduction from a host to a forbidden pattern."""
+    """A reduction from a host to a forbidden pattern, replayed op by op."""
 
     pattern: MinorPattern
     ops: tuple = ()
-    replayable: bool = field(default=True)
 
     def replay(self, host: GainGraph) -> GainGraph:
+        """Apply the ops in order, each run of deletions of one kind in one
+        rebuild; an unknown or repeated target raises ``RealdimError``."""
         g = host
-        for op in self.ops:
-            g = op.apply(g)
+        for kind, run in itertools.groupby(self.ops, key=lambda op: op.kind):
+            run = list(run)
+            if kind == "contract_edge":
+                for op in run:
+                    g = g.contract_edge(op.target, survivor=op.survivor)
+                continue
+            targets = [op.target for op in run]
+            if kind not in ("delete_edge", "delete_vertex"):
+                raise RealdimError(f"unknown minor operation {kind!r}")
+            if len(set(targets)) != len(targets):
+                raise RealdimError(f"{kind} repeats a target in {targets}")
+            g = g.delete_edges(targets) if kind == "delete_edge" else g.delete_vertices(targets)
         return g
 
     def verify(self, host: GainGraph) -> bool:
@@ -139,14 +141,6 @@ class MinorWitness:
         except RealdimError:
             return False
         return self.pattern.matches(final)
-
-
-@dataclass(frozen=True)
-class ReasonTrace:
-    """Non-replayable explanation attached when a witness is out of bounds."""
-
-    reason: str
-    replayable: bool = field(default=False)
 
 
 def _successors(g: GainGraph):
@@ -176,7 +170,7 @@ def has_minor(
     max_vertices: int = DEFAULT_VERTEX_BOUND,
     max_edges: int = DEFAULT_EDGE_BOUND,
 ) -> MinorWitness | None:
-    """Complete search for a pattern minor; returns a replayable witness.
+    """Complete search for a pattern minor; returns a witness that replays.
 
     Memoised on canonical forms, so each isomorphism class of minors is
     expanded once.  Deletions are tried before contractions, which keeps

@@ -11,14 +11,13 @@ or by deleting it after a balance check (one doubled side).
 Every *yes* comes with a decomposition tree whose leaves are single
 edges/vertices (dimension one) or balanced triangles and two-vertex
 graphs (dimension two).  Its one-sum layers are glued at centroids of
-the block-cut tree, so they add only logarithmic depth.  Every *no*
-comes with a replayable minor witness reaching a forbidden shape: a
-parallel pair or balanced triangle for dimension one; the
+the block-cut tree, so they add only logarithmic depth.  Every *no*, at
+any size, comes with a minor witness whose replay reaches a forbidden
+shape: a parallel pair or balanced triangle for dimension one; the
 doubled-double-pair triangle or the balanced complete graph on four
-vertices for dimension two.  Witness construction for the
-minimum-degree-three case falls back to the exhaustive engine, so for
-graphs beyond its bound a non-replayable reason trace is attached
-instead.
+vertices for dimension two.  Where the simplified graph has a K4 minor
+(minimum degree three, or a deletion step whose completed child fails),
+the witness contracts a K4 subdivision.
 """
 
 from __future__ import annotations
@@ -31,17 +30,13 @@ from .certificates import DecompositionTree, RealizabilityVerdict
 from .errors import RealdimError
 from .graphs import GainEdge, GainGraph, SimpleGraph
 from .minors import (
-    DEFAULT_EDGE_BOUND,
-    DEFAULT_VERTEX_BOUND,
     K3_BULLETBULLET,
     MinorOp,
     MinorPattern,
     MinorWitness,
-    ReasonTrace,
     balanced_complete_pattern,
     finite_has_minor,
     finite_rd_upper3,
-    has_minor,
 )
 
 K2_BULLET_PATTERN = MinorPattern.family("k2-bullet")
@@ -55,11 +50,9 @@ def _require_nonempty(g: GainGraph):
         raise RealdimError("realizability is undefined for the empty graph")
 
 
-def _prefix(witness, ops):
-    """Put ops before a minor witness; a reason trace is returned as is."""
-    if isinstance(witness, MinorWitness):
-        return MinorWitness(witness.pattern, tuple(ops) + witness.ops)
-    return witness
+def _prefix(witness: MinorWitness, ops) -> MinorWitness:
+    """Put ops before a minor witness."""
+    return MinorWitness(witness.pattern, tuple(ops) + witness.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +99,18 @@ def _witness_parallel_pair(g: GainGraph, a: int, b: int) -> MinorWitness:
     return w
 
 
-def _cycle_edges(g: GainGraph, cycle: list) -> list:
-    edges = []
-    for i in range(len(cycle)):
-        a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-        edges.append(min(g.edges_between(a, b), key=lambda e: e.id))
-    return edges
+def _path_edges(g: GainGraph, path: list) -> list:
+    """The smallest-id edge joining each consecutive pair of a vertex path."""
+    smallest: dict = {}
+    for e in g.edges:
+        if not e.is_loop and (e.pair() not in smallest or e.id < smallest[e.pair()].id):
+            smallest[e.pair()] = e
+    return [smallest[frozenset(pair)] for pair in zip(path, path[1:])]
 
 
 def _witness_simple_cycle(g: GainGraph, cycle: list) -> MinorWitness:
     """Contract a cycle to a balanced triangle or an unbalanced pair."""
-    edges = _cycle_edges(g, cycle)
+    edges = _path_edges(g, cycle + cycle[:1])
     gain = sum(e.gain_from(cycle[i]) for i, e in enumerate(edges))
     ops = _keep_only(g, set(cycle), {e.id for e in edges})
     k = len(cycle)
@@ -324,8 +318,8 @@ def _in_input_frame(g: GainGraph, phi: dict) -> GainGraph:
 def _decide2(h: GainGraph, alloc, phi: dict):
     """Core recursion on a loopless graph in frame ``phi``.
 
-    Returns a decomposition tree for yes and a witness (``MinorWitness``
-    or ``ReasonTrace``) for no; ``alloc`` yields fresh edge ids.
+    Returns a decomposition tree for yes and a minor witness for no;
+    ``alloc`` yields fresh edge ids.
     """
     if h.n <= 2:
         return DecompositionTree.leaf(_in_input_frame(h, phi))
@@ -338,11 +332,8 @@ def _decide2(h: GainGraph, alloc, phi: dict):
 
     degree = {v: si.degree(v) for v in h.vertices}
     if min(degree.values()) >= 3:
-        return _fallback_witness(
-            h,
-            "every vertex of the simplified graph has degree at least three "
-            "in a two-connected piece, forcing a forbidden minor",
-        )
+        # By Dirac (1952) the simplified graph has a K4 subdivision.
+        return _witness_k4(h, si)
 
     v = min(u for u in h.vertices if degree[u] == 2)
     x, y = sorted(si.neighbors(v))
@@ -461,13 +452,11 @@ def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc, phi: dict):
     try:
         res = _decide2(child, alloc, phi)
         if not isinstance(res, DecompositionTree):
-            if not added and isinstance(res, MinorWitness):
+            if not added:
                 return _prefix(res, [MinorOp("delete_vertex", v)])
-            return _fallback_witness(
-                h,
-                "deleting the degree-two vertex leaves a balanced graph whose "
-                "completion is not two-realizable",
-            )
+            # The child is balanced, so its forbidden minor is a balanced K4;
+            # routing the added x-y edge through v gives a K4 subdivision of h.
+            return _witness_k4(h, h.underlying_simple_graph())
         piece = h2.induced({v, x, y})
         if added:
             piece = piece.with_edge(x, y, 0, id=shared_id)
@@ -483,22 +472,52 @@ def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc, phi: dict):
 # -- no-witness constructions ---------------------------------------------------
 
 
-def _fallback_witness(h: GainGraph, context: str):
-    if h.n <= DEFAULT_VERTEX_BOUND and h.m <= DEFAULT_EDGE_BOUND:
-        w = has_minor(h, K3BB_PATTERN)
-        if w is None:
-            w = has_minor(h, K4_ZERO_PATTERN)
-        if w is None:
-            raise RealdimError(
-                "internal: decider answered no but the exhaustive search found "
-                "no forbidden minor"
-            )
-        return w
-    return ReasonTrace(
-        context
-        + f"; witness search skipped beyond {DEFAULT_VERTEX_BOUND} vertices / "
-        f"{DEFAULT_EDGE_BOUND} edges"
-    )
+def _witness_k4(h: GainGraph, si: SimpleGraph) -> MinorWitness:
+    """A forbidden minor of h, whose simplified graph si has a K4 minor.
+
+    Deleting the edges of si one at a time, each kept only where the K4
+    minor needs it, leaves a K4 subdivision; its six branch paths contract
+    to a K4 on the four branch vertices.  With every triangle balanced
+    that is the balanced K4.  Otherwise two triangles are unbalanced (the
+    four triangle gains are dependent, so one alone cannot be nonzero);
+    they share a branch, and contracting it leaves a triangle with two
+    doubled pairs.
+    """
+    kept = set(si.edges)
+    for pair in sorted(si.edges, key=sorted):
+        kept.discard(pair)
+        if not finite_has_minor(SimpleGraph(si.vertices, kept), "K4"):
+            kept.add(pair)
+    sub = SimpleGraph(si.vertices, kept)
+    branch = sorted(v for v in sub.vertices if sub.degree(v) == 3)
+    paths = {}  # (a, b) with a < b -> branch path from a to b
+    for a in branch:
+        for u in sorted(sub.neighbors(a)):
+            path = [a, u]
+            while sub.degree(path[-1]) == 2:
+                path.append(min(sub.neighbors(path[-1]) - {path[-2]}))
+            if a < path[-1]:
+                paths[a, path[-1]] = path
+    edges = {ab: _path_edges(h, path) for ab, path in paths.items()}
+    gain = {
+        ab: sum(e.gain_from(u) for u, e in zip(paths[ab], edges[ab])) for ab in paths
+    }
+
+    keep_vertices = {u for path in paths.values() for u in path}
+    ops = _keep_only(h, keep_vertices, {e.id for es in edges.values() for e in es})
+    for (a, _), es in edges.items():
+        ops += [MinorOp("contract_edge", e.id, a) for e in es[:-1]]
+    unbalanced = [
+        (a, b, c)
+        for a, b, c in itertools.combinations(branch, 3)
+        if gain[a, b] + gain[b, c] - gain[a, c]
+    ]
+    if not unbalanced:
+        return MinorWitness(K4_ZERO_PATTERN, tuple(ops))
+    a, b = sorted(set(itertools.combinations(unbalanced[0], 2))
+                  & set(itertools.combinations(unbalanced[1], 2)))[0]
+    ops.append(MinorOp("contract_edge", edges[a, b][-1].id, a))
+    return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
 def _witness_trim_to_double_double(h: GainGraph) -> MinorWitness:
@@ -526,10 +545,7 @@ def _witness_both_doubled(h: GainGraph, v: int, x: int, y: int) -> MinorWitness:
     keep = set()
     keep.update(sorted(e.id for e in h.edges_between(v, x))[:2])
     keep.update(sorted(e.id for e in h.edges_between(v, y))[:2])
-    path_edges = [
-        min(h.edges_between(path[i], path[i + 1]), key=lambda e: e.id)
-        for i in range(len(path) - 1)
-    ]
+    path_edges = _path_edges(h, path)
     keep.update(e.id for e in path_edges)
     ops = _keep_only(h, keep_vertices, keep)
     for e in path_edges[:-1]:
@@ -575,14 +591,8 @@ def _witness_unbalanced_rest(
     keep = set()
     keep.update(sorted(e.id for e in h.edges_between(v, x))[:2])
     keep.update(sorted(e.id for e in h.edges_between(v, y))[:1])
-    path_edges_1 = [
-        min(h.edges_between(p1[i], p1[i + 1]), key=lambda e: e.id)
-        for i in range(len(p1) - 1)
-    ]
-    path_edges_2 = [
-        min(h.edges_between(p2[i], p2[i + 1]), key=lambda e: e.id)
-        for i in range(len(p2) - 1)
-    ]
+    path_edges_1 = _path_edges(h, p1)
+    path_edges_2 = _path_edges(h, p2)
     keep.update(e.id for e in path_edges_1)
     keep.update(e.id for e in path_edges_2)
     keep.update(e.id for e in cyc_edges)

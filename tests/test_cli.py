@@ -217,6 +217,16 @@ def test_input_error_exit_code(tmp_path, capsys):
     p2 = tmp_path / "zero.framework"
     p2.write_text(LADDER.replace("lattice 4 0", "lattice 0 0"))
     assert main(["stress", str(p2)]) == 2
+    p3 = tmp_path / "bare.framework"
+    p3.write_text(LADDER.replace("dimension 2", "dimension"))
+    assert main(["stress", str(p3)]) == 2
+    ladder = tmp_path / "ladder.framework"
+    ladder.write_text(LADDER)
+    weights = tmp_path / "w.json"
+    for stress in ({"ex": 1, "L": -1}, [1, 2], {"e1": "one", "L": -1}):
+        weights.write_text(json.dumps({"stress": stress}))
+        assert main(["stress", str(ladder), "--weights", str(weights)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -229,6 +239,9 @@ def test_input_error_exit_code(tmp_path, capsys):
                     "positions": {"1": [0], "2": [1]}}),
         ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
                     "positions": [[0], [1]], "lattice": [1]}),
+        ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
+                    "positions": {"1": [0], "2": [1]}, "lattice": [1],
+                    "stress": {"e1": [1], "L": 1}}),
     ],
 )
 def test_malformed_json_document_exit_code(tmp_path, capsys, command, doc):
@@ -236,6 +249,32 @@ def test_malformed_json_document_exit_code(tmp_path, capsys, command, doc):
     p.write_text(json.dumps(doc))
     assert main([command, str(p)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("named.json", json.dumps({"kind": "gaingraph", "name": "framework", "vertices": 2,
+                                   "edges": [[1, 2, 0]]})),
+        ("commented.framework", "# a comment first\n" + LADDER),
+    ],
+    ids=["json-graph-named-framework", "framework-after-comment"],
+)
+def test_document_read_by_declared_kind(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out_text = run(capsys, "classify", p)
+    assert code in (0, 1)
+    assert "2-realizable:" in out_text
+
+
+def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
+    # The ladder's edges, each written the other way round with the label negated.
+    g = tmp_path / "inverted.graph"
+    g.write_text("gaingraph v1\nvertices 3\nedge 2 1 0\nedge 1 3 0\nedge 1 3 -1\n"
+                 "edge 2 3 0\nedge 2 3 -1\n")
+    code, _ = run(capsys, "lift", g, "--from", 0, "--to", 1, "--framework", ladder_file)
+    assert code == 0
 
 
 @pytest.mark.parametrize(

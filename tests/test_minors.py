@@ -8,7 +8,9 @@ from realdim.graphs import GainGraph, SimpleGraph
 from realdim.minors import (
     K2_BULLET,
     K3_BULLETBULLET,
+    MinorOp,
     MinorPattern,
+    MinorWitness,
     balanced_complete_pattern,
     contains_forbidden,
     finite_has_minor,
@@ -93,6 +95,60 @@ def test_witness_replay_soundness_random():
             w = has_minor(g, p)
             if w is not None:
                 assert w.verify(g)
+
+
+def _witness(pattern, *ops):
+    return MinorWitness(pattern, tuple(MinorOp(kind, target) for kind, target in ops))
+
+
+TRIPLE_PAIR = GainGraph.of(2, [(1, 2, 0), (1, 2, 1), (1, 2, 2)])
+
+
+@pytest.mark.parametrize(
+    "host, witness, ok",
+    [
+        (TRIPLE_PAIR, _witness(MinorPattern.family(K2_BULLET), ("delete_edge", 3)), True),
+        (TRIPLE_PAIR, _witness(MinorPattern.family(K2_BULLET),
+                               ("delete_edge", 3), ("delete_edge", 3)), False),
+        (TRIPLE_PAIR, _witness(MinorPattern.family(K2_BULLET),
+                               ("delete_edge", 3), ("delete_edge", 7)), False),
+        (k4_zero(), _witness(balanced_complete_pattern(3), ("delete_vertex", 4)), True),
+        (k4_zero(), _witness(balanced_complete_pattern(3),
+                             ("delete_vertex", 4), ("delete_vertex", 4)), False),
+        (k4_zero(), _witness(balanced_complete_pattern(3),
+                             ("delete_vertex", 4), ("delete_vertex", 9)), False),
+        (k4_zero(), _witness(balanced_complete_pattern(3), ("split_vertex", 4)), False),
+    ],
+    ids=["edge", "edge-repeated", "edge-unknown", "vertex", "vertex-repeated", "vertex-unknown",
+         "unknown-kind"],
+)
+def test_replay_rejects_unknown_or_repeated_target_in_a_deletion_run(host, witness, ok):
+    assert witness.verify(host) is ok
+
+
+def test_replay_of_deletion_runs_equals_op_by_op():
+    rng = random.Random(13)
+    from realdim.randgen import random_simple_gain_graph
+
+    for _ in range(200):
+        g = random_simple_gain_graph(rng, max_vertices=6, max_edges=10)
+        ops = []
+        h = g
+        while h.n > 1 and rng.random() < 0.9:
+            kind = rng.choice(["delete_edge", "delete_vertex", "contract_edge"])
+            non_loops = [e for e in h.edges if not e.is_loop]
+            if kind == "delete_edge" and h.edges:
+                op = MinorOp(kind, rng.choice(h.edges).id)
+                h = h.delete_edge(op.target)
+            elif kind == "contract_edge" and non_loops:
+                e = rng.choice(non_loops)
+                op = MinorOp(kind, e.id, rng.choice((e.tail, e.head)))
+                h = h.contract_edge(op.target, survivor=op.survivor)
+            else:
+                op = MinorOp("delete_vertex", rng.choice(h.vertices))
+                h = h.delete_vertex(op.target)
+            ops.append(op)
+        assert MinorWitness(MinorPattern.family(K2_BULLET), tuple(ops)).replay(g) == h
 
 
 def test_minor_invariant_under_isomorphism():

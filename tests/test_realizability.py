@@ -1,12 +1,16 @@
+import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
 from realdim.certificates import (
     CertificateError,
     DecompositionTree,
+    certificate_from_json_dict,
+    certificate_to_json_dict,
     verify_decomposition,
 )
 from realdim.errors import RealdimError
@@ -192,6 +196,135 @@ def test_wheel_min_degree_three_not_2_realizable():
     v = is_2_realizable(g)
     assert not v.answer
     check_verdict(g, v)
+
+
+# -- K4-subdivision witnesses -----------------------------------------------------
+# Graphs whose simplified graph has minimum degree three contain a K4
+# subdivision (Dirac 1952); their "no" is built from it at any size.
+
+
+def labelled(n, pairs):
+    """Fixed labels, as on the benchmark's min-degree-three hosts."""
+    return GainGraph.of(n, [(a, b, (3 * k) % 5 - 2) for k, (a, b) in enumerate(pairs)])
+
+
+def wheel(k):
+    rim = list(range(2, k + 2))
+    return labelled(k + 1, [(1, v) for v in rim] + [(rim[i], rim[(i + 1) % k]) for i in range(k)])
+
+
+def petersen():
+    return labelled(
+        10,
+        [(i, i % 5 + 1) for i in range(1, 6)]
+        + [(i, i + 5) for i in range(1, 6)]
+        + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)],
+    )
+
+
+def cube():
+    return labelled(8, [
+        (a + 1, b + 1) for a, b in itertools.combinations(range(8), 2)
+        if bin(a ^ b).count("1") == 1
+    ])
+
+
+def random_cubic(n, rng):
+    """A Hamiltonian cycle plus a random perfect matching of chords, labelled at random."""
+    cycle = [(i, i % n + 1) for i in range(1, n + 1)]
+    on_cycle = {frozenset(p) for p in cycle}
+    while True:
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        chords = list(zip(order[::2], order[1::2]))
+        if not any(frozenset(p) in on_cycle for p in chords):
+            break
+    return GainGraph.of(n, [(a, b, rng.randint(-2, 2)) for a, b in cycle + chords])
+
+
+MIN_DEGREE_THREE = {
+    "W9": wheel(9),
+    "petersen": petersen(),
+    "W12": wheel(12),
+    "Q3": cube(),
+    "cubic-200": random_cubic(200, random.Random(43)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIN_DEGREE_THREE))
+def test_min_degree_three_no_replays_after_json(name):
+    g = MIN_DEGREE_THREE[name]
+    v = is_2_realizable(g)
+    assert not v.answer
+    assert isinstance(v.certificate, MinorWitness)
+    back = certificate_from_json_dict(json.loads(json.dumps(certificate_to_json_dict(v))))
+    assert back.certificate == v.certificate
+    assert back.verify(g) is True
+
+
+@pytest.mark.parametrize("name", ["W12", "Q3"])
+def test_min_degree_three_no_is_fast(name):
+    g = MIN_DEGREE_THREE[name]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        v = is_2_realizable(g)
+        best = min(best, time.perf_counter() - start)
+    assert not v.answer and v.certificate.verify(g)
+    assert best < 0.010
+
+
+def test_deletion_step_with_added_edge_gives_k4_witness():
+    # Vertex 1 has degree two: doubled towards 2, single towards 3.  The
+    # rest is balanced and lacks the edge 2-3; adding it completes a
+    # balanced K4 on {2, 3, 4, 5}, so the child fails and the witness
+    # routes 2-3 through vertex 1.
+    g = GainGraph.of(5, [
+        (1, 2, 0), (1, 2, 1), (1, 3, 2),
+        (2, 4, 1), (2, 5, -1), (3, 4, 2), (3, 5, 0), (4, 5, -2),
+    ])
+    assert g.delete_vertex(1).is_balanced()
+    v = is_2_realizable(g)
+    assert not v.answer
+    assert v.certificate.verify(g)
+    assert contains_forbidden(g, 2)
+
+
+def deletion_step_case(rng):
+    """Vertex 1 doubled towards x and single towards y, over a rest without
+    the edge x-y that is balanced four times in five."""
+    n = rng.randint(4, 5)
+    rest = list(range(2, n + 2))
+    x, y = rng.sample(rest, 2)
+    pairs = [p for p in itertools.combinations(rest, 2) if set(p) != {x, y} and rng.random() < 0.8]
+    potential = {u: rng.randint(-2, 2) for u in rest}
+    edges = [(a, b, potential[b] - potential[a]) for a, b in pairs]
+    if edges and rng.random() < 0.2:
+        a, b, z = edges[0]
+        edges[0] = (a, b, z + 1)
+    spokes = [(1, x, 0), (1, x, rng.choice((1, 2))), (1, y, rng.randint(-1, 1))]
+    return GainGraph.of(n + 1, edges + spokes)
+
+
+def test_oracle_agreement_deletion_step_corpus():
+    rng = random.Random(17)
+    for _ in range(150):
+        g = deletion_step_case(rng)
+        v2 = is_2_realizable(g)
+        assert v2.answer == (not contains_forbidden(g, 2)), g
+        check_verdict(g, v2)
+
+
+def test_oracle_agreement_seeded_corpus_up_to_seven_vertices():
+    # Labels in {0, 1}: balanced pieces are common, so the corpus reaches
+    # the K4-subdivision witness in both its balanced-K4 and doubled-pair
+    # forms.
+    rng = random.Random(2023)
+    for _ in range(2000):
+        g = random_simple_gain_graph(rng, max_vertices=7, max_edges=9, label_min=0, label_max=1)
+        v2 = is_2_realizable(g)
+        assert v2.answer == (not contains_forbidden(g, 2)), g
+        check_verdict(g, v2)
 
 
 # -- oracle agreement ----------------------------------------------------------
