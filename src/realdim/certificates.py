@@ -378,10 +378,15 @@ def witness_from_json_dict(data: dict) -> MinorWitness:
         pattern = MinorPattern.exact(graph_from_json_dict(pat["graph"]))
     else:
         pattern = MinorPattern.family(pat["kind"])
-    ops = tuple(
-        MinorOp(o["op"], o["target"], o.get("survivor")) for o in data["ops"]
-    )
-    return MinorWitness(pattern, ops)
+    ops = []
+    for i, o in enumerate(data["ops"]):
+        target, survivor = o["target"], o.get("survivor")
+        # an exact type check, since a bool is no id
+        if type(target) is not int or survivor is not None and type(survivor) is not int:
+            raise CertificateError(f"certificate op {i} needs an integer target and an "
+                                   f"integer or null survivor, got {target!r}, {survivor!r}")
+        ops.append(MinorOp(o["op"], target, survivor))
+    return MinorWitness(pattern, tuple(ops))
 
 
 def certificate_to_json_dict(verdict: RealizabilityVerdict) -> dict:

@@ -130,16 +130,15 @@ def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
         one_realizable=v1.answer,
         two_realizable=v2.answer,
         bounds=[bounds.lower, bounds.upper],
-        certificate_d1=certificate_to_json_dict(v1),
-        certificate_d2=certificate_to_json_dict(v2),
     )
+    if out.as_json or cert_prefix:
+        certs = [certificate_to_json_dict(v) for v in (v1, v2)]
+        out.put(certificate_d1=certs[0], certificate_d2=certs[1])
     if cert_prefix:
-        for dim, verdict in ((1, v1), (2, v2)):
+        texts = [json.dumps(cert, indent=2) + "\n" for cert in certs]
+        for dim, text in enumerate(texts, start=1):
             cert_path = Path(f"{cert_prefix}.d{dim}.json")
-            cert_path.write_text(
-                json.dumps(certificate_to_json_dict(verdict), indent=2) + "\n",
-                encoding="utf-8",
-            )
+            cert_path.write_text(text, encoding="utf-8")
             out.say(f"certificate (d={dim}): {cert_path}")
     return 0 if v2.answer else 1
 
@@ -381,21 +380,15 @@ def cmd_verify_cert(args) -> int:
     out = _Output(args.json)
     g = _read_graph(args.graph)
     try:
-        try:
-            data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise CertificateError(f"certificate is not valid JSON: {exc}") from None
-        verdict = certificate_from_json_dict(data)
-        try:
-            verdict.verify(g)
-        except RealdimError as exc:
-            out.say(f"certificate: INVALID ({exc})", valid=False, reason=str(exc))
-            return out.flush(1)
-    except RecursionError:
-        raise BoundExceededError(
-            "certificate nesting is too deep to parse or replay "
-            f"(recursion limit {sys.getrecursionlimit()})"
-        ) from None
+        data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CertificateError(f"certificate is not valid JSON: {exc}") from None
+    verdict = certificate_from_json_dict(data)
+    try:
+        verdict.verify(g)
+    except RealdimError as exc:
+        out.say(f"certificate: INVALID ({exc})", valid=False, reason=str(exc))
+        return out.flush(1)
     out.say(
         f"certificate: valid ({verdict.certificate_kind}, dimension {verdict.dimension_bound}, "
         f"answer {'yes' if verdict.answer else 'no'})",
@@ -548,6 +541,12 @@ def main(argv=None) -> int:
         return 2
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # Only certificate trees nest this deep: their JSON encoding,
+        # parsing and replay recurse once per level.
+        print("bound exceeded: certificate nesting is too deep to serialize, parse or "
+              f"replay (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -233,34 +233,26 @@ class SimpleGraph:
                             return cycle
         return None
 
-    def articulation_points(self) -> set:
-        return {v for v, _ in self._biconnected(components=False)}
-
     def blocks(self) -> list:
         """Biconnected components as (vertex frozenset, edge frozenset).
 
         Bridges are blocks of one edge.  Isolated vertices yield no block.
+        Iterative Hopcroft-Tarjan with an edge stack; each DFS frame keeps
+        the stack position of the tree edge into its vertex, where a block
+        hanging off that edge starts.
         """
-        out = []
-        for _, edges in self._biconnected(components=True):
-            vs = frozenset(itertools.chain.from_iterable(edges))
-            out.append((vs, frozenset(edges)))
-        return out
-
-    def _biconnected(self, components: bool):
-        # Iterative Hopcroft-Tarjan with an edge stack.
+        found = []
         visited = set()
         for start in sorted(self.vertices):
             if start in visited:
                 continue
             discovery = {start: 0}
             low = {start: 0}
-            root_children = 0
             visited.add(start)
             edge_stack = []
-            stack = [(start, start, iter(sorted(self._adj[start])))]
+            stack = [(start, start, iter(sorted(self._adj[start])), 0)]
             while stack:
-                grandparent, parent, children = stack[-1]
+                grandparent, parent, children, ind = stack[-1]
                 child = next(children, None)
                 if child is not None:
                     if grandparent == child:
@@ -268,33 +260,21 @@ class SimpleGraph:
                     if child in visited:
                         if discovery[child] <= discovery[parent]:
                             low[parent] = min(low[parent], discovery[child])
-                            if components:
-                                edge_stack.append(frozenset((parent, child)))
+                            edge_stack.append(frozenset((parent, child)))
                     else:
                         low[child] = discovery[child] = len(discovery)
                         visited.add(child)
-                        stack.append((parent, child, iter(sorted(self._adj[child]))))
-                        if components:
-                            edge_stack.append(frozenset((parent, child)))
+                        stack.append((parent, child, iter(sorted(self._adj[child])),
+                                      len(edge_stack)))
+                        edge_stack.append(frozenset((parent, child)))
                 else:
                     stack.pop()
-                    if len(stack) > 1:
+                    if stack:
                         if low[parent] >= discovery[grandparent]:
-                            if components:
-                                ind = edge_stack.index(frozenset((grandparent, parent)))
-                                yield grandparent, tuple(edge_stack[ind:])
-                                del edge_stack[ind:]
-                            else:
-                                yield grandparent, ()
-                        low[grandparent] = min(low[parent], low[grandparent])
-                    elif stack:
-                        root_children += 1
-                        if components:
-                            ind = edge_stack.index(frozenset((grandparent, parent)))
-                            yield None, tuple(edge_stack[ind:])
+                            found.append(edge_stack[ind:])
                             del edge_stack[ind:]
-            if not components and root_children > 1:
-                yield start, ()
+                        low[grandparent] = min(low[parent], low[grandparent])
+        return [(frozenset(itertools.chain.from_iterable(es)), frozenset(es)) for es in found]
 
     def is_complete(self) -> bool:
         n = self.n
@@ -390,10 +370,6 @@ class GainGraph:
     def replace_edges(self, edges) -> "GainGraph":
         return GainGraph(self.vertices, edges)
 
-    def with_edge(self, tail: int, head: int, label: int, id: int | None = None) -> "GainGraph":
-        eid = self.fresh_edge_id() if id is None else id
-        return self.replace_edges(self.edges + (GainEdge(eid, tail, head, label),))
-
     def fresh_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=0) + 1
 
@@ -483,13 +459,6 @@ class GainGraph:
                 raise RealdimError(f"unknown vertex {v}")
         keep = [e for e in self.edges if e.tail not in drop and e.head not in drop]
         return GainGraph((u for u in self.vertices if u not in drop), keep)
-
-    def induced(self, vertices) -> "GainGraph":
-        vs = set(vertices)
-        if not vs <= self._vset:
-            raise RealdimError("induced set contains unknown vertices")
-        keep = [e for e in self.edges if e.tail in vs and e.head in vs]
-        return GainGraph(vs, keep)
 
     def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
         """Contract a non-loop edge, switching its label to zero first.

@@ -3,25 +3,28 @@
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
 is the absence of any cycle other than selfloops.  ``is_2_realizable``
-implements the planar-case recursion: strip selfloops, split at cut
-vertices, and repeatedly remove a degree-two vertex of the simplified
-graph, either by contracting one of its edges (both multiplicities one)
-or by deleting it after a balance check (one doubled side).
+strips selfloops, splits the graph into blocks once, and runs one loop
+of series reductions per block on one mutable multigraph, removing a
+degree-two vertex by contracting one of its edges (both multiplicities
+one) or by deleting it after a balance check (one doubled side).  Labels
+stay in the input's frame: a contraction writes the gain of the path it
+replaces onto the surviving edge, so no step switches or rebuilds the
+graph, nothing recurses, and the work is near-linear.
 
 Every *yes* comes with a decomposition tree whose leaves are single
 edges/vertices (dimension one) or balanced triangles and two-vertex
-graphs (dimension two).  Its one-sum layers are glued at centroids of
-the block-cut tree, so they add only logarithmic depth.  Every *no*, at
-any size, comes with a minor witness whose replay reaches a forbidden
-shape: a parallel pair or balanced triangle for dimension one; the
-doubled-double-pair triangle or the balanced complete graph on four
-vertices for dimension two.  Where the simplified graph has a K4 minor
-(minimum degree three, or a deletion step whose completed child fails),
-the witness contracts a K4 subdivision.
+graphs (dimension two).  One-sum layers are glued at centroids of the
+block-cut tree, adding logarithmic depth; a plane tree has one two-sum
+level per reduction.  Every *no*, at any size, comes with a minor witness
+whose replay reaches a forbidden shape: a parallel pair or balanced
+triangle for dimension one; the doubled-double-pair triangle or the
+balanced complete graph on four vertices for dimension two.  Where the
+simplified graph has a K4 minor, the witness contracts a K4 subdivision.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -92,11 +95,14 @@ def _keep_only(g: GainGraph, keep_vertices, keep_edge_ids) -> list:
     return ops
 
 
+def _smallest_ids(g: GainGraph, a: int, b: int, k: int) -> set:
+    """The k smallest ids among the edges joining a and b."""
+    return set(sorted(e.id for e in g.edges_between(a, b))[:k])
+
+
 def _witness_parallel_pair(g: GainGraph, a: int, b: int) -> MinorWitness:
-    keep = sorted(e.id for e in g.edges_between(a, b))[:2]
-    ops = _keep_only(g, {a, b}, set(keep))
-    w = MinorWitness(K2_BULLET_PATTERN, tuple(ops))
-    return w
+    ops = _keep_only(g, {a, b}, _smallest_ids(g, a, b, 2))
+    return MinorWitness(K2_BULLET_PATTERN, tuple(ops))
 
 
 def _path_edges(g: GainGraph, path: list) -> list:
@@ -286,69 +292,21 @@ def _one_sum_balanced(parts, v: int) -> DecompositionTree:
 
 
 def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
-    """Plane realizability, decided by the degree-two recursion."""
+    """Plane realizability, decided by series reductions in each block."""
     _require_nonempty(g)
     alloc = itertools.count(g.fresh_edge_id())
     loops = [e for e in g.edges if e.is_loop]
     core = g.delete_edges([e.id for e in loops]) if loops else g
-    res = _decide2_split(core, core.underlying_simple_graph(), alloc, {}, loops)
+    res = _decide2_split(core, alloc, loops)
     if isinstance(res, DecompositionTree):
         return RealizabilityVerdict(2, True, res)
     witness = _prefix(res, [MinorOp("delete_edge", e.id) for e in loops])
     return RealizabilityVerdict(2, False, witness)
 
 
-# The recursion switches its graphs as it goes, but every tree it returns
-# is in the labelling frame of the input.  ``phi`` is the switching that
-# takes the input's labels to those of the graph at hand (input labels
-# plus phi[tail] - phi[head]); a step that switches by psi adds psi to
-# phi for its child and takes it off again when the child returns.
-
-
-def _shift(phi: dict, psi, sign: int):
-    for v, s in psi.items():
-        phi[v] = phi.get(v, 0) + sign * s
-
-
-def _in_input_frame(g: GainGraph, phi: dict) -> GainGraph:
-    undo = {v: -phi[v] for v in g.vertices if phi.get(v)}
-    return g.switch_many(undo) if undo else g
-
-
-def _decide2(h: GainGraph, alloc, phi: dict):
-    """Core recursion on a loopless graph in frame ``phi``.
-
-    Returns a decomposition tree for yes and a minor witness for no;
-    ``alloc`` yields fresh edge ids.
-    """
-    if h.n <= 2:
-        return DecompositionTree.leaf(_in_input_frame(h, phi))
-    si = h.underlying_simple_graph()
-    if len(si.components()) > 1 or si.articulation_points():
-        return _decide2_split(h, si, alloc, phi)
-
-    if h.n == 3:
-        return _decide2_triangle(h, alloc, phi)
-
-    degree = {v: si.degree(v) for v in h.vertices}
-    if min(degree.values()) >= 3:
-        # By Dirac (1952) the simplified graph has a K4 subdivision.
-        return _witness_k4(h, si)
-
-    v = min(u for u in h.vertices if degree[u] == 2)
-    x, y = sorted(si.neighbors(v))
-    mvx, mvy = h.multiplicity(v, x), h.multiplicity(v, y)
-    if mvx >= 2 and mvy >= 2:
-        return _witness_both_doubled(h, v, x, y)
-    if mvx == 1 and mvy == 1:
-        return _contract_step(h, v, x, y, alloc, phi)
-    if mvy >= 2:
-        x, y = y, x
-    return _deletion_step(h, v, x, y, alloc, phi)
-
-
-def _decide2_split(h: GainGraph, si: SimpleGraph, alloc, phi: dict, loops=()):
+def _decide2_split(h: GainGraph, alloc, loops):
     """Decide every block, then glue blocks and selfloop leaves by one-sums."""
+    si = h.underlying_simple_graph()
     comps = si.components()
     blocks = si.blocks()
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
@@ -361,8 +319,7 @@ def _decide2_split(h: GainGraph, si: SimpleGraph, alloc, phi: dict, loops=()):
 
     pieces = []
     for vset, eset in blocks:
-        sub = GainGraph(vset, [e for pair in eset for e in by_pair[pair]])
-        res = _decide2(sub, alloc, phi)
+        res = _decide2_block(vset, [e for pair in eset for e in by_pair[pair]], alloc)
         if not isinstance(res, DecompositionTree):
             # Trim to the component, then to the block within it.
             ci = comp_of[min(vset)]
@@ -382,91 +339,144 @@ def _decide2_split(h: GainGraph, si: SimpleGraph, alloc, phi: dict, loops=()):
     return _glue(h.vertices, pieces + _loop_pieces(loops))
 
 
-def _decide2_triangle(h: GainGraph, alloc, phi: dict):
-    """Three vertices, two-connected (complete) simplified graph."""
-    if h.multiplicity_graph().is_spanning_connected(h.vertices):
-        return _witness_trim_to_double_double(h)
-    others = {
-        v: [u for u in h.vertices if u != v] for v in h.vertices
-    }
-    w = min(
-        v
-        for v in h.vertices
-        if all(h.multiplicity(v, u) == 1 for u in others[v])
-    )
-    a, b = sorted(others[w])
-    return _contract_step(h, w, a, b, alloc, phi)
+def _add(adj: dict, e: GainEdge):
+    """Put e into a multigraph held as {u: {w: {orbit key: edge}}}.
 
-
-def _contract_step(h: GainGraph, w: int, a: int, b: int, alloc, phi: dict):
-    """Both multiplicities at w are one: contract the w-a edge.
-
-    On yes, the answer glues a balanced triangle on {w, a, b} to the
-    contracted graph's tree along the a-b edge created by the merge.
+    Both ends of a pair share one edge dict.  An edge landing on an orbit
+    already present keeps the smaller id, as ``GainGraph.contract_edge``
+    does.
     """
-    ea = h.edges_between(w, a)[0]
-    eb = h.edges_between(w, b)[0]
-    psi = {a: ea.gain_from(w), b: eb.gain_from(w)}
-    child = h.switch_many(psi).contract_edge(ea.id, survivor=a)
-    _shift(phi, psi, 1)
-    try:
-        res = _decide2(child, alloc, phi)
-        if not isinstance(res, DecompositionTree):
-            return _prefix(res, [MinorOp("contract_edge", ea.id, a)])
-        # Fresh ids throughout: reusing real ids here can collide with the
-        # same id drifting to other endpoints inside the sibling subtree.
-        # The triangle is balanced with label 0 in the child's frame.
-        triangle = GainGraph(
-            (w, a, b),
-            [
-                GainEdge(next(alloc), t, u, phi.get(u, 0) - phi.get(t, 0))
-                for t, u in ((w, a), (w, b), (a, b))
-            ],
-        )
-    finally:
-        _shift(phi, psi, -1)
+    by_orbit = adj[e.tail].get(e.head)
+    if by_orbit is None:
+        by_orbit = adj[e.tail][e.head] = adj[e.head][e.tail] = {}
+    old = by_orbit.get(e.orbit_key())
+    if old is None or e.id < old.id:
+        by_orbit[e.orbit_key()] = e
+
+
+def _graph(adj: dict) -> GainGraph:
+    edges = (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
+    return GainGraph(adj, edges)
+
+
+def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
+    """The edge eb (w-b) after contracting ea (w-a) into a.
+
+    It keeps its id and orientation, and carries the gain of the path
+    a-w-b, so its label stays in the input frame.
+    """
+    gain = eb.gain_from(w) - ea.gain_from(w)
+    if eb.tail == w:
+        return GainEdge(eb.id, a, eb.head, gain)
+    return GainEdge(eb.id, eb.tail, a, -gain)
+
+
+def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int, child):
+    """Two-sum a balanced triangle on {w, a, b} onto child along a-b.
+
+    The triangle reads gain ga towards a and gb towards b from w; its
+    edges get fresh ids, since a real id may sit on other endpoints
+    elsewhere in the tree.
+    """
+    triangle = GainGraph((w, a, b), [
+        GainEdge(next(alloc), w, a, ga),
+        GainEdge(next(alloc), w, b, gb),
+        GainEdge(next(alloc), a, b, gb - ga),
+    ])
     return DecompositionTree.balanced_two_sum(
-        DecompositionTree.leaf(triangle), res, (a, b), zero_child=0
+        DecompositionTree.leaf(triangle), child, (a, b), zero_child=0
     )
 
 
-def _deletion_step(h: GainGraph, v: int, x: int, y: int, alloc, phi: dict):
-    """Multiplicity two towards x, one towards y: delete v after a balance check."""
-    rest = h.delete_vertex(v)
-    bal = rest.balance()
-    if not bal.balanced:
-        return _witness_unbalanced_rest(h, v, x, y, bal.witness)
-    psi = bal.potentials
-    h2 = h.switch_many(psi)
-    rest2 = h2.delete_vertex(v)
-    existing = rest2.edges_between(x, y)
-    if existing:
-        child = rest2
-        shared_id = existing[0].id
-        added = False
-    else:
-        shared_id = next(alloc)
-        child = rest2.with_edge(x, y, 0, id=shared_id)
-        added = True
-    _shift(phi, psi, 1)
-    try:
-        res = _decide2(child, alloc, phi)
-        if not isinstance(res, DecompositionTree):
-            if not added:
-                return _prefix(res, [MinorOp("delete_vertex", v)])
-            # The child is balanced, so its forbidden minor is a balanced K4;
-            # routing the added x-y edge through v gives a K4 subdivision of h.
-            return _witness_k4(h, h.underlying_simple_graph())
-        piece = h2.induced({v, x, y})
-        if added:
-            piece = piece.with_edge(x, y, 0, id=shared_id)
-        piece_res = _contract_step(piece, y, x, v, alloc, phi)
-    finally:
-        _shift(phi, psi, -1)
-    if not isinstance(piece_res, DecompositionTree):
-        raise RealdimError("internal: three-vertex piece with non-spanning "
-                           "multiplicity graph must be two-realizable")
-    return DecompositionTree.balanced_two_sum(piece_res, res, (x, y), zero_child=1)
+def _decide2_block(vertices, edges, alloc):
+    """Decide one two-connected block by series reductions, without recursion.
+
+    Each step removes the smallest degree-two vertex v, with neighbours
+    x < y: it is contracted into x when single towards both, and deleted
+    after a balance check when doubled towards one (adding x-y if missing;
+    the piece on {v, x, y} becomes a summand of its own).  Reductions keep
+    the block two-connected, so it ends at a triangle; after a deletion
+    step the graph is balanced and only contractions follow.  The tree is
+    folded bottom-up from the list of steps, one two-sum level per step.
+    """
+    if len(vertices) <= 2:
+        return DecompositionTree.leaf(GainGraph(vertices, edges))
+    adj: dict = {v: {} for v in vertices}
+    for e in edges:
+        _add(adj, e)
+    # A reduction never raises a degree, so a degree-two vertex stays on the
+    # heap until it is removed.
+    degree_two = sorted(v for v in adj if len(adj[v]) == 2)
+    # (w, a, b, gain w->a, gain w->b, None) for a contraction of w into a,
+    # (y, x, v, gain y->x, gain y->v, piece leaf) for a deletion of v.
+    steps = []
+    ops = []  # minor ops that replay the steps taken
+    k4_host = None  # the graph and ops at a deletion step that added x-y
+
+    def contract(w, a, b):
+        (ea,), (eb,) = adj[w][a].values(), adj[w][b].values()
+        steps.append((w, a, b, ea.gain_from(w), eb.gain_from(w), None))
+        ops.append(MinorOp("contract_edge", ea.id, a))
+        for u in adj.pop(w):
+            del adj[u][w]
+        _add(adj, _series_edge(ea, eb, w, a))
+
+    while len(adj) > 3:
+        while degree_two and degree_two[0] not in adj:
+            heapq.heappop(degree_two)
+        if not degree_two:
+            # By Dirac (1952) the simplified graph has a K4 subdivision.  A
+            # graph after a deletion step that added x-y is balanced, so it
+            # can fail only here; rerouting x-y through the deleted vertex
+            # gives a K4 subdivision of the graph at that step.
+            h, pre = k4_host or (_graph(adj), ops)
+            return _prefix(_witness_k4(h, h.underlying_simple_graph()), pre)
+        v = heapq.heappop(degree_two)
+        x, y = sorted(adj[v])
+        vx, vy = list(adj[v][x].values()), list(adj[v][y].values())
+        if len(vx) >= 2 and len(vy) >= 2:
+            return _prefix(_witness_both_doubled(_graph(adj), v, x, y), ops)
+        if len(vx) == 1 and len(vy) == 1:
+            contract(v, x, y)
+        else:
+            if len(vy) >= 2:
+                x, y, vx, vy = y, x, vy, vx
+            h = _graph(adj)
+            bal = h.delete_vertex(v).balance()
+            if not bal.balanced:
+                return _prefix(_witness_unbalanced_rest(h, v, x, y, bal.witness), ops)
+            if y in adj[x]:  # a single edge, the rest being balanced
+                (ea,) = adj[x][y].values()
+                ops.append(MinorOp("delete_vertex", v))
+            else:
+                ea = GainEdge(next(alloc), x, y, bal.potentials[y] - bal.potentials[x])
+                k4_host = (h, list(ops))
+                _add(adj, ea)
+            piece: dict = {x: {}, v: {}}
+            for e in vx + [_series_edge(ea, vy[0], y, x)]:
+                _add(piece, e)
+            steps.append((y, x, v, ea.gain_from(y), vy[0].gain_from(y),
+                          DecompositionTree.leaf(_graph(piece))))
+            for u in adj.pop(v):
+                del adj[u][v]
+        for u in (x, y):
+            if len(adj[u]) == 2:
+                heapq.heappush(degree_two, u)
+
+    if sum(len(es) >= 2 for a in adj for b, es in adj[a].items() if a < b) >= 2:
+        return _prefix(_witness_trim_to_double_double(_graph(adj)), ops)
+    w = min(u for u in adj if all(len(es) == 1 for es in adj[u].values()))
+    a, b = sorted(adj[w])
+    contract(w, a, b)
+
+    tree = DecompositionTree.leaf(_graph(adj))
+    for w, a, b, ga, gb, leaf in reversed(steps):
+        if leaf is None:
+            tree = _triangle_sum(alloc, w, a, b, ga, gb, tree)
+        else:
+            piece_tree = _triangle_sum(alloc, w, a, b, ga, gb, leaf)
+            tree = DecompositionTree.balanced_two_sum(piece_tree, tree, (w, a), zero_child=1)
+    return tree
 
 
 # -- no-witness constructions ---------------------------------------------------
@@ -528,28 +538,20 @@ def _witness_trim_to_double_double(h: GainGraph) -> MinorWitness:
     if single is None:
         single = min(doubled)
         doubled = [p for p in doubled if p != single]
-    doubled = doubled[:2]
-    keep = set()
-    for p in doubled:
-        keep.update(sorted(e.id for e in h.edges_between(*p))[:2])
-    keep.update(sorted(e.id for e in h.edges_between(*single))[:1])
+    keep = _smallest_ids(h, *single, 1)
+    for p in doubled[:2]:
+        keep |= _smallest_ids(h, *p, 2)
     ops = _keep_only(h, set(h.vertices), keep)
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
 def _witness_both_doubled(h: GainGraph, v: int, x: int, y: int) -> MinorWitness:
     """Doubled towards both neighbors: contract an x-y path avoiding v."""
-    si = h.underlying_simple_graph()
-    path = _shortest_path_avoiding(si, x, y, v)
-    keep_vertices = {v} | set(path)
-    keep = set()
-    keep.update(sorted(e.id for e in h.edges_between(v, x))[:2])
-    keep.update(sorted(e.id for e in h.edges_between(v, y))[:2])
+    path = _shortest_path_avoiding(h.underlying_simple_graph(), x, y, v)
     path_edges = _path_edges(h, path)
-    keep.update(e.id for e in path_edges)
-    ops = _keep_only(h, keep_vertices, keep)
-    for e in path_edges[:-1]:
-        ops.append(MinorOp("contract_edge", e.id, x))
+    keep = {e.id for e in path_edges} | _smallest_ids(h, v, x, 2) | _smallest_ids(h, v, y, 2)
+    ops = _keep_only(h, {v} | set(path), keep)
+    ops += [MinorOp("contract_edge", e.id, x) for e in path_edges[:-1]]
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
@@ -587,21 +589,12 @@ def _witness_unbalanced_rest(
     p1, p2 = _two_disjoint_paths(si_rest, x, y, set(cyc_vertices))
     u1, u2 = p1[-1], p2[-1]
 
-    keep_vertices = {v} | set(p1) | set(p2) | set(cyc_vertices)
-    keep = set()
-    keep.update(sorted(e.id for e in h.edges_between(v, x))[:2])
-    keep.update(sorted(e.id for e in h.edges_between(v, y))[:1])
-    path_edges_1 = _path_edges(h, p1)
-    path_edges_2 = _path_edges(h, p2)
-    keep.update(e.id for e in path_edges_1)
-    keep.update(e.id for e in path_edges_2)
-    keep.update(e.id for e in cyc_edges)
-    ops = _keep_only(h, keep_vertices, keep)
-
-    for e in path_edges_1:
-        ops.append(MinorOp("contract_edge", e.id, x))
-    for e in path_edges_2:
-        ops.append(MinorOp("contract_edge", e.id, y))
+    path_edges_1, path_edges_2 = _path_edges(h, p1), _path_edges(h, p2)
+    keep = {e.id for e in path_edges_1 + path_edges_2 + cyc_edges}
+    keep |= _smallest_ids(h, v, x, 2) | _smallest_ids(h, v, y, 1)
+    ops = _keep_only(h, {v} | set(p1) | set(p2) | set(cyc_vertices), keep)
+    ops += [MinorOp("contract_edge", e.id, x) for e in path_edges_1]
+    ops += [MinorOp("contract_edge", e.id, y) for e in path_edges_2]
 
     # The cycle now passes through x (= u1 merged) and y (= u2 merged);
     # contract each arc between them down to a single edge.

@@ -281,6 +281,10 @@ def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
     "graph, mutate",
     [
         pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][0].pop("target"), id="op-no-target"),
+        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][0].update(target=[1]),
+                     id="op-target-list"),
+        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][-1].update(survivor="1"),
+                     id="op-survivor-string"),
         pytest.param(COUNTEREXAMPLE_C, lambda c: c.update(ops=5), id="ops-not-list"),
         pytest.param(COUNTEREXAMPLE_C, lambda c: c.pop("dimension"), id="no-dimension"),
         pytest.param(K2, lambda c: c.update(root=[]), id="root-not-object"),
@@ -332,6 +336,33 @@ def test_deeply_nested_certificate_exceeds_bound(tmp_path):
     assert proc.returncode == 3
     assert "certificate nesting" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_classify_long_cycle_without_certificates(tmp_path):
+    # A d=2 certificate is one tree level per reduction, deeper here than
+    # the JSON encoder's recursion allows: plain output needs no
+    # certificate, and --cert-out reports the bound and writes no file.
+    n = 700
+    g = tmp_path / "cycle.graph"
+    g.write_text("gaingraph v1\nvertices %d\n" % n
+                 + "".join(f"edge {i} {i % n + 1} {i % 3 - 1}\n" for i in range(1, n + 1)))
+    src = str(Path(realdim.__file__).resolve().parents[1])
+
+    def classify(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "realdim.cli", "classify", str(g), *extra],
+            capture_output=True, text=True, env={"PYTHONPATH": src},
+        )
+
+    plain = classify()
+    assert plain.returncode == 0, plain.stderr
+    assert "2-realizable: yes" in plain.stdout
+    prefix = tmp_path / "cert"
+    with_certs = classify("--cert-out", str(prefix))
+    assert with_certs.returncode == 3
+    assert "certificate nesting" in with_certs.stderr
+    assert "Traceback" not in with_certs.stderr
+    assert not list(tmp_path.glob("cert*"))
 
 
 def test_recursion_in_certificate_replay_exceeds_bound(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -511,3 +512,56 @@ def test_d1_certificate_of_tree_with_loops_is_shallow():
 def test_d2_certificate_of_tree_with_loops_is_shallow():
     g = tree_with_loops(1000, random.Random(31))
     assert_shallow_roundtrip(g, is_2_realizable(g))
+
+
+# -- linear work and no recursion in the d=2 decider ----------------------------------
+
+
+def long_cycle(n):
+    return GainGraph.of(n, [(i, i % n + 1, i % 7 - 3) for i in range(1, n + 1)])
+
+
+def balanced_strip(n, rng):
+    """Triangulated strip (vertex v joins v-1 and v-2), zero labels switched at random."""
+    pot = {v: rng.randint(-5, 5) for v in range(1, n + 1)}
+    pairs = [(1, 2)] + [p for v in range(3, n + 1) for p in ((v - 2, v), (v - 1, v))]
+    return GainGraph.of(n, [(a, b, pot[a] - pot[b]) for a, b in pairs])
+
+
+def necklace(n):
+    """A cycle whose pair 1-2 is doubled: the first step is a deletion step."""
+    return GainGraph.of(n, [(1, 2, 1)] + [(i, i % n + 1, i % 3 - 1) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("make", [long_cycle, lambda n: balanced_strip(n, random.Random(3))],
+                         ids=["cycle", "strip-two-tree"])
+def test_d2_passes_linearly_many_edges_through_gain_graphs(monkeypatch, make):
+    g = make(2000)
+    records = []
+    init = GainGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        records.append(len(self.edges))
+
+    monkeypatch.setattr(GainGraph, "__init__", counting_init)
+    assert is_2_realizable(g).answer
+    assert sum(records) <= 10 * g.m
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("make", [long_cycle, lambda n: balanced_strip(n, random.Random(5)),
+                                  necklace], ids=["cycle", "strip-two-tree", "necklace"])
+def test_d2_decides_20000_vertices_at_default_recursion_limit(default_recursion_limit, make):
+    g = make(20000)
+    v = is_2_realizable(g)
+    assert v.answer
+    if make is necklace:
+        assert v.certificate.zero_child == 1  # the root is the deletion step
