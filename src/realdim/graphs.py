@@ -635,101 +635,69 @@ class GainGraph:
 
     # -- canonical form -----------------------------------------------------------
 
-    def canonical_form(self, max_vertices: int = 8):
-        """Hashable encoding equal for two graphs iff they are isomorphic.
+    def orbit_state(self) -> tuple:
+        """``(n, orbit keys in edge order)``, vertices renamed 1..n by position."""
+        pos = {v: k for k, v in enumerate(self.vertices, start=1)}
+        return self.n, tuple((pos[a], pos[b], z) for a, b, z in map(GainEdge.orbit_key, self.edges))
 
-        Isomorphism means: equal after some sequence of switchings, edge
-        inversions, and a vertex bijection.  The encoding enumerates vertex
-        orderings (restricted to invariant-respecting ones), normalises the
-        labelling over each spanning forest, orients edges small-to-large,
-        and takes the lexicographic minimum.  Exhaustive, hence the size
-        bound.
-        """
+    def canonical_form(self, max_vertices: int = 8):
+        """Hashable encoding equal for two graphs iff they are isomorphic:
+        :func:`canonical_state` of :meth:`orbit_state`.  It tries every
+        invariant-respecting vertex ordering, hence the size bound; parallel
+        edges need no bound, since no choice of tree edge is enumerated."""
         if self.n > max_vertices:
             raise BoundExceededError(
                 f"canonical_form bound is {max_vertices} vertices, graph has {self.n}"
             )
+        return canonical_state(*self.orbit_state())
 
-        loops: dict = {v: [] for v in self.vertices}
-        pair_edges: dict = {}
-        si_adj: dict = {v: set() for v in self.vertices}
-        for e in self.edges:
-            if e.is_loop:
-                loops[e.tail].append(abs(e.label))
-            else:
-                pair_edges.setdefault(e.pair(), []).append(e)
-                si_adj[e.tail].add(e.head)
-                si_adj[e.head].add(e.tail)
-        for v in loops:
-            loops[v].sort()
 
-        def invariant(v):
-            mults = sorted(len(pair_edges[frozenset((v, w))]) for w in si_adj[v])
-            return (len(si_adj[v]), tuple(mults), tuple(loops[v]))
+def canonical_state(n: int, triples) -> tuple:
+    """Canonical ``(n, sorted orbit keys)`` of the graph on vertices 1..n
+    with the given edge orbit keys: equal iff the graphs are isomorphic
+    (equal after switchings, edge inversions and a vertex bijection).
 
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(invariant(v), []).append(v)
-        group_keys = sorted(groups)
-
-        best = None
-        for perm_parts in itertools.product(
-            *(itertools.permutations(groups[k]) for k in group_keys)
-        ):
-            ordering = tuple(itertools.chain.from_iterable(perm_parts))
-            pos = {v: k for k, v in enumerate(ordering, start=1)}
-            cand = self._encode_under(pos, si_adj, pair_edges, loops)
-            if best is None or cand < best:
-                best = cand
-        return (self.n, best)
-
-    def _encode_under(self, pos, si_adj, pair_edges, loops):
-        # BFS forest in relabelled order; label-independent by construction.
-        by_pos = sorted(pos, key=pos.get)
-        seen: set = set()
-        tree: list = []  # (parent, child) pairs in original names
-        for root in by_pos:
-            if root in seen:
-                continue
-            seen.add(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in sorted(si_adj[u], key=pos.get):
-                    if w not in seen:
-                        seen.add(w)
-                        tree.append((u, w))
-                        queue.append(w)
-
-        loop_triples = tuple(
-            sorted((pos[v], pos[v], a) for v in loops for a in loops[v])
-        )
-
-        candidates = [pair_edges[frozenset(t)] for t in tree]
-        combos = 1
-        for c in candidates:
-            combos *= len(c)
-        if combos > 200000:
-            raise BoundExceededError(
-                "too many parallel-edge normalizations to canonicalize"
-            )
-        best = None
-        for choice in itertools.product(*candidates):
-            phi = {v: 0 for v in pos}
-            for (u, w), e in zip(tree, choice):
-                phi[w] = phi[u] + e.gain_from(u)
-            triples = list(loop_triples)
-            for es in pair_edges.values():
-                for e in es:
-                    z = e.label + phi[e.tail] - phi[e.head]
-                    a, b = pos[e.tail], pos[e.head]
-                    if a > b:
-                        a, b, z = b, a, -z
-                    triples.append((a, b, z))
-            cand = tuple(sorted(triples))
-            if best is None or cand < best:
-                best = cand
-        return best
+    For each vertex ordering that respects a degree, multiplicity and loop
+    invariant, a BFS forest is grown in that order, and each tree pair's
+    parallel edge with the smallest gain read from the parent is switched
+    to gain 0.  Switching shifts every gain of a pair by one constant, so
+    that edge does not depend on the labelling.  The result is the least
+    encoding over the orderings.
+    """
+    loops: list = [[] for _ in range(n + 1)]
+    gains: dict = {}
+    adj: list = [set() for _ in range(n + 1)]
+    for a, b, z in triples:
+        if a == b:
+            loops[a].append(z)
+        else:
+            gains.setdefault((a, b), []).append(z)
+            adj[a].add(b)
+            adj[b].add(a)
+    groups: dict = {}
+    for v in range(1, n + 1):
+        mults = sorted(len(gains[min(v, w), max(v, w)]) for w in adj[v])
+        groups.setdefault((len(adj[v]), tuple(mults), tuple(sorted(loops[v]))), []).append(v)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups))):
+        order = list(itertools.chain.from_iterable(parts))
+        pos = {v: k for k, v in enumerate(order, start=1)}
+        phi: list = [None] * (n + 1)
+        for root in order:
+            if phi[root] is None:
+                phi[root] = 0
+                queue = [root]
+                for u in queue:
+                    for w in sorted(adj[u], key=pos.__getitem__):
+                        if phi[w] is None:
+                            low = min(gains[u, w]) if u < w else -max(gains[w, u])
+                            phi[w] = phi[u] + low
+                            queue.append(w)
+        cand = sorted((pos[a], pos[b], z + phi[a] - phi[b]) if pos[a] <= pos[b]
+                      else (pos[b], pos[a], phi[b] - phi[a] - z) for a, b, z in triples)
+        if best is None or cand < best:
+            best = cand
+    return n, tuple(best)
 
 
 # -- composition ------------------------------------------------------------------

@@ -2,9 +2,26 @@
 
 Minors arise from edge deletions, vertex deletions, and contractions of
 non-loop edges (contraction switches the label to zero first).  The
-labelled search is a memoised DFS over isomorphism classes, feasible only
-for small hosts; it is the correctness oracle for the polynomial
-deciders, which never call it.
+labelled search is the correctness oracle for the polynomial deciders,
+which never call it; it is feasible only for small hosts.
+
+It searches states ``(n, orbit keys)`` on vertices 1..n, as
+:meth:`GainGraph.orbit_state` gives them, and makes successors on the
+tuples: delete a key, delete an isolated vertex, or contract a non-loop,
+which shifts the gains at the merged vertex, drops zero loops and merges
+equal orbits.  Successors below the patterns' vertex or edge minimum are
+dropped; the rest are canonicalized (:func:`graphs.canonical_state`), and
+whether the patterns are reachable from each class is kept in one LRU
+cache of fixed size that every query shares.  When no pattern has a
+selfloop or an isolated vertex, each state loses its own first: a
+contraction never turns a loop into a non-loop and an isolated vertex
+stays isolated, so such a pattern is a minor of G iff it is a minor of G
+without them.  Other exact patterns are searched unstripped.
+
+A :func:`has_minor` witness is read off the verdicts: from the host, the
+first successor (deletions before contractions) whose class reaches the
+pattern, until the pattern matches.  A depth-first search with a visited
+set finds this same path, since every class it had visited had failed.
 
 Patterns come in two flavours.  *Exact* patterns match up to isomorphism
 against a fixed labelled graph.  *Family* patterns match a structural
@@ -20,24 +37,18 @@ for K5 and K222.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import BoundExceededError, RealdimError
-from .graphs import GainGraph, SimpleGraph
+from .graphs import GainGraph, SimpleGraph, canonical_state
 
 K2_BULLET = "k2-bullet"
 K3_BULLETBULLET = "k3-bulletbullet"
 
 DEFAULT_VERTEX_BOUND = 8
 DEFAULT_EDGE_BOUND = 16
-
-
-@lru_cache(maxsize=262144)
-def _canonical(g: GainGraph, bound: int = DEFAULT_VERTEX_BOUND):
-    # Graphs hash by content, so successor states that recur across
-    # searches canonicalise once.
-    return g.canonical_form(max_vertices=bound)
 
 
 @dataclass(frozen=True)
@@ -71,23 +82,22 @@ class MinorPattern:
             return 5
         return self.graph.m
 
-    def matches(self, g: GainGraph) -> bool:
-        if self.kind == K2_BULLET:
-            return (
-                g.n == 2
-                and g.m == 2
-                and not any(e.is_loop for e in g.edges)
-            )
-        if self.kind == K3_BULLETBULLET:
-            if g.n != 3 or g.m != 5 or any(e.is_loop for e in g.edges):
-                return False
-            mults = sorted(
-                g.multiplicity(a, b) for a, b in itertools.combinations(g.vertices, 2)
-            )
-            return mults == [1, 2, 2]
-        if g.n != self.graph.n or g.m != self.graph.m:
+    @cached_property
+    def _canonical(self):
+        return canonical_state(*self.graph.orbit_state())
+
+    def _matches(self, n: int, triples) -> bool:
+        # Every pattern has exactly its minimum size.
+        if n != self.min_vertices() or len(triples) != self.min_edges():
             return False
-        return _canonical(g) == _canonical(self.graph)
+        if self.kind == "exact":
+            return canonical_state(n, triples) == self._canonical
+        pairs = Counter((a, b) for a, b, _ in triples)
+        return all(a != b for a, b in pairs) and (
+            self.kind == K2_BULLET or sorted(pairs.values()) == [1, 2, 2])
+
+    def matches(self, g: GainGraph) -> bool:
+        return self._matches(*g.orbit_state())
 
     def describe(self) -> str:
         if self.kind == "exact":
@@ -143,25 +153,86 @@ class MinorWitness:
         return self.pattern.matches(final)
 
 
-def _successors(g: GainGraph):
-    """Minor-one-step successors with the op that produced them.
+def _steps(n: int, triples):
+    """``(op kind, index, state)`` for each state one step below ``(n,
+    triples)``: delete each key, delete each isolated vertex (deleting any
+    other vertex is deleting its edges first), contract each non-loop.
+    Contracting (a, b, z) merges b into a: gains read from b shift by z,
+    zero loops go, equal orbits merge, and the vertices above b move down
+    by one."""
+    for k in range(len(triples)):
+        yield "delete_edge", k, (n, triples[:k] + triples[k + 1:])
+    ends = {v for t in triples for v in t[:2]}
+    for x in range(1, n + 1):
+        if x not in ends:
+            yield "delete_vertex", x, (n - 1, [(a - (a > x), b - (b > x), z) for a, b, z in triples])
+    for k, (a, b, z) in enumerate(triples):
+        if a == b:
+            continue
+        merged = set()
+        for j, (u, v, w) in enumerate(triples):
+            if u == v:
+                u = v = a if u == b else u
+            else:
+                if u == b:
+                    u, w = a, w + z
+                elif v == b:
+                    v, w = a, w - z
+                if u > v:
+                    u, v, w = v, u, -w
+                elif u == v:
+                    w = abs(w)
+            if j != k and (u != v or w):
+                merged.add((u - (u > b), v - (v > b), w))
+        yield "contract_edge", k, (n - 1, list(merged))
 
-    Vertex deletions are restricted to isolated vertices; deleting a
-    vertex with edges is the same as deleting its edges first, so the
-    restriction loses nothing and shrinks the branching.
-    """
-    for e in g.edges:
-        yield MinorOp("delete_edge", e.id), g.delete_edge(e.id)
-    touched = set()
-    for e in g.edges:
-        touched.add(e.tail)
-        touched.add(e.head)
-    for v in g.vertices:
-        if v not in touched:
-            yield MinorOp("delete_vertex", v), g.delete_vertex(v)
-    for e in g.edges:
-        if not e.is_loop:
-            yield MinorOp("contract_edge", e.id, min(e.tail, e.head)), g.contract_edge(e.id)
+
+def _strip(n: int, triples):
+    """Delete the selfloops, then the isolated vertices, renumbering 1..k."""
+    triples = [t for t in triples if t[0] != t[1]]
+    new = {v: k for k, v in enumerate(sorted({v for t in triples for v in t[:2]}), start=1)}
+    return len(new), [(new[a], new[b], z) for a, b, z in triples]
+
+
+# Verdicts keyed by (patterns, canonical state).  Minors of random corpora
+# repeat heavily across queries, hence one shared table; the least recently
+# used entry goes once it holds _CACHE_SIZE.
+_CACHE_SIZE = 1 << 15
+_CACHE: OrderedDict = OrderedDict()
+
+
+def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
+    """``(reaches, verdict)``: the memoized test of whether one of the
+    patterns is a minor of a state, and its verdict on the host."""
+    if host.n > max_vertices or host.m > max_edges:
+        raise BoundExceededError(
+            f"minor search bound is {max_vertices} vertices / {max_edges} edges; "
+            f"host has {host.n} / {host.m}"
+        )
+    need_v = min(p.min_vertices() for p in patterns)
+    need_e = min(p.min_edges() for p in patterns)
+    exact = [p.graph.orbit_state() for p in patterns if p.graph is not None]
+    strip = all(_strip(n, t)[0] == n and all(a != b for a, b, _ in t) for n, t in exact)
+    patterns_key = tuple((p.kind, p.graph and p.graph.orbit_state()) for p in patterns)
+
+    def reaches(n: int, triples) -> bool:
+        if strip:
+            n, triples = _strip(n, triples)
+        if n < need_v or len(triples) < need_e:
+            return False
+        state = canonical_state(n, triples)
+        key = (patterns_key, state)
+        if key in _CACHE:
+            _CACHE.move_to_end(key)
+            return _CACHE[key]
+        verdict = any(p._matches(*state) for p in patterns) or any(
+            reaches(*s) for _, _, s in _steps(*state))
+        _CACHE[key] = verdict
+        if len(_CACHE) > _CACHE_SIZE:
+            _CACHE.popitem(last=False)
+        return verdict
+
+    return reaches, reaches(*host.orbit_state())
 
 
 def has_minor(
@@ -172,43 +243,23 @@ def has_minor(
 ) -> MinorWitness | None:
     """Complete search for a pattern minor; returns a witness that replays.
 
-    Memoised on canonical forms, so each isomorphism class of minors is
-    expanded once.  Deletions are tried before contractions, which keeps
-    witnesses deterministic.
-    """
-    if host.n > max_vertices or host.m > max_edges:
-        raise BoundExceededError(
-            f"minor search bound is {max_vertices} vertices / {max_edges} edges; "
-            f"host has {host.n} / {host.m}"
-        )
-    need_v, need_e = pattern.min_vertices(), pattern.min_edges()
-    seen = set()
-
-    def search(g: GainGraph, ops: list) -> list | None:
-        if g.n < need_v or g.m < need_e:
-            return None
-        key = _canonical(g, max_vertices)
-        if key in seen:
-            return None
-        seen.add(key)
-        if pattern.matches(g):
-            return ops
-        for op, h in _successors(g):
-            found = search(h, ops + [op])
-            if found is not None:
-                return found
+    The witness is the greedy path described in the module docstring.  A
+    step's index names an edge, since ``orbit_state`` keeps edge order."""
+    reaches, found = _search(host, (pattern,), max_vertices, max_edges)
+    if not found:
         return None
-
-    ops = search(host, [])
-    if ops is None:
-        return None
+    ops, g = [], host
+    while not pattern.matches(g):
+        kind, k, _ = next(step for step in _steps(*g.orbit_state()) if reaches(*step[2]))
+        if kind == "delete_vertex":
+            op = MinorOp(kind, g.vertices[k - 1])
+        else:
+            e = g.edges[k]
+            op = MinorOp(kind, e.id, min(e.tail, e.head) if kind == "contract_edge" else None)
+        ops.append(op)
+        g = MinorWitness(pattern, (op,)).replay(g)
     return MinorWitness(pattern, tuple(ops))
 
-
-# Shared verdict cache for answer-only queries: canonical form of the host
-# plus the pattern-set name.  Minors of random corpora repeat heavily, so
-# this is worth a module-level table.
-_VERDICT_CACHE: dict = {}
 
 FORBIDDEN_D1 = (MinorPattern.family(K2_BULLET), balanced_complete_pattern(3))
 FORBIDDEN_D2 = (MinorPattern.family(K3_BULLETBULLET), balanced_complete_pattern(4))
@@ -219,8 +270,8 @@ def contains_forbidden(host: GainGraph, dimension: int,
                        max_edges: int = DEFAULT_EDGE_BOUND) -> bool:
     """True iff the host has a minor forbidden for the given dimension.
 
-    Answer-only variant of :func:`has_minor` over the whole forbidden set,
-    with a cross-call cache; use this as the oracle in bulk tests.
+    Answer-only variant of :func:`has_minor` over the whole forbidden set;
+    use this as the oracle in bulk tests.
     """
     if dimension == 1:
         patterns = FORBIDDEN_D1
@@ -228,26 +279,7 @@ def contains_forbidden(host: GainGraph, dimension: int,
         patterns = FORBIDDEN_D2
     else:
         raise RealdimError("forbidden sets are known for dimensions 1 and 2 only")
-    if host.n > max_vertices or host.m > max_edges:
-        raise BoundExceededError("oracle bound exceeded")
-    need_v = min(p.min_vertices() for p in patterns)
-    need_e = min(p.min_edges() for p in patterns)
-
-    def search(g: GainGraph) -> bool:
-        if g.n < need_v or g.m < need_e:
-            return False
-        key = (_canonical(g, max_vertices), dimension)
-        cached = _VERDICT_CACHE.get(key)
-        if cached is not None:
-            return cached
-        _VERDICT_CACHE[key] = False  # cycle guard; overwritten below
-        result = any(p.matches(g) for p in patterns) or any(
-            search(h) for _, h in _successors(g)
-        )
-        _VERDICT_CACHE[key] = result
-        return result
-
-    return search(host)
+    return _search(host, patterns, max_vertices, max_edges)[1]
 
 
 # -- finite simple-graph checks ---------------------------------------------------

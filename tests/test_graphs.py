@@ -6,6 +6,7 @@ import pytest
 
 from realdim.errors import RealdimError, SimplicityError
 from realdim.graphs import GainEdge, GainGraph, SimpleGraph, union
+from realdim.randgen import random_isomorphic_copy
 
 
 def k2_zero():
@@ -376,6 +377,15 @@ def test_canonical_distinguishes_unbalanced_gain_magnitude():
     g1 = GainGraph.of(3, [(1, 2, 0), (2, 3, 0), (3, 1, 1)])
     g2 = GainGraph.of(3, [(1, 2, 0), (2, 3, 0), (3, 1, 2)])
     assert g1.canonical_form() != g2.canonical_form()
+
+
+def test_canonical_form_of_a_path_with_many_parallel_edges():
+    # Six parallel edges on each of seven pairs: one tree edge per pair is
+    # fixed by its gain, so there is no product of choices to bound.
+    g = GainGraph.of(8, [(i, i + 1, z) for i in range(1, 8) for z in range(-2, 4)])
+    h = random_isomorphic_copy(random.Random(59), g)
+    assert h != g
+    assert g.canonical_form() == h.canonical_form()
 
 
 def test_canonical_balanced_triangles_agree():

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import OrderedDict, deque
 
 import pytest
 
+from realdim import minors
 from realdim.errors import BoundExceededError
-from realdim.graphs import GainGraph, SimpleGraph
+from realdim.graphs import GainGraph, SimpleGraph, canonical_state
 from realdim.minors import (
     K2_BULLET,
     K3_BULLETBULLET,
@@ -17,6 +19,7 @@ from realdim.minors import (
     finite_rd_upper3,
     has_minor,
 )
+from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
 from test_graphs import counterexample_c, k3_zero, k4_zero, ladder_graph
 
 
@@ -74,9 +77,12 @@ def test_ladder_graph_contains_k3bb():
 
 
 def test_bound_exceeded():
+    # One bound check for both searches; its message names the host's size.
     g = GainGraph.of(9, [(i, i + 1, 0) for i in range(1, 9)])
-    with pytest.raises(BoundExceededError):
-        has_minor(g, MinorPattern.family(K2_BULLET))
+    for search in (lambda: has_minor(g, MinorPattern.family(K2_BULLET)),
+                   lambda: contains_forbidden(g, 2)):
+        with pytest.raises(BoundExceededError, match="8 vertices / 16 edges; host has 9 / 8"):
+            search()
 
 
 def test_witness_replay_soundness_random():
@@ -186,6 +192,201 @@ def test_d1_forbidden_set_equals_cycle_condition():
             g.multiplicity(a, b) >= 2 for a, b in itertools.combinations(g.vertices, 2)
         ) or g.underlying_simple_graph().find_cycle() is not None
         assert contains_forbidden(g, 1) == has_cycle
+
+
+# -- reference: the engine the state search replaced ---------------------------
+#
+# GainGraph successors, a canonical form that tries every choice of tree
+# edge, and a depth-first search with a visited set.  The state search must
+# give the same verdicts and the same witness ops.
+
+
+def ref_canonical(g):
+    loops = {v: sorted(abs(e.label) for e in g.edges if e.is_loop and e.tail == v)
+             for v in g.vertices}
+    pair_edges: dict = {}
+    adj: dict = {v: set() for v in g.vertices}
+    for e in g.edges:
+        if not e.is_loop:
+            pair_edges.setdefault(e.pair(), []).append(e)
+            adj[e.tail].add(e.head)
+            adj[e.head].add(e.tail)
+
+    def invariant(v):
+        mults = sorted(len(pair_edges[frozenset((v, w))]) for w in adj[v])
+        return (len(adj[v]), tuple(mults), tuple(loops[v]))
+
+    groups: dict = {}
+    for v in g.vertices:
+        groups.setdefault(invariant(v), []).append(v)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups))):
+        pos = {v: k for k, v in enumerate(itertools.chain.from_iterable(parts), start=1)}
+        seen, tree = set(), []
+        for root in sorted(pos, key=pos.get):
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for w in sorted(adj[u], key=pos.get):
+                    if w not in seen:
+                        seen.add(w)
+                        tree.append((u, w))
+                        queue.append(w)
+        for choice in itertools.product(*(pair_edges[frozenset(t)] for t in tree)):
+            phi = {v: 0 for v in pos}
+            for (u, w), e in zip(tree, choice):
+                phi[w] = phi[u] + e.gain_from(u)
+            triples = [(pos[v], pos[v], a) for v in loops for a in loops[v]]
+            for e in g.edges:
+                if not e.is_loop:
+                    z = e.label + phi[e.tail] - phi[e.head]
+                    a, b = pos[e.tail], pos[e.head]
+                    triples.append((a, b, z) if a < b else (b, a, -z))
+            cand = tuple(sorted(triples))
+            if best is None or cand < best:
+                best = cand
+    return (g.n, best)
+
+
+def ref_matches(pattern, g):
+    if pattern.kind == K2_BULLET:
+        return g.n == 2 and g.m == 2 and not any(e.is_loop for e in g.edges)
+    if pattern.kind == K3_BULLETBULLET:
+        if g.n != 3 or g.m != 5 or any(e.is_loop for e in g.edges):
+            return False
+        mults = sorted(g.multiplicity(a, b) for a, b in itertools.combinations(g.vertices, 2))
+        return mults == [1, 2, 2]
+    return (g.n, g.m) == (pattern.graph.n, pattern.graph.m) and (
+        ref_canonical(g) == ref_canonical(pattern.graph))
+
+
+def ref_successors(g):
+    for e in g.edges:
+        yield MinorOp("delete_edge", e.id), g.delete_edge(e.id)
+    touched = {v for e in g.edges for v in (e.tail, e.head)}
+    for v in g.vertices:
+        if v not in touched:
+            yield MinorOp("delete_vertex", v), g.delete_vertex(v)
+    for e in g.edges:
+        if not e.is_loop:
+            yield MinorOp("contract_edge", e.id, min(e.tail, e.head)), g.contract_edge(e.id)
+
+
+def ref_has_minor(host, pattern):
+    """The ops of the first path the depth-first search finds, or None."""
+    need_v, need_e = pattern.min_vertices(), pattern.min_edges()
+    seen = set()
+
+    def search(g, ops):
+        if g.n < need_v or g.m < need_e:
+            return None
+        key = ref_canonical(g)
+        if key in seen:
+            return None
+        seen.add(key)
+        if ref_matches(pattern, g):
+            return ops
+        for op, h in ref_successors(g):
+            found = search(h, ops + [op])
+            if found is not None:
+                return found
+        return None
+
+    ops = search(host, [])
+    return None if ops is None else tuple(ops)
+
+
+def ref_contains_forbidden(host, dimension, cache):
+    patterns = minors.FORBIDDEN_D1 if dimension == 1 else minors.FORBIDDEN_D2
+    need_v = min(p.min_vertices() for p in patterns)
+    need_e = min(p.min_edges() for p in patterns)
+
+    def search(g):
+        if g.n < need_v or g.m < need_e:
+            return False
+        key = (dimension, ref_canonical(g))
+        if key not in cache:
+            cache[key] = any(ref_matches(p, g) for p in patterns) or any(
+                search(h) for _, h in ref_successors(g))
+        return cache[key]
+
+    return search(host)
+
+
+NAMED_PATTERNS = (
+    MinorPattern.family(K2_BULLET),
+    balanced_complete_pattern(3),
+    MinorPattern.family(K3_BULLETBULLET),
+    balanced_complete_pattern(4),
+)
+
+
+def test_state_search_equals_reference_on_graphs_with_loops_and_isolated_vertices():
+    rng = random.Random(41)
+    shapes = {"loop": 0, "isolated": 0}
+    cache: dict = {}
+    for _ in range(150):
+        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
+        shapes["loop"] += any(e.is_loop for e in g.edges)
+        shapes["isolated"] += g.n > len({v for e in g.edges for v in (e.tail, e.head)})
+        for dim in (1, 2):
+            assert contains_forbidden(g, dim) == ref_contains_forbidden(g, dim, cache), g
+        for p in NAMED_PATTERNS:
+            w = has_minor(g, p)
+            assert (None if w is None else w.ops) == ref_has_minor(g, p), (g, p)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_exact_patterns_with_loops_or_isolated_vertices_are_searched_unstripped():
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(150):
+        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
+        p = MinorPattern.exact(random_simple_gain_graph(rng, max_vertices=3, max_edges=3))
+        if any(e.is_loop for e in p.graph.edges):
+            kinds.add("loop")
+        if p.graph.n > len({v for e in p.graph.edges for v in (e.tail, e.head)}):
+            kinds.add("isolated")
+        w = has_minor(g, p)
+        assert (None if w is None else w.ops) == ref_has_minor(g, p), (g, p)
+        assert w is None or w.verify(g)
+    assert kinds == {"loop", "isolated"}
+    # Deleting selfloops and isolated vertices first would lose these minors.
+    host = GainGraph.of(2, [(1, 1, 1), (1, 2, 0)])
+    assert has_minor(host, MinorPattern.exact(GainGraph.of(1, [(1, 1, 1)]))) is not None
+    assert has_minor(host, MinorPattern.exact(GainGraph.of(2, []))) is not None
+
+
+def test_canonical_form_partition_equals_reference():
+    rng = random.Random(47)
+    graphs = []
+    for _ in range(3000):
+        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
+        graphs += [g, random_isomorphic_copy(rng, g)]
+    pairs = {(g.canonical_form(), ref_canonical(g)) for g in graphs}
+    # A canonical form is itself a state on 1..n, and its own canonical form.
+    assert all(canonical_state(*new) == new for new, _ in pairs)
+    assert len(pairs) == len({new for new, _ in pairs}) == len({old for _, old in pairs})
+
+
+def test_cache_stays_under_its_cap_and_answers_survive_eviction(monkeypatch):
+    rng = random.Random(53)
+    graphs = [random_simple_gain_graph(rng, max_vertices=5, max_edges=8) for _ in range(40)]
+    expected = [(contains_forbidden(g, 1), contains_forbidden(g, 2),
+                 has_minor(g, NAMED_PATTERNS[3])) for g in graphs]
+    cache = OrderedDict()
+    monkeypatch.setattr(minors, "_CACHE", cache)
+    monkeypatch.setattr(minors, "_CACHE_SIZE", 7)
+    for _ in range(2):
+        for g, want in zip(graphs, expected):
+            got = (contains_forbidden(g, 1), contains_forbidden(g, 2),
+                   has_minor(g, NAMED_PATTERNS[3]))
+            assert got == want, g
+            assert len(cache) <= 7
+    assert len(cache) == 7
 
 
 # -- finite patterns --------------------------------------------------------------
