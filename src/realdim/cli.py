@@ -386,6 +386,8 @@ def cmd_verify_cert(args) -> int:
     verdict = certificate_from_json_dict(data)
     try:
         verdict.verify(g)
+    except BoundExceededError:
+        raise  # too large to check is no verdict on the certificate
     except RealdimError as exc:
         out.say(f"certificate: INVALID ({exc})", valid=False, reason=str(exc))
         return out.flush(1)

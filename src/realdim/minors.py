@@ -10,13 +10,16 @@ It searches states ``(n, orbit keys)`` on vertices 1..n, as
 tuples: delete a key, delete an isolated vertex, or contract a non-loop,
 which shifts the gains at the merged vertex, drops zero loops and merges
 equal orbits.  Successors below the patterns' vertex or edge minimum are
-dropped; the rest are canonicalized (:func:`graphs.canonical_state`), and
-whether the patterns are reachable from each class is kept in one LRU
-cache of fixed size that every query shares.  When no pattern has a
+dropped; the rest are canonicalized (:func:`graphs.canonical_state`),
+and whether the patterns are reachable from each class is kept in one
+LRU cache that every query shares, trimmed to a fixed size after each
+query so that one query expands a class once.  When no pattern has a
 selfloop or an isolated vertex, each state loses its own first: a
 contraction never turns a loop into a non-loop and an isolated vertex
 stays isolated, so such a pattern is a minor of G iff it is a minor of G
-without them.  Other exact patterns are searched unstripped.
+without them.  Other exact patterns are searched unstripped.  Matching a
+whole graph against an exact pattern, as a witness check does, goes
+through the size-bounded :meth:`GainGraph.canonical_form`.
 
 A :func:`has_minor` witness is read off the verdicts: from the host, the
 first successor (deletions before contractions) whose class reaches the
@@ -84,20 +87,24 @@ class MinorPattern:
 
     @cached_property
     def _canonical(self):
-        return canonical_state(*self.graph.orbit_state())
+        return self.graph.canonical_form()
 
-    def _matches(self, n: int, triples) -> bool:
-        # Every pattern has exactly its minimum size.
+    def _matches(self, state) -> bool:
+        """Whether a canonical state is this pattern (of exactly its minimum size)."""
+        n, triples = state
         if n != self.min_vertices() or len(triples) != self.min_edges():
             return False
         if self.kind == "exact":
-            return canonical_state(n, triples) == self._canonical
+            return state == self._canonical
         pairs = Counter((a, b) for a, b, _ in triples)
         return all(a != b for a, b in pairs) and (
             self.kind == K2_BULLET or sorted(pairs.values()) == [1, 2, 2])
 
     def matches(self, g: GainGraph) -> bool:
-        return self._matches(*g.orbit_state())
+        if g.n != self.min_vertices() or g.m != self.min_edges():
+            return False
+        # Bounded, since a certificate brings its own pattern and host.
+        return self._matches(g.canonical_form() if self.kind == "exact" else g.orbit_state())
 
     def describe(self) -> str:
         if self.kind == "exact":
@@ -195,10 +202,16 @@ def _strip(n: int, triples):
 
 
 # Verdicts keyed by (patterns, canonical state).  Minors of random corpora
-# repeat heavily across queries, hence one shared table; the least recently
-# used entry goes once it holds _CACHE_SIZE.
+# repeat heavily across queries, hence one shared table.  A query fills it
+# freely, so it expands each class once; after the query the least recently
+# used entries go until it holds _CACHE_SIZE.
 _CACHE_SIZE = 1 << 15
 _CACHE: OrderedDict = OrderedDict()
+
+
+def _trim() -> None:
+    while len(_CACHE) > _CACHE_SIZE:
+        _CACHE.popitem(last=False)
 
 
 def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
@@ -225,40 +238,38 @@ def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
         if key in _CACHE:
             _CACHE.move_to_end(key)
             return _CACHE[key]
-        verdict = any(p._matches(*state) for p in patterns) or any(
+        verdict = any(p._matches(state) for p in patterns) or any(
             reaches(*s) for _, _, s in _steps(*state))
         _CACHE[key] = verdict
-        if len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
         return verdict
 
     return reaches, reaches(*host.orbit_state())
 
 
-def has_minor(
-    host: GainGraph,
-    pattern: MinorPattern,
-    max_vertices: int = DEFAULT_VERTEX_BOUND,
-    max_edges: int = DEFAULT_EDGE_BOUND,
-) -> MinorWitness | None:
+def has_minor(host: GainGraph, pattern: MinorPattern,
+              max_vertices: int = DEFAULT_VERTEX_BOUND,
+              max_edges: int = DEFAULT_EDGE_BOUND) -> MinorWitness | None:
     """Complete search for a pattern minor; returns a witness that replays.
 
     The witness is the greedy path described in the module docstring.  A
     step's index names an edge, since ``orbit_state`` keeps edge order."""
-    reaches, found = _search(host, (pattern,), max_vertices, max_edges)
-    if not found:
-        return None
-    ops, g = [], host
-    while not pattern.matches(g):
-        kind, k, _ = next(step for step in _steps(*g.orbit_state()) if reaches(*step[2]))
-        if kind == "delete_vertex":
-            op = MinorOp(kind, g.vertices[k - 1])
-        else:
-            e = g.edges[k]
-            op = MinorOp(kind, e.id, min(e.tail, e.head) if kind == "contract_edge" else None)
-        ops.append(op)
-        g = MinorWitness(pattern, (op,)).replay(g)
-    return MinorWitness(pattern, tuple(ops))
+    try:
+        reaches, found = _search(host, (pattern,), max_vertices, max_edges)
+        if not found:
+            return None
+        ops, g = [], host
+        while not pattern.matches(g):
+            kind, k, _ = next(step for step in _steps(*g.orbit_state()) if reaches(*step[2]))
+            if kind == "delete_vertex":
+                op = MinorOp(kind, g.vertices[k - 1])
+            else:
+                e = g.edges[k]
+                op = MinorOp(kind, e.id, min(e.tail, e.head) if kind == "contract_edge" else None)
+            ops.append(op)
+            g = MinorWitness(pattern, (op,)).replay(g)
+        return MinorWitness(pattern, tuple(ops))
+    finally:
+        _trim()
 
 
 FORBIDDEN_D1 = (MinorPattern.family(K2_BULLET), balanced_complete_pattern(3))
@@ -279,26 +290,13 @@ def contains_forbidden(host: GainGraph, dimension: int,
         patterns = FORBIDDEN_D2
     else:
         raise RealdimError("forbidden sets are known for dimensions 1 and 2 only")
-    return _search(host, patterns, max_vertices, max_edges)[1]
+    try:
+        return _search(host, patterns, max_vertices, max_edges)[1]
+    finally:
+        _trim()
 
 
 # -- finite simple-graph checks ---------------------------------------------------
-
-FINITE_PATTERNS = ("K3", "K4", "K5", "K222")
-
-
-def _complete_graph(n: int) -> SimpleGraph:
-    vs = range(1, n + 1)
-    return SimpleGraph(vs, itertools.combinations(vs, 2))
-
-
-def _k222() -> SimpleGraph:
-    # Octahedron: complete tripartite with parts {1,2}, {3,4}, {5,6}.
-    vs = range(1, 7)
-    non_edges = {frozenset((1, 2)), frozenset((3, 4)), frozenset((5, 6))}
-    edges = [e for e in itertools.combinations(vs, 2) if frozenset(e) not in non_edges]
-    return SimpleGraph(vs, edges)
-
 
 def _has_k4_minor(g: SimpleGraph) -> bool:
     """Series-parallel reduction: K4-minor-free iff it reduces to nothing."""

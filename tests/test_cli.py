@@ -384,6 +384,23 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert main(["minor", str(p), "--pattern", "k2-bullet"]) == 3
 
 
+def test_verify_cert_with_large_exact_pattern_exceeds_bound(tmp_path, capsys):
+    # Matching a 12-vertex pattern would try every ordering of a 12-cycle;
+    # the bounded canonical form refuses at once instead.
+    n = 12
+    g = tmp_path / "cycle.graph"
+    g.write_text("gaingraph v1\nvertices %d\n" % n
+                 + "".join(f"edge {i} {i % n + 1} 0\n" for i in range(1, n + 1)))
+    edges = [{"id": i, "tail": i, "head": i % n + 1, "label": 0} for i in range(1, n + 1)]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "dimension": 1, "answer": "no", "kind": "minor-witness", "ops": [],
+        "pattern": {"kind": "exact", "graph": {"vertices": list(range(1, n + 1)),
+                                               "edges": edges}}}))
+    assert main(["verify-cert", str(g), str(cert)]) == 3
+    assert "canonical_form bound is 8 vertices, graph has 12" in capsys.readouterr().err
+
+
 def test_selftest_deterministic(capsys):
     code, out_text = run(capsys, "selftest", "--seed", 7, "--count", 10)
     assert code == 0

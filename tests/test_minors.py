@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 
 import pytest
 
@@ -387,6 +387,33 @@ def test_cache_stays_under_its_cap_and_answers_survive_eviction(monkeypatch):
             assert got == want, g
             assert len(cache) <= 7
     assert len(cache) == 7
+
+
+def test_a_query_expands_each_class_once_whatever_the_cap(monkeypatch):
+    # The cap is applied between queries, so one query never re-expands
+    # a class that it evicted itself.
+    expanded = Counter()
+
+    def steps(n, triples):
+        expanded[n, tuple(triples)] += 1
+        return real_steps(n, triples)
+
+    real_steps = minors._steps
+    monkeypatch.setattr(minors, "_steps", steps)
+    monkeypatch.setattr(minors, "_CACHE", OrderedDict())
+    monkeypatch.setattr(minors, "_CACHE_SIZE", 1)
+    # A balanced fan is 2-realizable, so the search visits every class.
+    fan = GainGraph.of(6, [(1, i, 0) for i in range(2, 7)] + [(i, i + 1, 0) for i in range(2, 6)])
+    assert not contains_forbidden(fan, 2)
+    assert len(expanded) > 50 and max(expanded.values()) == 1
+    assert len(minors._CACHE) == 1
+
+
+def test_pattern_match_keeps_the_canonical_form_bound():
+    n = 9
+    cycle = GainGraph.of(n, [(i, i % n + 1, 0) for i in range(1, n + 1)])
+    with pytest.raises(BoundExceededError, match="8 vertices, graph has 9"):
+        MinorWitness(MinorPattern.exact(cycle)).verify(cycle)
 
 
 # -- finite patterns --------------------------------------------------------------
