@@ -53,7 +53,6 @@ from .graphs import (
     GainGraph,
     SimpleGraph,
     WalkWitness,
-    union,
 )
 from .minors import (
     MinorOp,

@@ -5,11 +5,11 @@ labelled graphs, internal nodes glue children by disjoint union, one-sum
 (a single shared vertex), or balanced two-sum (a single shared edge, one
 summand balanced).  Replaying the tree bottom-up builds a supergraph of
 the input on the same vertex set, up to a switching; gluing of these
-kinds never raises realizable dimension beyond the leaves'.  Every node
-kind glues through :func:`realdim.graphs.union` once its shape is checked.
+kinds never raises realizable dimension beyond the leaves'.
 
 A *no* answer is certified, at any size, by a minor witness that replays
-against the input (see :mod:`realdim.minors`).
+against the input to a minor forbidden for the dimension (see
+:mod:`realdim.minors`).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph, union
-from .minors import MinorOp, MinorPattern, MinorWitness
+from .graphs import GainEdge, GainGraph
+from .minors import FORBIDDEN_D1, FORBIDDEN_D2, MinorOp, MinorPattern, MinorWitness
 
 LEAF = "leaf"
 DISJOINT_UNION = "disjoint_union"
@@ -69,11 +69,13 @@ class DecompositionTree:
     # -- traversal --------------------------------------------------------------
 
     def leaves(self):
-        if self.kind == LEAF:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == LEAF:
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
     def map_leaf_graphs(self, fn) -> "DecompositionTree":
         if self.kind == LEAF:
@@ -98,70 +100,79 @@ class DecompositionTree:
     # -- replay --------------------------------------------------------------------
 
     def replay(self) -> GainGraph:
-        """Build the glued graph bottom-up, checking each node's shape.
+        """Build the glued graph in one post-order pass, checking each node's shape.
 
-        Children are glued by :func:`realdim.graphs.union`.  They may carry
-        the shared part under different edge ids; edges describing the same
-        orbit collapse to one.  An id shared by two children must name the
-        same orbit in both.
+        A finished subtree is kept as its vertex set, its orbit-key labels
+        by vertex pair (loops under ``(v, v)``) and a balanced flag, which a
+        leaf computes only inside a summand named balanced.  An edge id must
+        name one orbit across the whole tree; the edges of one orbit
+        collapse to the leftmost.
         """
-        if self.kind == LEAF:
-            if self.graph is None:
-                raise CertificateError("leaf without a graph")
-            return self.graph
-        replays = [c.replay() for c in self.children]
-        if self.kind == DISJOINT_UNION:
-            if len(replays) < 2:
-                raise CertificateError("disjoint union needs at least two children")
-            seen: set = set()
-            for r in replays:
-                if seen & set(r.vertices):
-                    raise CertificateError("disjoint union children share vertices")
-                seen |= set(r.vertices)
-        else:
-            self._check_sum(replays)
-        out = replays[0]
-        try:
-            for r in replays[1:]:
-                out = union(out, r)
-        except RealdimError as exc:
-            raise CertificateError(f"glued parts disagree: {exc}") from None
-        return out
+        ids: dict = {}  # edge id -> orbit key
+        first: dict = {}  # orbit key -> leftmost edge
+        done: list = []  # records of finished subtrees
+        stack = [(self, False, False)]  # (node, children finished, named balanced)
+        while stack:
+            node, finished, need = stack.pop()
+            if finished:
+                done.append(node._glue([done.pop() for _ in node.children][::-1]))
+            elif node.kind == LEAF:
+                if node.graph is None:
+                    raise CertificateError("leaf without a graph")
+                pairs: dict = {}
+                for e in node.graph.edges:
+                    key = e.orbit_key()
+                    if ids.setdefault(e.id, key) != key:
+                        raise CertificateError(f"edge {e.id} names two orbits in the tree")
+                    first.setdefault(key, e)
+                    pairs.setdefault(key[:2], set()).add(key[2])
+                done.append((set(node.graph.vertices), pairs, need and node.graph.is_balanced()))
+            else:
+                stack.append((node, True, need))
+                for i in reversed(range(len(node.children))):
+                    named = node.kind == BALANCED_TWO_SUM and i == node.zero_child
+                    stack.append((node.children[i], False, need or named))
+        return GainGraph(done[0][0], first.values())
 
-    def _check_sum(self, replays):
-        if len(replays) != 2:
-            raise CertificateError(f"{self.kind} needs exactly two children")
-        a, b = replays
-        shared_vs = set(a.vertices) & set(b.vertices)
-        if self.kind == ONE_SUM:
-            if shared_vs != {self.shared_vertex}:
-                raise CertificateError(
-                    f"one-sum must share exactly vertex {self.shared_vertex}, got {sorted(shared_vs)}"
-                )
-            return
-        if self.kind != BALANCED_TWO_SUM:
+    def _glue(self, parts: list) -> tuple:
+        """Check this node's shape on its children's records, then merge them
+        into the largest.  One- and two-sums of balanced graphs that pass
+        these checks are balanced, so the flag is the AND of the children's."""
+        k = len(parts)
+        if self.kind not in (DISJOINT_UNION, ONE_SUM, BALANCED_TWO_SUM):
             raise CertificateError(f"unknown node kind {self.kind!r}")
-        x, y = self.shared_pair
-        if shared_vs != {x, y}:
-            raise CertificateError(
-                f"two-sum must share exactly {self.shared_pair}, got {sorted(shared_vs)}"
-            )
-        common = {f.gain_from(x) for f in a.edges_between(x, y)} & {
-            f.gain_from(x) for f in b.edges_between(x, y)
-        }
-        if len(common) != 1:
-            raise CertificateError(
-                "two-sum sides must share exactly one edge between the shared pair"
-            )
-        for v in (x, y):
-            la = {abs(e.label) for e in a.loops_at(v)}
-            lb = {abs(e.label) for e in b.loops_at(v)}
-            if la & lb:
+        if self.kind == DISJOINT_UNION:
+            if k < 2:
+                raise CertificateError("disjoint union needs at least two children")
+        elif k != 2:
+            raise CertificateError(f"{self.kind} needs exactly two children")
+        else:
+            (va, pa, _), (vb, pb, _) = parts
+            want = {self.shared_vertex} if self.kind == ONE_SUM else set(self.shared_pair)
+            if va & vb != want:
+                raise CertificateError(
+                    f"{self.kind} must share exactly {sorted(want)}, got {sorted(va & vb)}")
+        if self.kind == BALANCED_TWO_SUM:
+            x, y = sorted(self.shared_pair)
+            if len(pa.get((x, y), set()) & pb.get((x, y), set())) != 1:
+                raise CertificateError(
+                    "two-sum sides must share exactly one edge between the shared pair")
+            if any(pa.get((v, v), set()) & pb.get((v, v), set()) for v in (x, y)):
                 raise CertificateError("two-sum sides share a selfloop")
-        if self.zero_child not in (0, 1):
-            raise CertificateError("two-sum must name its balanced summand")
-        if not replays[self.zero_child].is_balanced():
-            raise CertificateError("the designated two-sum summand is not balanced")
+            if self.zero_child not in (0, 1):
+                raise CertificateError("two-sum must name its balanced summand")
+            if not parts[self.zero_child][2]:
+                raise CertificateError("the designated two-sum summand is not balanced")
+        parts.sort(key=lambda r: len(r[0]) + len(r[1]), reverse=True)
+        vertices, pairs, balanced = parts[0]
+        for vs, ps, flag in parts[1:]:
+            if self.kind == DISJOINT_UNION and not vertices.isdisjoint(vs):
+                raise CertificateError("disjoint union children share vertices")
+            vertices |= vs
+            for pair, zs in ps.items():
+                pairs.setdefault(pair, set()).update(zs)
+            balanced = balanced and flag
+        return vertices, pairs, balanced
 
     # -- serialization -----------------------------------------------------------------
 
@@ -181,19 +192,32 @@ class DecompositionTree:
         kind = data.get("node")
         if kind == LEAF:
             return cls.leaf(graph_from_json_dict(data["graph"]))
-        children = tuple(cls.from_json_dict(c) for c in data.get("children", ()))
+        if kind not in (DISJOINT_UNION, ONE_SUM, BALANCED_TWO_SUM):
+            raise CertificateError(f"unknown node kind {kind!r}")
+        if type(data.get("children")) is not list:
+            raise CertificateError(f"certificate {kind} node needs a children list")
+        children = tuple(cls.from_json_dict(c) for c in data["children"])
         if kind == DISJOINT_UNION:
             return cls(DISJOINT_UNION, children=children)
         if kind == ONE_SUM:
-            return cls(ONE_SUM, children=children, shared_vertex=data["shared_vertex"])
-        if kind == BALANCED_TWO_SUM:
-            return cls(
-                BALANCED_TWO_SUM,
-                children=children,
-                shared_pair=tuple(data["shared_pair"]),
-                zero_child=data.get("zero_child"),
-            )
-        raise CertificateError(f"unknown node kind {kind!r}")
+            return cls(ONE_SUM, children=children,
+                       shared_vertex=_int(data["shared_vertex"], "shared_vertex"))
+        pair = data["shared_pair"]
+        if type(pair) is not list or len(pair) != 2 or pair[0] == pair[1]:
+            raise CertificateError(f"certificate shared_pair must be two distinct integers, "
+                                   f"got {pair!r}")
+        zero_child = data.get("zero_child")
+        if type(zero_child) is not int or zero_child not in (0, 1):
+            raise CertificateError(f"certificate zero_child must be 0 or 1, got {zero_child!r}")
+        return cls(BALANCED_TWO_SUM, children=children,
+                   shared_pair=tuple(_int(v, "shared_pair") for v in pair), zero_child=zero_child)
+
+
+def _int(value, what: str) -> int:
+    # an exact type check, since a bool is no integer here
+    if type(value) is not int:
+        raise CertificateError(f"certificate {what} must be an integer, got {value!r}")
+    return value
 
 
 def graph_to_json_dict(g: GainGraph) -> dict:
@@ -207,10 +231,9 @@ def graph_to_json_dict(g: GainGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> GainGraph:
-    edges = [
-        GainEdge(e["id"], e["tail"], e["head"], e["label"]) for e in data["edges"]
-    ]
-    return GainGraph(data["vertices"], edges)
+    edges = [GainEdge(*(_int(e[k], f"edge {k}") for k in ("id", "tail", "head", "label")))
+             for e in data["edges"]]
+    return GainGraph([_int(v, "vertex") for v in data["vertices"]], edges)
 
 
 # -- leaf families ----------------------------------------------------------------
@@ -346,14 +369,25 @@ class RealizabilityVerdict:
         return "none"
 
     def verify(self, original: GainGraph) -> bool:
-        """Replay the certificate against the graph it was issued for."""
+        """Replay the certificate against the graph it was issued for, and
+        check that it certifies this verdict's answer at its dimension."""
         cert = self.certificate
         if isinstance(cert, DecompositionTree):
+            if not self.answer:
+                raise CertificateError('a decomposition tree certifies "yes", not "no"')
             verify_decomposition(cert, original, self.dimension_bound)
             return True
         if isinstance(cert, MinorWitness):
+            if self.answer:
+                raise CertificateError('a minor witness certifies "no", not "yes"')
             if not cert.verify(original):
                 raise CertificateError("minor witness failed to replay")
+            forbidden = {1: FORBIDDEN_D1, 2: FORBIDDEN_D2}.get(self.dimension_bound, ())
+            if not any(p.kind == cert.pattern.kind
+                       and (p.kind != "exact" or p.matches(cert.pattern.graph))
+                       for p in forbidden):
+                raise CertificateError(f"pattern {cert.pattern.describe()} is not forbidden "
+                                       f"for dimension {self.dimension_bound}")
             return True
         raise CertificateError("verdict carries no certificate")
 
@@ -380,12 +414,9 @@ def witness_from_json_dict(data: dict) -> MinorWitness:
         pattern = MinorPattern.family(pat["kind"])
     ops = []
     for i, o in enumerate(data["ops"]):
-        target, survivor = o["target"], o.get("survivor")
-        # an exact type check, since a bool is no id
-        if type(target) is not int or survivor is not None and type(survivor) is not int:
-            raise CertificateError(f"certificate op {i} needs an integer target and an "
-                                   f"integer or null survivor, got {target!r}, {survivor!r}")
-        ops.append(MinorOp(o["op"], target, survivor))
+        survivor = o.get("survivor")
+        ops.append(MinorOp(o["op"], _int(o["target"], f"op {i} target"),
+                           survivor if survivor is None else _int(survivor, f"op {i} survivor")))
     return MinorWitness(pattern, tuple(ops))
 
 
@@ -406,8 +437,11 @@ def certificate_to_json_dict(verdict: RealizabilityVerdict) -> dict:
 def certificate_from_json_dict(data: dict) -> RealizabilityVerdict:
     """Read a certificate; a missing or ill-typed field raises CertificateError."""
     try:
-        answer = data.get("answer") == "yes"
-        dim = data["dimension"]
+        dim, answer = data["dimension"], data["answer"]
+        if type(dim) is not int or dim not in (1, 2):
+            raise CertificateError(f"certificate dimension must be 1 or 2, got {dim!r}")
+        if answer not in ("yes", "no"):
+            raise CertificateError(f'certificate answer must be "yes" or "no", got {answer!r}')
         kind = data.get("kind")
         if kind == "decomposition-tree":
             cert = DecompositionTree.from_json_dict(data["root"])
@@ -419,4 +453,4 @@ def certificate_from_json_dict(data: dict) -> RealizabilityVerdict:
         raise CertificateError(f"certificate misses field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CertificateError(f"certificate has an ill-typed field: {exc}") from None
-    return RealizabilityVerdict(dim, answer, cert)
+    return RealizabilityVerdict(dim, answer == "yes", cert)

@@ -699,27 +699,3 @@ def canonical_state(n: int, triples) -> tuple:
             best = cand
     return n, tuple(best)
 
-
-# -- composition ------------------------------------------------------------------
-
-
-def union(g1: GainGraph, g2: GainGraph) -> GainGraph:
-    """Vertexwise and edgewise union over a shared id universe.
-
-    An id in both graphs must name the same orbit in each, or this raises
-    ``RealdimError``.  An edge of ``g2`` whose orbit ``g1`` already carries
-    under another id is dropped, so the union of simple graphs is simple.
-    """
-    carried = {e.orbit_key() for e in g1.edges}
-    edges = list(g1.edges)
-    for e in g2.edges:
-        key = e.orbit_key()
-        mine = g1._by_id.get(e.id)
-        if mine is not None:
-            if mine.orbit_key() != key:
-                raise RealdimError(
-                    f"edge {e.id} has conflicting endpoints or label in the two graphs"
-                )
-        elif key not in carried:
-            edges.append(e)
-    return GainGraph(set(g1.vertices) | set(g2.vertices), edges)

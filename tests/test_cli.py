@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import realdim
-from realdim.certificates import RealizabilityVerdict
+from realdim import cli
+from realdim.certificates import RealizabilityVerdict, certificate_to_json_dict
 from realdim.cli import main
 from realdim.documents import parse_framework_document
+from realdim.randgen import random_simple_gain_graph
+from realdim.realizability import is_1_realizable, is_2_realizable
 
 LADDER = """\
 framework v1
@@ -277,30 +282,94 @@ def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "graph, mutate",
-    [
-        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][0].pop("target"), id="op-no-target"),
-        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][0].update(target=[1]),
-                     id="op-target-list"),
-        pytest.param(COUNTEREXAMPLE_C, lambda c: c["ops"][-1].update(survivor="1"),
-                     id="op-survivor-string"),
-        pytest.param(COUNTEREXAMPLE_C, lambda c: c.update(ops=5), id="ops-not-list"),
-        pytest.param(COUNTEREXAMPLE_C, lambda c: c.pop("dimension"), id="no-dimension"),
-        pytest.param(K2, lambda c: c.update(root=[]), id="root-not-object"),
-        pytest.param(K2, lambda c: c["root"].pop("graph"), id="leaf-no-graph"),
-    ],
-)
-def test_malformed_certificate_exit_code(tmp_path, capsys, graph, mutate):
+# A triangle with its 1-2 pair doubled: 2-realizable, and not 1-realizable
+# by a k2-bullet witness.  With a pendant edge at 3, its d=2 certificate is
+# a one-sum whose second child is a balanced two-sum.
+TRIANGLE_DOUBLED = "gaingraph v1\nvertices 3\nedge 1 2 0\nedge 1 2 1\nedge 2 3 0\nedge 1 3 0\n"
+PANHANDLE = TRIANGLE_DOUBLED.replace("vertices 3", "vertices 4") + "edge 3 4 0\n"
+
+
+def two_sum(c):
+    return c["root"]["children"][1]
+
+
+def verify_mutated(tmp_path, capsys, graph, dim, mutate):
+    """Exit code and output of verify-cert on the graph's mutated d=dim certificate."""
     g = tmp_path / "g.graph"
     g.write_text(graph)
     run(capsys, "classify", g, "--cert-out", tmp_path / "cert")
-    cert = tmp_path / "cert.d1.json"
+    cert = tmp_path / f"cert.d{dim}.json"
     data = json.loads(cert.read_text())
     mutate(data)
     cert.write_text(json.dumps(data))
-    assert main(["verify-cert", str(g), str(cert)]) == 2
-    assert "error: certificate" in capsys.readouterr().err
+    code = main(["verify-cert", str(g), str(cert)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "graph, dim, mutate",
+    [
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c["ops"][0].pop("target"),
+                     id="op-no-target"),
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c["ops"][0].update(target=[1]),
+                     id="op-target-list"),
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c["ops"][-1].update(survivor="1"),
+                     id="op-survivor-string"),
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.update(ops=5), id="ops-not-list"),
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.pop("dimension"), id="no-dimension"),
+        pytest.param(K2, 1, lambda c: c.update(root=[]), id="root-not-object"),
+        pytest.param(K2, 1, lambda c: c["root"].pop("graph"), id="leaf-no-graph"),
+        pytest.param(K2, 1, lambda c: c.update(dimension=[1]), id="dimension-list"),
+        pytest.param(K2, 1, lambda c: c.update(dimension=True), id="dimension-bool"),
+        pytest.param(K2, 1, lambda c: c.update(dimension=3), id="dimension-3"),
+        pytest.param(K2, 1, lambda c: c.pop("answer"), id="no-answer"),
+        pytest.param(K2, 1, lambda c: c.update(answer="maybe"), id="answer-unknown"),
+        pytest.param(K2, 1, lambda c: c["root"]["graph"]["edges"][0].update(label="0"),
+                     id="edge-label-string"),
+        pytest.param(PANHANDLE, 2, lambda c: c["root"].pop("children"), id="no-children"),
+        pytest.param(PANHANDLE, 2, lambda c: c["root"].update(children={}),
+                     id="children-not-list"),
+        pytest.param(PANHANDLE, 2, lambda c: c["root"].update(shared_vertex=[3]),
+                     id="shared-vertex-list"),
+        pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(shared_pair=[2]),
+                     id="shared-pair-one"),
+        pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(shared_pair=[2, 2]),
+                     id="shared-pair-equal"),
+        pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(shared_pair=[1, "2"]),
+                     id="shared-pair-string"),
+        pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(zero_child=2), id="zero-child-2"),
+        pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(zero_child=False),
+                     id="zero-child-bool"),
+    ],
+)
+def test_malformed_certificate_exit_code(tmp_path, capsys, graph, dim, mutate):
+    code, out = verify_mutated(tmp_path, capsys, graph, dim, mutate)
+    assert code == 2
+    assert "error: certificate" in out.err
+    assert "Traceback" not in out.err
+
+
+EXACT_K2 = {"kind": "exact", "graph": {"vertices": [1, 2], "edges": [
+    {"id": 1, "tail": 1, "head": 2, "label": 0}]}}
+
+
+@pytest.mark.parametrize(
+    "graph, dim, forge",
+    [
+        pytest.param(TRIANGLE_DOUBLED, 1, lambda c: c.update(dimension=2),
+                     id="d1-witness-claims-d2"),
+        pytest.param(TRIANGLE_DOUBLED, 2, lambda c: c.update(answer="no"),
+                     id="yes-tree-claims-no"),
+        pytest.param(TRIANGLE_DOUBLED, 1, lambda c: c.update(answer="yes"),
+                     id="witness-claims-yes"),
+        pytest.param(K2, 1, lambda c: c.update(kind="minor-witness", answer="no", ops=[],
+                                               pattern=EXACT_K2), id="exact-k2-pattern"),
+    ],
+)
+def test_forged_certificate_is_invalid(tmp_path, capsys, graph, dim, forge):
+    code, out = verify_mutated(tmp_path, capsys, graph, dim, forge)
+    assert code == 1
+    assert "certificate: INVALID" in out.out
 
 
 def test_certificate_not_json_exit_code(tmp_path, capsys):
@@ -406,3 +475,68 @@ def test_selftest_deterministic(capsys):
     assert code == 0
     code2, out_text2 = run(capsys, "selftest", "--seed", 7, "--count", 10)
     assert out_text == out_text2
+
+
+FUZZ_VALUES = (0, 1, 2, 3, -1, True, None, "yes", "no", "leaf", "one_sum", "balanced_two_sum",
+               "disjoint_union", "exact", "k2-bullet", "k3-bulletbullet", "delete_edge",
+               "contract_edge", [], [1], [1, 2], {})
+
+
+def fuzz_slots(data):
+    """Every (container, key) of a JSON value, iteratively."""
+    slots, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            slots.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                stack.append(node[k])
+    return slots
+
+
+def fuzz_mutate(rng, data):
+    node, k = rng.choice(fuzz_slots(data))
+    move = rng.randrange(8)
+    if type(node[k]) is int and move < 5:
+        node[k] += rng.choice((-1, 1))
+    elif move < 6:  # a fresh copy, since the lists and dicts may be mutated later
+        node[k] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+    elif move == 6:  # a copy of another part of the certificate
+        other, j = rng.choice(fuzz_slots(data))
+        node[k] = json.loads(json.dumps(other[j]))
+    elif isinstance(node, dict):
+        del node[k]
+    else:
+        node.insert(k, node[k])
+
+
+def test_verify_cert_fuzz(tmp_path, capsys, monkeypatch):
+    """Mutated certificates of small random graphs: every exit code is in
+    0-3, nothing escapes, and a valid certificate agrees with the deciders."""
+    # Building the argument parser is most of the cost of a call; build it once.
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+    rng = random.Random(20261018)
+    g_path, cert_path = tmp_path / "g.graph", tmp_path / "cert.json"
+    codes, issued = [], []
+    for _ in range(50):
+        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
+        g_path.write_text(f"gaingraph v1\nvertices {g.n}\n"
+                          + "".join(f"edge {e.tail} {e.head} {e.label}\n" for e in g.edges))
+        verdicts = {1: is_1_realizable(g), 2: is_2_realizable(g)}
+        issued += verdicts.values()
+        for _ in range(20):
+            if rng.random() < 0.25:  # a certificate issued for another graph
+                data, mutations = certificate_to_json_dict(rng.choice(issued)), (0, 1)
+            else:
+                data, mutations = certificate_to_json_dict(verdicts[rng.choice((1, 2))]), (1, 2, 3)
+            for _ in range(rng.choice(mutations)):
+                fuzz_mutate(rng, data)
+            cert_path.write_text(json.dumps(data))
+            code = main(["verify-cert", str(g_path), str(cert_path)])
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3)
+            if code == 0:
+                assert (data["answer"] == "yes") == verdicts[data["dimension"]].answer
+            codes.append(code)
+    assert all(codes.count(c) > 25 for c in (0, 1, 2))

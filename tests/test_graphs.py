@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from realdim.certificates import CertificateError, DecompositionTree
 from realdim.errors import RealdimError, SimplicityError
-from realdim.graphs import GainEdge, GainGraph, SimpleGraph, union
+from realdim.graphs import GainEdge, GainGraph, SimpleGraph
 from realdim.randgen import random_isomorphic_copy
 
 
@@ -395,7 +396,7 @@ def test_canonical_balanced_triangles_agree():
     assert g1.canonical_form() == g2.canonical_form()
 
 
-# -- union ---------------------------------------------------------------------
+# -- gluing by replay ------------------------------------------------------------
 
 
 def counterexample_a():
@@ -424,25 +425,39 @@ def counterexample_b():
 
 
 def counterexample_c():
-    return union(counterexample_a(), counterexample_b())
+    """The two pieces glued along their shared edge 4."""
+    return GainGraph((1, 2, 3, 4), {*counterexample_a().edges, *counterexample_b().edges})
 
 
-def test_union_of_counterexample_pieces():
+def leaf(vertices, *edges):
+    return DecompositionTree.leaf(GainGraph(vertices, [GainEdge(*e) for e in edges]))
+
+
+def test_replay_of_counterexample_pieces():
+    # Neither piece is balanced, so no balanced two-sum glues them.
     c = counterexample_c()
     assert c.n == 4 and c.m == 6
+    for zero_child in (0, 1):
+        tree = DecompositionTree.balanced_two_sum(
+            DecompositionTree.leaf(counterexample_a()),
+            DecompositionTree.leaf(counterexample_b()), (1, 2), zero_child)
+        with pytest.raises(CertificateError, match="not balanced"):
+            tree.replay()
 
 
-def test_union_label_conflict_detected():
-    g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 0)])
-    g2 = GainGraph((1, 2), [GainEdge(1, 1, 2, 5)])
-    with pytest.raises(RealdimError):
-        union(g1, g2)
+def test_replay_label_conflict_detected():
+    # Both sides carry the 1-2 edge of gain 0; edge 1 has gain 0 on one side, 5 on the other.
+    tree = DecompositionTree.balanced_two_sum(
+        leaf((1, 2), (1, 1, 2, 0)), leaf((1, 2), (2, 1, 2, 0), (1, 1, 2, 5)), (1, 2), 0)
+    with pytest.raises(CertificateError, match="edge 1"):
+        tree.replay()
 
 
-def test_union_collapses_an_orbit_carried_under_two_ids():
-    g1 = GainGraph((1, 2), [GainEdge(1, 1, 2, 3), GainEdge(2, 2, 2, 1)])
-    g2 = GainGraph((1, 2, 3), [GainEdge(5, 2, 1, -3), GainEdge(6, 2, 3, 0), GainEdge(7, 2, 2, -1)])
-    u = union(g1, g2)
+def test_replay_collapses_an_orbit_carried_under_two_ids():
+    two_sum = DecompositionTree.balanced_two_sum(
+        leaf((1, 2), (1, 1, 2, 3), (2, 2, 2, 1)), leaf((1, 2, 3), (5, 2, 1, -3), (6, 2, 3, 0)),
+        (1, 2), zero_child=1)
+    u = DecompositionTree.one_sum(two_sum, leaf((2,), (7, 2, 2, -1)), 2).replay()
     assert u.vertices == (1, 2, 3)
     assert [e.id for e in u.edges] == [1, 2, 6]
 

@@ -514,7 +514,7 @@ def test_d2_certificate_of_tree_with_loops_is_shallow():
     assert_shallow_roundtrip(g, is_2_realizable(g))
 
 
-# -- linear work and no recursion in the d=2 decider ----------------------------------
+# -- linear work and no recursion in the d=2 decider and its replay ------------------
 
 
 def long_cycle(n):
@@ -545,8 +545,12 @@ def test_d2_passes_linearly_many_edges_through_gain_graphs(monkeypatch, make):
         records.append(len(self.edges))
 
     monkeypatch.setattr(GainGraph, "__init__", counting_init)
-    assert is_2_realizable(g).answer
+    v = is_2_realizable(g)
+    assert v.answer
     assert sum(records) <= 10 * g.m
+    records.clear()
+    assert v.verify(g)
+    assert sum(records) <= 4 * g.m
 
 
 @pytest.fixture
@@ -563,5 +567,6 @@ def test_d2_decides_20000_vertices_at_default_recursion_limit(default_recursion_
     g = make(20000)
     v = is_2_realizable(g)
     assert v.answer
+    assert v.verify(g)
     if make is necklace:
         assert v.certificate.zero_child == 1  # the root is the deletion step
