@@ -244,13 +244,13 @@ def _is_k2_zero_like(g: GainGraph) -> bool:
 
 
 def _is_k3_zero_like(g: GainGraph) -> bool:
-    return (
-        g.n == 3
-        and g.m == 3
-        and not any(e.is_loop for e in g.edges)
-        and g.underlying_simple_graph().is_complete()
-        and g.is_balanced()
-    )
+    """One edge on each pair of three vertices a < b < c, balanced: the
+    cycle a -> b -> c -> a has gain 0, read off the three orbit keys."""
+    if g.n != 3 or g.m != 3:
+        return False
+    a, b, c = sorted(g.vertices)
+    (_, _, ab), (_, _, ac), (_, _, bc) = keys = sorted(e.orbit_key() for e in g.edges)
+    return [k[:2] for k in keys] == [(a, b), (a, c), (b, c)] and ab + bc - ac == 0
 
 
 def leaf_in_family(g: GainGraph, dimension: int) -> bool:

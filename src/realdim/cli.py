@@ -10,6 +10,7 @@ errors, 3 for exceeded size bounds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,10 +21,8 @@ import numpy as np
 from . import __version__
 from .certificates import CertificateError, certificate_from_json_dict, certificate_to_json_dict
 from .documents import (
-    FRAMEWORK_MAGIC,
     FrameworkDocument,
     GraphDocument,
-    document_kind,
     parse_framework_document,
     parse_graph_document,
     parse_weights_document,
@@ -91,19 +90,20 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+        raise DocumentError(str(exc)) from None
+
+
 def _read_graph(path: str) -> GainGraph:
-    text = Path(path).read_text(encoding="utf-8")
     # graph commands also accept framework documents, using their graph part
-    if document_kind(text) == FRAMEWORK_MAGIC:
-        doc = parse_framework_document(text).graph
-    else:
-        doc = parse_graph_document(text)
-    return doc.to_graph()
+    return parse_graph_document(_read_text(path)).to_graph()
 
 
 def _read_framework(path: str):
-    doc = parse_framework_document(Path(path).read_text(encoding="utf-8"))
-    return doc.to_framework()
+    return parse_framework_document(_read_text(path)).to_framework()
 
 
 def _matrix_lines(L) -> list:
@@ -216,9 +216,7 @@ def cmd_stress(args) -> int:
     fw, embedded = _read_framework(args.framework)
     stress = embedded
     if args.weights:
-        stress = parse_weights_document(
-            Path(args.weights).read_text(encoding="utf-8"), fw.graph
-        )
+        stress = parse_weights_document(_read_text(args.weights), fw.graph)
     if stress is None:
         kernel = stress_kernel(fw, args.tol)
         out.say(f"equilibrium stress space dimension: {kernel.shape[0]}",
@@ -245,9 +243,7 @@ def cmd_superstable(args) -> int:
     fw, embedded = _read_framework(args.framework)
     stress = embedded
     if args.weights:
-        stress = parse_weights_document(
-            Path(args.weights).read_text(encoding="utf-8"), fw.graph
-        )
+        stress = parse_weights_document(_read_text(args.weights), fw.graph)
     if stress is None:
         raise DocumentError("superstable needs stress weights (--weights or a stress block)")
     report = verify_super_stable(fw, stress, args.tol)
@@ -380,7 +376,7 @@ def cmd_verify_cert(args) -> int:
     out = _Output(args.json)
     g = _read_graph(args.graph)
     try:
-        data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(args.certificate))
     except ValueError as exc:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from None
     verdict = certificate_from_json_dict(data)
@@ -470,7 +466,9 @@ def cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="realdim",
         description="Realizable dimension of one-dimensionally periodic graphs: "
@@ -550,8 +548,8 @@ def main(argv=None) -> int:
         print("bound exceeded: certificate nesting is too deep to serialize, parse or "
               f"replay (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except OSError as exc:  # _read_text reports input files, so a file being written
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except RealdimError as exc:
         print(f"error: {exc}", file=sys.stderr)

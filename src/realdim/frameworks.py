@@ -39,8 +39,19 @@ def _scaled_tol(tol, scale) -> float:
     return t * max(1.0, float(scale))
 
 
-def numeric_rank(matrix: np.ndarray, tol=None) -> int:
+def _finite(matrix) -> np.ndarray:
+    """matrix (or a scalar) as floats, refused if an entry is inf or nan: LAPACK
+    may never return on such a matrix, an infinite tolerance accepts anything,
+    and finite inputs near the float limit make both."""
     m = np.asarray(matrix, dtype=float)
+    if not np.isfinite(m).all():
+        raise RealdimError("a value overflowed to inf or nan: coordinates or "
+                           "weights are too large for float arithmetic")
+    return m
+
+
+def numeric_rank(matrix: np.ndarray, tol=None) -> int:
+    m = _finite(matrix)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
@@ -49,7 +60,7 @@ def numeric_rank(matrix: np.ndarray, tol=None) -> int:
 
 def null_space(matrix: np.ndarray, tol=None) -> np.ndarray:
     """Orthonormal basis of the right null space, one column per vector."""
-    m = np.asarray(matrix, dtype=float)
+    m = _finite(matrix)
     if m.size == 0:
         cols = m.shape[1] if m.ndim == 2 else 0
         return np.eye(cols)
@@ -242,11 +253,11 @@ def stress_kernel(fw: QuotientFramework, tol=None) -> np.ndarray:
 
 
 def is_equilibrium_stress(fw: QuotientFramework, stress: StressVector, tol=None) -> bool:
-    R = rigidity_matrix(fw)
+    R = _finite(rigidity_matrix(fw))
     omega = stress.as_array(fw.graph)
-    scale = (np.linalg.svd(R, compute_uv=False)[0] if R.size else 0.0) * max(
+    scale = _finite((np.linalg.svd(R, compute_uv=False)[0] if R.size else 0.0) * max(
         1.0, float(np.linalg.norm(omega))
-    )
+    ))
     return float(np.abs(omega @ R).max(initial=0.0)) <= _scaled_tol(tol, scale)
 
 
@@ -312,7 +323,7 @@ def signature(L: np.ndarray, tol=None) -> StressSignature:
                     raise RealdimError("stress matrix must be symmetric")
         np_, nm, nz = rational_inertia(rows)
         return StressSignature(np_, nm, nz, 0.0)
-    Lf = L.astype(float)
+    Lf = _finite(L)
     if not np.allclose(Lf, Lf.T, atol=1e-12, rtol=0):
         raise RealdimError("stress matrix must be symmetric")
     eig = np.linalg.eigvalsh(Lf)
@@ -330,8 +341,9 @@ def _sym_basis_indices(d: int) -> list:
 def _conic_matrix(fw: QuotientFramework) -> np.ndarray:
     idx = _sym_basis_indices(fw.dim)
     rows = []
-    for v in fw.edge_vectors():
-        rows.append([v[a] * v[b] if a == b else 2 * v[a] * v[b] for a, b in idx])
+    with np.errstate(over="ignore"):  # null_space refuses an entry that overflowed
+        for v in fw.edge_vectors():
+            rows.append([v[a] * v[b] if a == b else 2 * v[a] * v[b] for a, b in idx])
     return np.array(rows)
 
 
@@ -405,7 +417,7 @@ def restrict_to_affine_span(fw: QuotientFramework, tol=None) -> QuotientFramewor
     Lengths and affine dimension are unchanged.
     """
     base = fw.positions[0]
-    directions = np.vstack([fw.positions - base, fw.lattice])
+    directions = _finite(np.vstack([fw.positions - base, fw.lattice]))
     u, s, vt = np.linalg.svd(directions, full_matrices=False)
     rank = int((s > _scaled_tol(tol, s[0] if s.size else 0)).sum())
     rank = max(rank, 1)

@@ -1,4 +1,3 @@
-import functools
 import json
 import random
 import subprocess
@@ -8,10 +7,16 @@ from pathlib import Path
 import pytest
 
 import realdim
-from realdim import cli
 from realdim.certificates import RealizabilityVerdict, certificate_to_json_dict
 from realdim.cli import main
-from realdim.documents import parse_framework_document
+from realdim.documents import (
+    parse_framework_document,
+    parse_graph_document,
+    parse_weights_document,
+    serialize_framework_document,
+    serialize_graph_document,
+)
+from realdim.errors import DocumentError
 from realdim.randgen import random_simple_gain_graph
 from realdim.realizability import is_1_realizable, is_2_realizable
 
@@ -247,6 +252,16 @@ def test_input_error_exit_code(tmp_path, capsys):
         ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
                     "positions": {"1": [0], "2": [1]}, "lattice": [1],
                     "stress": {"e1": [1], "L": 1}}),
+        ("classify", {"kind": "gaingraph", "vertices": 2, "edges": [[1, 2, 0.6]]}),
+        ("classify", {"kind": "gaingraph", "vertices": "2", "edges": [[1, 2, 0]]}),
+        ("classify", {"kind": "gaingraph", "vertices": 2, "edges": [[True, 2, 0]]}),
+        ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
+                    "positions": {"1": [float("nan")], "2": [1]}, "lattice": [1]}),
+        ("stress", {"kind": "framework", "vertices": 2, "edges": [[1, 2, 0]], "dimension": 1,
+                    "positions": {"1": "0", "2": [1]}, "lattice": [1]}),
+        ("classify", {"kind": "gaingraph", "name": 5, "vertices": 2, "edges": [[1, 2, 0]]}),
+        ("classify", {"kind": "gaingraph", "version": "v2", "vertices": 2,
+                      "edges": [[1, 2, 0]]}),
     ],
 )
 def test_malformed_json_document_exit_code(tmp_path, capsys, command, doc):
@@ -254,6 +269,60 @@ def test_malformed_json_document_exit_code(tmp_path, capsys, command, doc):
     p.write_text(json.dumps(doc))
     assert main([command, str(p)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("classify", K2.replace("edge 1 2 0", "edge 1 2 0.5")),
+        ("stress", LADDER.replace("position 1 4 0", "position 1 nan 0")),
+        ("flatten", LADDER.replace("position 1 4 0", "position 1 nan 0")),
+        ("stress", LADDER.replace("lattice 4 0", "lattice inf 0")),
+        ("stress", LADDER.replace("stress e1 -1", "stress e1 nan")),
+    ],
+    ids=["fractional-label", "nan-position", "nan-position-flatten", "inf-lattice",
+         "nan-stress"],
+)
+def test_malformed_text_document_exit_code(tmp_path, capsys, command, text):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    assert main([command, str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_unreadable_document_exit_code(tmp_path, capsys):
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"gaingraph v1\n\xd0\xff\n")
+    for path in (tmp_path, binary, tmp_path / "absent.graph"):
+        assert main(["classify", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    g = tmp_path / "k2.graph"
+    g.write_text(K2)
+    assert main(["classify", str(g), "--cert-out", str(tmp_path / "absent" / "cert")]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and "input error" not in err
+
+
+@pytest.mark.parametrize(
+    "command, line, huge",
+    [
+        ("superstable", "position 1 4 0", "position 1 1e300 0"),
+        ("flatten", "position 1 4 0", "position 1 1e300 0"),
+        ("stress", "stress e1 -1", "stress e1 1e300"),
+        ("superstable", "stress e1 -1", "stress e1 1e300"),
+    ],
+)
+def test_values_near_the_float_limit_exit_code(tmp_path, capsys, command, line, huge):
+    # Finite values whose squares overflow: the conic matrix holds inf, on
+    # which the SVD may never return, and the equilibrium tolerance became
+    # inf, which accepted a stress that is no equilibrium.
+    p = tmp_path / "huge.framework"
+    p.write_text(LADDER.replace(line, huge))
+    assert main([command, str(p)]) == 2
+    assert "too large for float arithmetic" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -495,13 +564,16 @@ def fuzz_slots(data):
     return slots
 
 
-def fuzz_mutate(rng, data):
-    node, k = rng.choice(fuzz_slots(data))
+def fuzz_mutate(rng, data, values=FUZZ_VALUES):
+    slots = fuzz_slots(data)
+    if not slots:
+        return
+    node, k = rng.choice(slots)
     move = rng.randrange(8)
     if type(node[k]) is int and move < 5:
         node[k] += rng.choice((-1, 1))
     elif move < 6:  # a fresh copy, since the lists and dicts may be mutated later
-        node[k] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+        node[k] = json.loads(json.dumps(rng.choice(values)))
     elif move == 6:  # a copy of another part of the certificate
         other, j = rng.choice(fuzz_slots(data))
         node[k] = json.loads(json.dumps(other[j]))
@@ -511,11 +583,9 @@ def fuzz_mutate(rng, data):
         node.insert(k, node[k])
 
 
-def test_verify_cert_fuzz(tmp_path, capsys, monkeypatch):
+def test_verify_cert_fuzz(tmp_path, capsys):
     """Mutated certificates of small random graphs: every exit code is in
     0-3, nothing escapes, and a valid certificate agrees with the deciders."""
-    # Building the argument parser is most of the cost of a call; build it once.
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
     rng = random.Random(20261018)
     g_path, cert_path = tmp_path / "g.graph", tmp_path / "cert.json"
     codes, issued = [], []
@@ -540,3 +610,88 @@ def test_verify_cert_fuzz(tmp_path, capsys, monkeypatch):
                 assert (data["answer"] == "yes") == verdicts[data["dimension"]].answer
             codes.append(code)
     assert all(codes.count(c) > 25 for c in (0, 1, 2))
+
+
+DOCUMENT_VALUES = (0, 1, 2, -1, 0.5, -2.5, 1e300, "1", "e1", "L", "v2", "framework", "gaingraph",
+                   True, None, float("nan"), float("inf"), [], [1], [1, 2], {})
+TEXT_TOKENS = ("0", "1", "-1", "+1", "0.5", "nan", "inf", "1e400", "e1", "L", "x")
+WEIGHTS = "".join(line + "\n" for line in LADDER.splitlines() if line.startswith("stress"))
+
+
+def mutate_text(rng, text):
+    """Swap, drop or duplicate a line or a token, or put a stray token in."""
+    lines = [line.split() for line in text.splitlines()]
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    move = rng.randrange(7)
+    if move == 0:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif move == 1:
+        del lines[i]
+    elif move == 2:
+        lines.insert(i, list(lines[i]))
+    elif lines[i] and lines[j]:
+        a, b = rng.randrange(len(lines[i])), rng.randrange(len(lines[j]))
+        if move == 3:
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        elif move == 4:
+            del lines[i][a]
+        elif move == 5:
+            lines[i].insert(a, lines[i][a])
+        else:
+            lines[i][a] = rng.choice(TEXT_TOKENS)
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+def test_document_fuzz(tmp_path, capsys):
+    """Mutated graph, framework and weights documents, text and JSON: every
+    exit code is in 0-3, nothing escapes, a document the reader refuses
+    exits 2, and one it accepts re-parses equal from either form."""
+    rng = random.Random(20261019)
+    ladder = tmp_path / "ladder.framework"
+    ladder.write_text(LADDER)
+    doc_path = tmp_path / "doc"
+    graph, framework = parse_graph_document(COUNTEREXAMPLE_C), parse_framework_document(LADDER)
+    bases = {  # kind: (text, JSON twin)
+        "graph": (COUNTEREXAMPLE_C, serialize_graph_document(graph, as_json=True)),
+        "framework": (LADDER, serialize_framework_document(framework, as_json=True)),
+        "weights": (WEIGHTS, json.dumps({"stress": json.loads(
+            serialize_framework_document(framework, as_json=True))["stress"]})),
+    }
+    outcomes = {}
+    for _ in range(600):
+        kind, as_json = rng.choice(sorted(bases)), rng.random() < 0.5
+        if as_json:
+            data = json.loads(bases[kind][1])
+            for _ in range(rng.choice((1, 2, 3))):
+                fuzz_mutate(rng, data, DOCUMENT_VALUES)
+            text = json.dumps(data)
+        else:
+            text = bases[kind][0]
+            for _ in range(rng.choice((1, 2))):
+                text = mutate_text(rng, text)
+        doc_path.write_text(text)
+        if kind == "graph":
+            argv = [rng.choice(("classify", "balance")), doc_path]
+        elif kind == "framework":
+            argv = [rng.choice(("stress", "superstable", "flatten")), doc_path]
+        else:
+            argv = ["stress", ladder, "--weights", doc_path]
+        code = main([str(a) for a in argv])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        try:
+            if kind == "weights":
+                parse_weights_document(text, framework.graph.to_graph())
+            else:
+                parse = parse_graph_document if kind == "graph" else parse_framework_document
+                serialize = serialize_graph_document if kind == "graph" else \
+                    serialize_framework_document
+                doc = parse(text)
+                for form in (False, True):
+                    assert parse(serialize(doc, as_json=form)) == doc
+        except DocumentError:
+            assert code == 2
+            outcomes[kind, as_json, "refused"] = outcomes.get((kind, as_json, "refused"), 0) + 1
+        else:
+            outcomes[kind, as_json, "read"] = outcomes.get((kind, as_json, "read"), 0) + 1
+    assert len(outcomes) == 12, outcomes  # each kind and form both read and refused

@@ -3,6 +3,7 @@ import pytest
 from realdim.documents import (
     FrameworkDocument,
     GraphDocument,
+    document_kind,
     parse_framework_document,
     parse_graph_document,
     parse_weights_document,
@@ -124,3 +125,80 @@ def test_position_coordinate_precision():
 def test_out_of_range_edge_vertices():
     with pytest.raises(DocumentError):
         parse_graph_document("gaingraph v1\nvertices 2\nedge 1 3 0\n")
+
+
+def test_framework_on_sparse_vertex_ids_roundtrips():
+    # from_graph numbers the vertices (2, 5) as 1, 2; the positions follow.
+    import numpy as np
+
+    from realdim.frameworks import QuotientFramework
+    from realdim.graphs import GainEdge, GainGraph
+
+    g = GainGraph((2, 5), [GainEdge(1, 2, 5, 0), GainEdge(2, 5, 5, 1)])
+    fw = QuotientFramework(g, {2: (0.0, 1.0), 5: (3.0, 0.5)}, (2.0, 0.0))
+    doc = FrameworkDocument.from_framework(fw)
+    for as_json in (False, True):
+        back, _ = parse_framework_document(serialize_framework_document(doc, as_json)).to_framework()
+        assert back.graph.vertices == (1, 2)
+        assert np.array_equal(back.positions, fw.positions)
+        assert np.array_equal(back.lattice, fw.lattice)
+
+
+def test_graph_reader_takes_the_graph_part_of_a_framework():
+    assert document_kind("# ladder\n" + LADDER_TEXT) == "framework"
+    assert document_kind(serialize_graph_document(GraphDocument(1, ()), as_json=True)) == "gaingraph"
+    assert parse_graph_document(LADDER_TEXT) == parse_framework_document(LADDER_TEXT).graph
+    with pytest.raises(DocumentError, match="position of vertex 1"):
+        parse_graph_document(LADDER_TEXT.replace("position 1 4 0", "position 1 4 nan"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gaingraph v1\nvertices 2\nedge 1 2 1.0\n", "line 3"),
+        ("gaingraph v1\nvertices 2\nvertices 2\n", "duplicate vertices line"),
+        ("gaingraph v1\nvertices 2\nposition 1 0\n", "unknown fields"),
+        ("gaingraph v2\nvertices 2\n", "unsupported version"),
+        ("gaingraph\nvertices 2\n", "header"),
+        ('{"kind": "gaingraph", "vertices": 2, "comment": "x"}', "unknown fields"),
+        ('{"kind": "gaingraph", "vertices": 2, "edges": [[1, 2]]}', "tail, head, label"),
+        ('{"kind": "gaingraph", "vertices": -1}', "at least 0"),
+        ('{"kind": "gaingraph", "vertices": 1' + "0" * 5000 + "}", "invalid JSON"),
+        (LADDER_TEXT.replace("position 1 4 0", "position 1 1" + "0" * 400 + " 0"),
+         "too large for a float"),
+        (LADDER_TEXT.replace("stress L -1", "stress L -1\nstress 3 1"), "got '3'"),
+    ],
+)
+def test_reader_checks_fields(text, message):
+    with pytest.raises(DocumentError, match=message):
+        parse_graph_document(text)
+
+
+def test_names_are_normalized_text():
+    doc = parse_graph_document('{"kind": "gaingraph", "name": " a\\n b ", "vertices": 1}')
+    assert doc.name == "a b"
+    assert parse_graph_document(serialize_graph_document(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "stress 1 -1\nstress 2 1\nstress 3 1\nstress 4 1\nstress 5 1\nstress L -1\n",
+        "stress e1 -1\nstress e2 1\nstress e3 1\nstress e4 1\nstress e5 1\nstress e5 1\n"
+        "stress L -1\n",
+        "stress e1 -1\nstress e2 1\nstress e3 1\nstress e4 1\nstress e5 inf\nstress L -1\n",
+        '{"stress": {"e1": -1, "e2": 1, "e3": 1, "e4": 1, "e5": 1, "L": true}}',
+        '{"stress": {}}',
+        '{"weights": {}}',
+        "stress e1 1" + "0" * 400 + "\nstress e2 1\nstress e3 1\nstress e4 1\nstress e5 1\n"
+        "stress L -1\n",
+        '{"kind": "framework", "stress": {"e1": -1, "e2": 1, "e3": 1, "e4": 1, "e5": 1, "L": -1}}',
+        "framework v1\nstress e1 -1\nstress e2 1\nstress e3 1\nstress e4 1\nstress e5 1\n"
+        "stress L -1\n",
+    ],
+    ids=["bare-keys", "duplicate", "infinite", "bool", "empty", "no-stress", "beyond-float",
+         "json-other-field", "text-header"],
+)
+def test_weights_document_rejects(text):
+    with pytest.raises(DocumentError):
+        parse_weights_document(text, ladder_graph())

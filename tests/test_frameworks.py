@@ -14,6 +14,7 @@ from realdim.frameworks import (
     flatten,
     incidence_matrix,
     is_equilibrium_stress,
+    null_space,
     numeric_rank,
     restrict_to_affine_span,
     rigidity_matrix,
@@ -448,3 +449,19 @@ def test_affine_dimension_generic_r3():
 def test_numeric_rank_scale_aware():
     m = np.diag([1e9, 1e9, 1e-12])
     assert numeric_rank(m) == 2
+
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_non_finite_matrices_are_refused_before_lapack(entry):
+    m = np.ones((4, 4))
+    m[1, 2] = m[2, 1] = entry
+    for check in (numeric_rank, null_space, signature):
+        with pytest.raises(RealdimError, match="too large for float arithmetic"):
+            check(m)
+
+
+def test_conic_condition_refuses_squares_beyond_the_float_range():
+    fw = QuotientFramework(k2_zero(), {1: (0.0, 0.0), 2: (1e300, 0.0)}, (1.0, 0.0))
+    with pytest.raises(RealdimError, match="too large for float arithmetic"):
+        conic_condition(fw)

@@ -448,6 +448,38 @@ def test_decomposition_rejects_wrong_leaf_family():
         verify_decomposition(tree, g, 2)
 
 
+def test_unbalanced_triangle_leaf_is_refused():
+    from realdim.certificates import leaf_in_family
+
+    balanced = GainGraph.of(3, [(1, 2, 1), (3, 2, -2), (1, 3, 3)])
+    unbalanced = GainGraph.of(3, [(1, 2, 1), (2, 3, 2), (1, 3, 4)])
+    assert leaf_in_family(balanced, 2) and not leaf_in_family(unbalanced, 2)
+    with pytest.raises(CertificateError, match="leaf outside"):
+        verify_decomposition(DecompositionTree.leaf(unbalanced), unbalanced, 2)
+
+
+def test_triangle_leaf_family_matches_balance():
+    from realdim.certificates import leaf_in_family
+    from realdim.graphs import GainEdge
+
+    rng = random.Random(3)
+    graphs = [random_simple_gain_graph(rng, min_vertices=3, max_vertices=3, max_edges=5)
+              for _ in range(200)]
+    for gains in itertools.product(range(-2, 3), repeat=3):
+        ids = rng.choice(((1, 2, 3), (2, 5, 7)))
+        edges = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[0], ids[2])]
+        graphs.append(GainGraph(ids, [
+            GainEdge(i, t, h, z) if rng.random() < 0.5 else GainEdge(i, h, t, -z)
+            for i, ((t, h), z) in enumerate(zip(edges, gains), start=1)]))
+    answers = set()
+    for g in graphs:
+        loopless = not any(e.is_loop for e in g.edges)
+        triangle = g.m == 3 and loopless and g.underlying_simple_graph().is_complete()
+        answers.add((triangle, leaf_in_family(g, 2)))
+        assert leaf_in_family(g, 2) == (triangle and g.is_balanced())
+    assert answers == {(True, True), (True, False), (False, False)}
+
+
 def test_certificate_json_roundtrip():
     from realdim.certificates import (
         certificate_from_json_dict,
