@@ -7,9 +7,15 @@ certificates that replay either way), tests labelled minors exhaustively
 on small graphs, and provides the numeric layer for periodic frameworks:
 rigidity matrices, equilibrium stresses and their signatures, the conic
 condition, affine flattening, and super-stability verification.
+
+The numeric layer (``realdim.frameworks``, and with it numpy) loads on
+first use of one of its names, so a process that only decides graphs or
+checks certificates never imports numpy.
 """
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
 
 from .certificates import (
     CertificateError,
@@ -24,28 +30,6 @@ from .errors import (
     DocumentError,
     RealdimError,
     SimplicityError,
-)
-from .frameworks import (
-    ConicResult,
-    QuotientFramework,
-    SpanCheck,
-    StressSignature,
-    StressVector,
-    SuperStabilityReport,
-    affine_dimension,
-    conic_condition,
-    construct_psd_stress,
-    flatten,
-    incidence_matrix,
-    indicator_vector,
-    is_equilibrium_stress,
-    restrict_to_affine_span,
-    rigidity_matrix,
-    signature,
-    span_check,
-    stress_kernel,
-    stress_matrix,
-    verify_super_stable,
 )
 from .graphs import (
     BalanceResult,
@@ -72,4 +56,44 @@ from .realizability import (
     realizable_dimension_complete_case,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The numeric layer needs numpy, which the graph deciders never use: these
+# names load realdim.frameworks on first use (PEP 562).  Nothing is cached
+# here, so each lookup sees the module's current attribute, patched or not.
+_FRAMEWORK_NAMES = (
+    "ConicResult",
+    "QuotientFramework",
+    "SpanCheck",
+    "StressSignature",
+    "StressVector",
+    "SuperStabilityReport",
+    "affine_dimension",
+    "conic_condition",
+    "construct_psd_stress",
+    "flatten",
+    "incidence_matrix",
+    "indicator_vector",
+    "is_equilibrium_stress",
+    "restrict_to_affine_span",
+    "rigidity_matrix",
+    "signature",
+    "span_check",
+    "stress_kernel",
+    "stress_matrix",
+    "verify_super_stable",
+)
+
+
+def __getattr__(name):
+    if name in _FRAMEWORK_NAMES:
+        from . import frameworks
+
+        return getattr(frameworks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_FRAMEWORK_NAMES)
+)
+

@@ -5,6 +5,10 @@ lift, verify-cert, selftest.  Exit codes: 0 for a positive/decided
 outcome, 1 for a negative verdict or failed verification (still a
 successful run; the JSON output carries the distinction), 2 for input
 errors, 3 for exceeded size bounds.
+
+The graph commands (classify, minor, balance, verify-cert, lift without
+--framework) never import numpy: the framework commands import the
+numeric layer when they run.
 """
 
 from __future__ import annotations
@@ -12,11 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .certificates import CertificateError, certificate_from_json_dict, certificate_to_json_dict
@@ -30,17 +31,6 @@ from .documents import (
     serialize_graph_document,
 )
 from .errors import BoundExceededError, DocumentError, RealdimError
-from .frameworks import (
-    affine_dimension,
-    conic_condition,
-    flatten,
-    is_equilibrium_stress,
-    signature,
-    span_check,
-    stress_kernel,
-    stress_matrix,
-    verify_super_stable,
-)
 from .graphs import GainGraph
 from .minors import MinorPattern, balanced_complete_pattern, contains_forbidden, has_minor
 from .realizability import (
@@ -81,12 +71,8 @@ class _Output:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars, without importing numpy
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -108,7 +94,7 @@ def _read_framework(path: str):
 
 def _matrix_lines(L) -> list:
     rows = []
-    for row in np.asarray(L).tolist():
+    for row in L.tolist():
         rows.append("  [" + ", ".join(str(x) for x in row) + "]")
     return rows
 
@@ -212,6 +198,8 @@ def cmd_balance(args) -> int:
 
 
 def cmd_stress(args) -> int:
+    from .frameworks import is_equilibrium_stress, signature, stress_kernel, stress_matrix
+
     out = _Output(args.json)
     fw, embedded = _read_framework(args.framework)
     stress = embedded
@@ -239,6 +227,8 @@ def cmd_stress(args) -> int:
 
 
 def cmd_superstable(args) -> int:
+    from .frameworks import verify_super_stable
+
     out = _Output(args.json)
     fw, embedded = _read_framework(args.framework)
     stress = embedded
@@ -262,6 +252,8 @@ def cmd_superstable(args) -> int:
 
 
 def cmd_flatten(args) -> int:
+    from .frameworks import affine_dimension, conic_condition, flatten
+
     out = _Output(args.json)
     fw, _ = _read_framework(args.framework)
     res = conic_condition(fw, args.tol)
@@ -397,13 +389,19 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    out = _Output(args.json)
-    rng = random.Random(args.seed)
+    import random
+
+    import numpy as np
+
+    from .frameworks import affine_dimension, conic_condition, flatten, span_check
     from .randgen import (
         random_framework,
         random_isomorphic_copy,
         random_simple_gain_graph,
     )
+
+    out = _Output(args.json)
+    rng = random.Random(args.seed)
 
     failures = 0
 

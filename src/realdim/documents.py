@@ -30,10 +30,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError, SimplicityError
-from .frameworks import QuotientFramework, StressVector
 from .graphs import GainGraph
+
+if TYPE_CHECKING:  # the numeric layer loads only when a framework is built
+    from .frameworks import QuotientFramework, StressVector
 
 GRAPH_MAGIC = "gaingraph"
 FRAMEWORK_MAGIC = "framework"
@@ -92,6 +95,8 @@ class FrameworkDocument:
 
     def to_framework(self):
         """The framework and its stress vector (or None), from a document the reader checked."""
+        from .frameworks import QuotientFramework
+
         g = self.graph.to_graph()
         fw = QuotientFramework(g, dict(self.positions), self.lattice)
         return fw, None if self.stress is None else _stress_vector(g, self.stress)
@@ -115,6 +120,8 @@ class FrameworkDocument:
 
 def _stress_vector(g: GainGraph, items) -> StressVector:
     """The stress vector of checked (k, weight) entries for each edge e<k> of g and ("L", weight)."""
+    from .frameworks import StressVector
+
     weights = dict(items)
     return StressVector({e.id: weights[k] for k, e in enumerate(g.edges, start=1)}, weights["L"])
 

@@ -17,6 +17,7 @@ Hadamard bound of the cleared matrix.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -41,7 +42,8 @@ def _times(x, den: int) -> int:
 
 
 def rational_rank(rows) -> int:
-    """Rank of a rectangular matrix.
+    """Rank of a rectangular matrix whose rows are sequences, or mappings
+    ``{column: entry}`` in which an absent column is zero.
 
     Each row is scaled to integers and kept sparse as ``{column: int}``,
     then reduced against the stored pivot rows, always at its lowest
@@ -50,7 +52,8 @@ def rational_rank(rows) -> int:
     """
     pivots: dict = {}
     for row in rows:
-        vec = {c: _exact(x) for c, x in enumerate(row) if x}
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        vec = {c: _exact(x) for c, x in items if x}
         den = _denominator(vec.values())
         vec = {c: _times(x, den) for c, x in vec.items() if x}
         while vec:

@@ -450,14 +450,10 @@ def construct_psd_stress(fw: QuotientFramework, tol=None) -> StressVector | None
     kernel = null_space(bordered, tol)
     omega_target = kernel @ kernel.T
 
-    idx = _sym_basis_indices(g.n + 1)
+    upper = np.triu_indices(g.n + 1)  # row-major, the order of _sym_basis_indices
     inc = incidence_matrix(g)
-    columns = []
-    for row in inc:
-        outer = np.outer(row, row)
-        columns.append([outer[a, b] for a, b in idx])
-    M = np.array(columns).T
-    rhs = np.array([omega_target[a, b] for a, b in idx])
+    M = (inc[:, upper[0]] * inc[:, upper[1]]).T
+    rhs = omega_target[upper]
     w, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     residual = float(np.abs(M @ w - rhs).max(initial=0.0))
     if residual > _scaled_tol(tol, max(1.0, float(np.abs(rhs).max(initial=0.0)))):
@@ -544,19 +540,22 @@ def span_check(graph: GainGraph) -> SpanCheck:
     si = graph.underlying_simple_graph()
     spanning = si.is_complete() and mg.is_spanning_connected(graph.vertices)
 
+    # Each indicator outer product has at most six nonzero entries in the
+    # basis of _sym_basis_indices(n + 1); (a, b) with a <= b sits in column
+    # a*(n+1) - a*(a-1)/2 + b - a.
     index = {v: k for k, v in enumerate(graph.vertices)}
-    idx = _sym_basis_indices(n + 1)
     rows = []
     for e in graph.edges:
-        vec = [0] * (n + 1)
-        if not e.is_loop:
-            vec[index[e.tail]] -= 1
-            vec[index[e.head]] += 1
-        vec[n] = e.label
-        rows.append([vec[a] * vec[b] for a, b in idx])
-    lat = [0] * (n + 1)
-    lat[n] = 1
-    rows.append([lat[a] * lat[b] for a, b in idx])
+        coords = [] if e.is_loop else [(index[e.tail], -1), (index[e.head], 1)]
+        if e.label:
+            coords.append((n, e.label))
+        coords.sort()
+        row = {}
+        for i, (a, xa) in enumerate(coords):
+            for b, xb in coords[i:]:
+                row[a * (n + 1) - a * (a - 1) // 2 + b - a] = xa * xb
+        rows.append(row)
+    rows.append({(n + 1) * (n + 2) // 2 - 1: 1})  # the lattice: (n, n)
     rank = rational_rank(rows)
     return SpanCheck(
         size=graph.m + 1,

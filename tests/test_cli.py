@@ -220,6 +220,16 @@ def test_lift_with_framework_and_svg(ladder_file, tmp_path, capsys):
     assert "position" in out_text
 
 
+def test_lift_window_over_the_bound_exits_three(tmp_path, capsys):
+    # A window of 10^15 shifts would need petabytes: the bound is checked first.
+    p = tmp_path / "k2.graph"
+    p.write_text(K2)
+    assert main(["lift", str(p), "--from", "0", "--to", str(10**15)]) == 3
+    captured = capsys.readouterr()
+    assert "bound exceeded: lift window of" in captured.err
+    assert captured.out == ""
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.graph"
     p.write_text("gaingraph v1\nvertices 2\nedge 1 2 0\nedge 1 2 0\n")
@@ -537,6 +547,69 @@ def test_verify_cert_with_large_exact_pattern_exceeds_bound(tmp_path, capsys):
                                                "edges": edges}}}))
     assert main(["verify-cert", str(g), str(cert)]) == 3
     assert "canonical_form bound is 8 vertices, graph has 12" in capsys.readouterr().err
+
+
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+import realdim, realdim.cli
+
+graph, framework, prefix = sys.argv[1:]
+seen = {}
+for name, argv in (
+    ("classify", ["classify", graph, "--cert-out", prefix]),
+    ("balance", ["balance", graph]),
+    ("minor", ["minor", graph, "--pattern", "k3-bulletbullet"]),
+    ("verify-cert d1", ["verify-cert", graph, prefix + ".d1.json"]),
+    ("verify-cert d2", ["verify-cert", graph, prefix + ".d2.json"]),
+    ("lift", ["lift", graph, "--from", "0", "--to", "1"]),
+    ("stress", ["stress", framework]),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = realdim.cli.main(argv)
+    seen[name] = [code, "numpy" in sys.modules, "realdim.frameworks" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_graph_commands_do_not_import_numpy(ladder_file, tmp_path):
+    graph = tmp_path / "ladder.graph"
+    graph.write_text(serialize_graph_document(parse_graph_document(LADDER)))
+    src = str(Path(realdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(graph), str(ladder_file),
+         str(tmp_path / "cert")],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    # [exit code, numpy loaded, realdim.frameworks loaded] after each command, in order
+    assert seen == {
+        "classify": [1, False, False],
+        "balance": [1, False, False],
+        "minor": [1, False, False],
+        "verify-cert d1": [0, False, False],
+        "verify-cert d2": [0, False, False],
+        "lift": [0, False, False],
+        "stress": [0, True, True],
+    }
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from realdim import *", namespace)
+    assert set(realdim.__all__) <= set(namespace)
+    assert {"rigidity_matrix", "QuotientFramework", "GainGraph", "is_2_realizable"} <= set(
+        realdim.__all__)
+
+
+def test_numeric_names_are_the_frameworks_objects():
+    import realdim.frameworks
+
+    assert realdim.rigidity_matrix is realdim.frameworks.rigidity_matrix
+    assert realdim.StressVector is realdim.frameworks.StressVector
+    assert "rigidity_matrix" not in vars(realdim)  # looked up afresh each time
+    with pytest.raises(AttributeError, match="no_such_name"):
+        realdim.no_such_name
 
 
 def test_selftest_deterministic(capsys):

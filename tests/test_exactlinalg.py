@@ -151,6 +151,15 @@ def test_inertia_of_zero_diagonal_matrices():
         assert rational_inertia(a) == reference_inertia(a), a
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_rank_of_mapping_rows_matches_sequence_rows(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(120):
+        rows = random_matrix(rng)
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert rational_rank(sparse) == rational_rank(rows), rows
+
+
 # -- exactness where floats fail ------------------------------------------------------
 
 

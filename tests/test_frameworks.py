@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from realdim.errors import RealdimError
+from realdim.exactlinalg import rational_rank
 from realdim.frameworks import (
     QuotientFramework,
     StressVector,
@@ -26,6 +27,7 @@ from realdim.frameworks import (
 )
 from realdim.graphs import GainGraph
 from realdim.randgen import random_framework, random_simple_gain_graph
+from test_acceptance import SEED
 from test_graphs import k2_zero, k3_bullets, k3_zero, ladder_graph
 
 LADDER_L = np.array(
@@ -423,6 +425,26 @@ def test_span_check_random_agreement():
     for _ in range(80):
         g = random_simple_gain_graph(rng, max_vertices=6, max_edges=10, min_vertices=1)
         assert span_check(g).agrees(), g
+
+
+def dense_span_rank(g):
+    """Rank of the indicator outer products written densely, upper triangle row-major."""
+    upper = np.triu_indices(g.n + 1)
+    return rational_rank([np.outer(row, row)[upper].tolist() for row in incidence_matrix(g)])
+
+
+def test_span_check_sparse_rank_equals_dense_rank():
+    # The corpora of test_span_check_random_agreement and acceptance criterion 6.
+    graphs = [k3_bullets(), k3_zero(), k2_zero(), ladder_graph(),
+              GainGraph.of(2, [(1, 2, 0), (1, 2, 1), (1, 2, 2)]), GainGraph.of(1, [(1, 1, 2)])]
+    rng = random.Random(71)
+    graphs += [random_simple_gain_graph(rng, max_vertices=6, max_edges=10, min_vertices=1)
+               for _ in range(80)]
+    rng = random.Random(SEED + 6)
+    graphs += [random_simple_gain_graph(rng, max_vertices=6, max_edges=12, min_vertices=1)
+               for _ in range(200)]
+    for g in graphs:
+        assert span_check(g).rank == dense_span_rank(g), g
 
 
 # -- misc framework validation ----------------------------------------------------

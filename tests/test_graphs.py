@@ -5,8 +5,8 @@ import time
 import pytest
 
 from realdim.certificates import CertificateError, DecompositionTree
-from realdim.errors import RealdimError, SimplicityError
-from realdim.graphs import GainEdge, GainGraph, SimpleGraph
+from realdim.errors import BoundExceededError, RealdimError, SimplicityError
+from realdim.graphs import LIFT_WINDOW_BOUND, GainEdge, GainGraph, SimpleGraph
 from realdim.randgen import random_isomorphic_copy
 
 
@@ -496,6 +496,16 @@ def test_lift_window_k2_three_cells_disjoint_edges():
     w = k2_zero().lift_window(0, 2)
     assert w.n == 6 and w.m == 3
     assert all(w.degree(v) <= 1 for v in w.vertices)
+
+
+def test_lift_window_bound_is_checked_before_building():
+    g = k2_zero()  # 2 vertices and 1 edge: 3 lift vertices and edges per shift
+    width = LIFT_WINDOW_BOUND // 3
+    assert g.lift_window(1, 10).n == 20
+    with pytest.raises(BoundExceededError, match="exceeds the bound"):
+        g.lift_window(0, width)  # one shift over
+    with pytest.raises(BoundExceededError):
+        g.lift_window(-10**18, 10**18)
 
 
 # -- simple graph utilities ---------------------------------------------------------
