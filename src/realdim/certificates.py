@@ -1,11 +1,16 @@
 """Certificates for realizability verdicts, and their verification.
 
-A *yes* answer is certified by a decomposition tree: leaves are small
-labelled graphs, internal nodes glue children by disjoint union, one-sum
-(a single shared vertex), or balanced two-sum (a single shared edge, one
-summand balanced).  Replaying the tree bottom-up builds a supergraph of
-the input on the same vertex set, up to a switching; gluing of these
-kinds never raises realizable dimension beyond the leaves'.
+A *yes* answer is certified by a decomposition tree, held as one table of
+rows in post-order.  A leaf row is a small labelled graph: its vertices
+and its edges as ``(id, tail, head, label)`` tuples.  A node row glues the
+subtrees that end just before it, as many as its child count, by
+disjoint union, one-sum (a single shared vertex) or balanced two-sum (a
+single shared edge, one summand balanced).  Replaying the rows in order
+on a stack of finished subtrees builds a supergraph of the input on the
+same vertex set, up to a switching; gluing of these kinds never raises
+realizable dimension beyond the leaves'.  Nothing recurses on a table,
+and its JSON is one list of flat rows, so a tree of any depth is written,
+read and replayed in linear time.
 
 A *no* answer is certified, at any size, by a minor witness that replays
 against the input to a minor forbidden for the dimension (see
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph
+from .graphs import GainEdge, GainGraph, orbit_key
 from .minors import FORBIDDEN_D1, FORBIDDEN_D2, MinorOp, MinorPattern, MinorWitness
 
 LEAF = "leaf"
@@ -31,192 +37,229 @@ class CertificateError(RealdimError):
     """A certificate failed structural validation or replay."""
 
 
-@dataclass(frozen=True)
-class DecompositionTree:
+class Row(NamedTuple):
+    """One row of a decomposition table: a leaf, or a node gluing the
+    ``children`` subtrees that end just before it."""
+
     kind: str
-    graph: GainGraph | None = None
-    children: tuple = ()
+    vertices: tuple = ()  # a leaf's
+    edges: tuple = ()  # a leaf's, as (id, tail, head, label) tuples
+    children: int = 0
     shared_vertex: int | None = None
     shared_pair: tuple | None = None
     zero_child: int | None = None  # index of the balanced summand of a two-sum
 
-    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def leaf(cls, vertices, edges) -> "Row":
+        """A leaf on the given vertices and GainEdges."""
+        return cls(LEAF, tuple(sorted(vertices)),
+                   tuple((e.id, e.tail, e.head, e.label) for e in edges))
 
     @classmethod
-    def leaf(cls, graph: GainGraph) -> "DecompositionTree":
-        return cls(LEAF, graph=graph)
+    def one_sum(cls, shared_vertex: int) -> "Row":
+        return cls(ONE_SUM, children=2, shared_vertex=shared_vertex)
 
     @classmethod
-    def disjoint_union(cls, children) -> "DecompositionTree":
-        children = tuple(children)
-        if len(children) == 1:
-            return children[0]
-        return cls(DISJOINT_UNION, children=children)
+    def two_sum(cls, shared_pair, zero_child: int) -> "Row":
+        return cls(BALANCED_TWO_SUM, children=2, shared_pair=tuple(sorted(shared_pair)),
+                   zero_child=zero_child)
 
-    @classmethod
-    def one_sum(cls, left, right, shared_vertex: int) -> "DecompositionTree":
-        return cls(ONE_SUM, children=(left, right), shared_vertex=shared_vertex)
 
-    @classmethod
-    def balanced_two_sum(cls, left, right, shared_pair, zero_child: int) -> "DecompositionTree":
-        return cls(
-            BALANCED_TWO_SUM,
-            children=(left, right),
-            shared_pair=tuple(sorted(shared_pair)),
-            zero_child=zero_child,
-        )
+@dataclass(frozen=True)
+class DecompositionTree:
+    """A yes-certificate: its rows in post-order, the root last."""
 
-    # -- traversal --------------------------------------------------------------
-
-    def leaves(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.kind == LEAF:
-                yield node
-            else:
-                stack.extend(reversed(node.children))
-
-    def map_leaf_graphs(self, fn) -> "DecompositionTree":
-        if self.kind == LEAF:
-            return DecompositionTree.leaf(fn(self.graph))
-        return DecompositionTree(
-            self.kind,
-            children=tuple(c.map_leaf_graphs(fn) for c in self.children),
-            shared_vertex=self.shared_vertex,
-            shared_pair=self.shared_pair,
-            zero_child=self.zero_child,
-        )
+    rows: tuple
 
     def switched(self, potentials) -> "DecompositionTree":
-        """Apply a switching to every leaf, restricted to its vertices."""
+        """Apply a switching to every leaf edge; selfloops keep their labels."""
 
-        def fn(g: GainGraph) -> GainGraph:
-            local = {v: potentials[v] for v in g.vertices if v in potentials}
-            return g.switch_many(local)
+        def shift(e):
+            i, t, h, z = e
+            return e if t == h else (i, t, h, z + potentials.get(t, 0) - potentials.get(h, 0))
 
-        return self.map_leaf_graphs(fn)
-
-    # -- replay --------------------------------------------------------------------
+        return DecompositionTree(tuple(
+            row._replace(edges=tuple(map(shift, row.edges))) if row.kind == LEAF else row
+            for row in self.rows))
 
     def replay(self) -> GainGraph:
-        """Build the glued graph in one post-order pass, checking each node's shape.
+        """Build the glued graph in one pass over the rows, checking each node's shape.
 
-        A finished subtree is kept as its vertex set, its orbit-key labels
-        by vertex pair (loops under ``(v, v)``) and a balanced flag, which a
-        leaf computes only inside a summand named balanced.  An edge id must
-        name one orbit across the whole tree; the edges of one orbit
-        collapse to the leftmost.
+        A finished subtree is kept on a stack as its vertex set, its
+        orbit-key gains by vertex pair (loops under ``(v, v)``) and a
+        balanced flag.  An edge id must name one orbit across the whole
+        table; the edges of one orbit collapse to the first.  An error
+        names the row that failed.
         """
         ids: dict = {}  # edge id -> orbit key
-        first: dict = {}  # orbit key -> leftmost edge
+        first: dict = {}  # orbit key -> first edge
         done: list = []  # records of finished subtrees
-        stack = [(self, False, False)]  # (node, children finished, named balanced)
-        while stack:
-            node, finished, need = stack.pop()
-            if finished:
-                done.append(node._glue([done.pop() for _ in node.children][::-1]))
-            elif node.kind == LEAF:
-                if node.graph is None:
-                    raise CertificateError("leaf without a graph")
-                pairs: dict = {}
-                for e in node.graph.edges:
-                    key = e.orbit_key()
-                    if ids.setdefault(e.id, key) != key:
-                        raise CertificateError(f"edge {e.id} names two orbits in the tree")
-                    first.setdefault(key, e)
-                    pairs.setdefault(key[:2], set()).add(key[2])
-                done.append((set(node.graph.vertices), pairs, need and node.graph.is_balanced()))
-            else:
-                stack.append((node, True, need))
-                for i in reversed(range(len(node.children))):
-                    named = node.kind == BALANCED_TWO_SUM and i == node.zero_child
-                    stack.append((node.children[i], False, need or named))
-        return GainGraph(done[0][0], first.values())
-
-    def _glue(self, parts: list) -> tuple:
-        """Check this node's shape on its children's records, then merge them
-        into the largest.  One- and two-sums of balanced graphs that pass
-        these checks are balanced, so the flag is the AND of the children's."""
-        k = len(parts)
-        if self.kind not in (DISJOINT_UNION, ONE_SUM, BALANCED_TWO_SUM):
-            raise CertificateError(f"unknown node kind {self.kind!r}")
-        if self.kind == DISJOINT_UNION:
-            if k < 2:
-                raise CertificateError("disjoint union needs at least two children")
-        elif k != 2:
-            raise CertificateError(f"{self.kind} needs exactly two children")
-        else:
-            (va, pa, _), (vb, pb, _) = parts
-            want = {self.shared_vertex} if self.kind == ONE_SUM else set(self.shared_pair)
-            if va & vb != want:
-                raise CertificateError(
-                    f"{self.kind} must share exactly {sorted(want)}, got {sorted(va & vb)}")
-        if self.kind == BALANCED_TWO_SUM:
-            x, y = sorted(self.shared_pair)
-            if len(pa.get((x, y), set()) & pb.get((x, y), set())) != 1:
-                raise CertificateError(
-                    "two-sum sides must share exactly one edge between the shared pair")
-            if any(pa.get((v, v), set()) & pb.get((v, v), set()) for v in (x, y)):
-                raise CertificateError("two-sum sides share a selfloop")
-            if self.zero_child not in (0, 1):
-                raise CertificateError("two-sum must name its balanced summand")
-            if not parts[self.zero_child][2]:
-                raise CertificateError("the designated two-sum summand is not balanced")
-        parts.sort(key=lambda r: len(r[0]) + len(r[1]), reverse=True)
-        vertices, pairs, balanced = parts[0]
-        for vs, ps, flag in parts[1:]:
-            if self.kind == DISJOINT_UNION and not vertices.isdisjoint(vs):
-                raise CertificateError("disjoint union children share vertices")
-            vertices |= vs
-            for pair, zs in ps.items():
-                pairs.setdefault(pair, set()).update(zs)
-            balanced = balanced and flag
-        return vertices, pairs, balanced
+        for i, row in enumerate(self.rows):
+            try:
+                if row.kind == LEAF:
+                    done.append(_leaf_record(row, ids, first))
+                    continue
+                k = row.children
+                if not 0 < k <= len(done):
+                    raise CertificateError(f"{row.kind} glues {k} subtrees, "
+                                           f"{len(done)} are finished")
+                parts = done[-k:]
+                del done[-k:]
+                done.append(_glue(row, parts))
+            except CertificateError as exc:
+                raise CertificateError(f"row {i}: {exc}") from None
+        if len(done) != 1:
+            raise CertificateError(f"the rows leave {len(done)} trees, not one")
+        return GainGraph(done[0][0], (GainEdge(*e) for e in first.values()))
 
     # -- serialization -----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.kind == LEAF:
-            return {"node": LEAF, "graph": graph_to_json_dict(self.graph)}
-        out = {"node": self.kind, "children": [c.to_json_dict() for c in self.children]}
-        if self.kind == ONE_SUM:
-            out["shared_vertex"] = self.shared_vertex
-        if self.kind == BALANCED_TWO_SUM:
-            out["shared_pair"] = list(self.shared_pair)
-            out["zero_child"] = self.zero_child
-        return out
+        rows = []
+        for row in self.rows:
+            if row.kind == LEAF:
+                rows.append({"node": LEAF, "vertices": list(row.vertices),
+                             "edges": [list(e) for e in row.edges]})
+                continue
+            out = {"node": row.kind, "children": row.children}
+            if row.kind == ONE_SUM:
+                out["shared_vertex"] = row.shared_vertex
+            elif row.kind == BALANCED_TWO_SUM:
+                out["shared_pair"] = list(row.shared_pair)
+                out["zero_child"] = row.zero_child
+            rows.append(out)
+        return {"rows": rows}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecompositionTree":
-        kind = data.get("node")
-        if kind == LEAF:
-            return cls.leaf(graph_from_json_dict(data["graph"]))
-        if kind not in (DISJOINT_UNION, ONE_SUM, BALANCED_TWO_SUM):
-            raise CertificateError(f"unknown node kind {kind!r}")
-        if type(data.get("children")) is not list:
-            raise CertificateError(f"certificate {kind} node needs a children list")
-        children = tuple(cls.from_json_dict(c) for c in data["children"])
-        if kind == DISJOINT_UNION:
-            return cls(DISJOINT_UNION, children=children)
-        if kind == ONE_SUM:
-            return cls(ONE_SUM, children=children,
-                       shared_vertex=_int(data["shared_vertex"], "shared_vertex"))
-        pair = data["shared_pair"]
-        if type(pair) is not list or len(pair) != 2 or pair[0] == pair[1]:
-            raise CertificateError(f"certificate shared_pair must be two distinct integers, "
-                                   f"got {pair!r}")
-        zero_child = data.get("zero_child")
-        if type(zero_child) is not int or zero_child not in (0, 1):
-            raise CertificateError(f"certificate zero_child must be 0 or 1, got {zero_child!r}")
-        return cls(BALANCED_TWO_SUM, children=children,
-                   shared_pair=tuple(_int(v, "shared_pair") for v in pair), zero_child=zero_child)
+        """Read a table in one loop over its rows; an error names the row."""
+        if "node" in data:
+            raise CertificateError("certificate is a nested tree of format 1, which is no longer "
+                                   "read: regenerate it from the graph with "
+                                   "'realdim classify --cert-out'")
+        rows = data["rows"]
+        if type(rows) is not list or not rows:
+            raise CertificateError(f"certificate rows must be a non-empty list, got {rows!r}")
+        table = []
+        for i, row in enumerate(rows):
+            try:
+                table.append(_row_from_json(row))
+            except KeyError as exc:
+                raise CertificateError(f"certificate row {i} misses field {exc}") from None
+            except (AttributeError, TypeError, ValueError, CertificateError) as exc:
+                raise CertificateError(f"certificate row {i}: {exc}") from None
+        return cls(tuple(table))
+
+
+def _leaf_record(row: Row, ids: dict, first: dict) -> tuple:
+    """A leaf's vertex set, gains by pair and balanced flag."""
+    vertices = set(row.vertices)
+    pairs: dict = {}
+    for e in row.edges:
+        eid, tail, head, label = e
+        if tail not in vertices or head not in vertices:
+            raise CertificateError(f"edge {eid} has an end outside its leaf")
+        if tail == head and label == 0:
+            raise CertificateError(f"edge {eid} is a selfloop with label 0")
+        key = orbit_key(tail, head, label)
+        if ids.setdefault(eid, key) != key:
+            raise CertificateError(f"edge {eid} names two orbits in the tree")
+        first.setdefault(key, e)
+        pairs.setdefault(key[:2], set()).add(key[2])
+    return vertices, pairs, _balanced(vertices, pairs)
+
+
+def _balanced(vertices: set, pairs: dict) -> bool:
+    """Whether every cycle of a leaf has gain 0, read off its orbit keys: one
+    gain per pair, no selfloop, and on three vertices a triangle of gain 0.
+    A leaf on more vertices is in no family, and is checked as a graph."""
+    if len(vertices) > 3:
+        keys = [pair + (z,) for pair, zs in pairs.items() for z in zs]
+        return GainGraph(vertices, [GainEdge(i, *k) for i, k in enumerate(keys)]).is_balanced()
+    for (a, b), zs in pairs.items():
+        if a == b or len(zs) > 1:
+            return False
+    if len(pairs) < 3:
+        return True
+    (ab,), (ac,), (bc,) = (pairs[p] for p in sorted(pairs))
+    return ab + bc - ac == 0
+
+
+def _glue(row: Row, parts: list) -> tuple:
+    """Check a node's shape on its children's records, then merge them into
+    the largest.  One- and two-sums of balanced graphs that pass these
+    checks are balanced, so the flag is the AND of the children's."""
+    kind = row.kind
+    if kind == DISJOINT_UNION:
+        if len(parts) < 2:
+            raise CertificateError("disjoint union needs at least two children")
+    elif kind not in (ONE_SUM, BALANCED_TWO_SUM):
+        raise CertificateError(f"unknown node kind {kind!r}")
+    elif len(parts) != 2:
+        raise CertificateError(f"{kind} needs exactly two children")
+    else:
+        (va, pa, _), (vb, pb, _) = parts
+        want = {row.shared_vertex} if kind == ONE_SUM else set(row.shared_pair)
+        if va & vb != want:
+            raise CertificateError(
+                f"{kind} must share exactly {sorted(want)}, got {sorted(va & vb)}")
+    if kind == BALANCED_TWO_SUM:
+        x, y = sorted(row.shared_pair)
+        if len(pa.get((x, y), set()) & pb.get((x, y), set())) != 1:
+            raise CertificateError(
+                "two-sum sides must share exactly one edge between the shared pair")
+        if any(pa.get((v, v), set()) & pb.get((v, v), set()) for v in (x, y)):
+            raise CertificateError("two-sum sides share a selfloop")
+        if row.zero_child not in (0, 1):
+            raise CertificateError("two-sum must name its balanced summand")
+        if not parts[row.zero_child][2]:
+            raise CertificateError("the designated two-sum summand is not balanced")
+    parts.sort(key=lambda r: len(r[0]) + len(r[1]), reverse=True)
+    vertices, pairs, balanced = parts[0]
+    for vs, ps, flag in parts[1:]:
+        if kind == DISJOINT_UNION and not vertices.isdisjoint(vs):
+            raise CertificateError("disjoint union children share vertices")
+        vertices |= vs
+        for pair, zs in ps.items():
+            pairs.setdefault(pair, set()).update(zs)
+        balanced = balanced and flag
+    return vertices, pairs, balanced
+
+
+def _row_from_json(data: dict) -> Row:
+    kind = data["node"]
+    if kind == LEAF:
+        return Row(LEAF, tuple(sorted({_int(v, "vertex") for v in data["vertices"]})),
+                   tuple(map(_edge, data["edges"])))
+    children = _int(data["children"], "children")
+    if kind == DISJOINT_UNION:
+        return Row(kind, children=children)
+    if kind == ONE_SUM:
+        return Row(kind, children=children,
+                   shared_vertex=_int(data["shared_vertex"], "shared_vertex"))
+    if kind != BALANCED_TWO_SUM:
+        raise CertificateError(f"unknown node kind {kind!r}")
+    pair = data["shared_pair"]
+    if type(pair) is not list or len(pair) != 2 or pair[0] == pair[1]:
+        raise CertificateError(f"shared_pair must be two distinct integers, got {pair!r}")
+    zero_child = data.get("zero_child")
+    if type(zero_child) is not int or zero_child not in (0, 1):
+        raise CertificateError(f"zero_child must be 0 or 1, got {zero_child!r}")
+    return Row(kind, children=children, shared_pair=tuple(_int(v, "shared_pair") for v in pair),
+               zero_child=zero_child)
+
+
+def _edge(e) -> tuple:
+    if type(e) is not list or len(e) != 4 or set(map(type, e)) != {int}:
+        raise CertificateError(f"an edge must be four integers [id, tail, head, label], "
+                               f"got {e!r}")
+    return tuple(e)
 
 
 def _int(value, what: str) -> int:
     # an exact type check, since a bool is no integer here
     if type(value) is not int:
-        raise CertificateError(f"certificate {what} must be an integer, got {value!r}")
+        raise CertificateError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -231,35 +274,33 @@ def graph_to_json_dict(g: GainGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> GainGraph:
-    edges = [GainEdge(*(_int(e[k], f"edge {k}") for k in ("id", "tail", "head", "label")))
+    fields = ("id", "tail", "head", "label")
+    edges = [GainEdge(*(_int(e[k], f"certificate edge {k}") for k in fields))
              for e in data["edges"]]
-    return GainGraph([_int(v, "vertex") for v in data["vertices"]], edges)
+    return GainGraph([_int(v, "certificate vertex") for v in data["vertices"]], edges)
 
 
 # -- leaf families ----------------------------------------------------------------
 
 
-def _is_k2_zero_like(g: GainGraph) -> bool:
-    return g.n == 2 and g.m == 1 and not g.edges[0].is_loop
-
-
-def _is_k3_zero_like(g: GainGraph) -> bool:
+def _is_k3_zero_like(row: Row) -> bool:
     """One edge on each pair of three vertices a < b < c, balanced: the
     cycle a -> b -> c -> a has gain 0, read off the three orbit keys."""
-    if g.n != 3 or g.m != 3:
+    if len(row.vertices) != 3 or len(row.edges) != 3:
         return False
-    a, b, c = sorted(g.vertices)
-    (_, _, ab), (_, _, ac), (_, _, bc) = keys = sorted(e.orbit_key() for e in g.edges)
+    a, b, c = sorted(row.vertices)
+    (_, _, ab), (_, _, ac), (_, _, bc) = keys = sorted(orbit_key(*e[1:]) for e in row.edges)
     return [k[:2] for k in keys] == [(a, b), (a, c), (b, c)] and ab + bc - ac == 0
 
 
-def leaf_in_family(g: GainGraph, dimension: int) -> bool:
-    """Leaf families: d=1 allows single-vertex graphs and single edges;
-    d=2 allows graphs on at most two vertices and balanced triangles."""
+def leaf_in_family(row: Row, dimension: int) -> bool:
+    """Leaf families: d=1 allows single vertices and single edges; d=2
+    allows leaves on at most two vertices and balanced triangles."""
+    n, edges = len(row.vertices), row.edges
     if dimension == 1:
-        return g.n == 1 or _is_k2_zero_like(g)
+        return n == 1 or (n == 2 and len(edges) == 1 and edges[0][1] != edges[0][2])
     if dimension == 2:
-        return g.n <= 2 or _is_k3_zero_like(g)
+        return n <= 2 or _is_k3_zero_like(row)
     raise RealdimError("leaf families are defined for dimensions 1 and 2")
 
 
@@ -334,11 +375,10 @@ def _assign(adj, gains, root, psi) -> bool:
 
 def verify_decomposition(tree: DecompositionTree, original: GainGraph, dimension: int):
     """Full check of a yes-certificate; raises CertificateError on failure."""
-    for leaf in tree.leaves():
-        if not leaf_in_family(leaf.graph, dimension):
-            raise CertificateError(
-                f"leaf outside the dimension-{dimension} family: {leaf.graph!r}"
-            )
+    for i, row in enumerate(tree.rows):
+        if row.kind == LEAF and not leaf_in_family(row, dimension):
+            raise CertificateError(f"row {i}: leaf outside the dimension-{dimension} family: "
+                                   f"vertices {list(row.vertices)}, edges {list(row.edges)}")
     replayed = tree.replay()
     if set(replayed.vertices) != set(original.vertices):
         raise CertificateError(
@@ -415,8 +455,9 @@ def witness_from_json_dict(data: dict) -> MinorWitness:
     ops = []
     for i, o in enumerate(data["ops"]):
         survivor = o.get("survivor")
-        ops.append(MinorOp(o["op"], _int(o["target"], f"op {i} target"),
-                           survivor if survivor is None else _int(survivor, f"op {i} survivor")))
+        ops.append(MinorOp(o["op"], _int(o["target"], f"certificate op {i} target"),
+                           survivor if survivor is None
+                           else _int(survivor, f"certificate op {i} survivor")))
     return MinorWitness(pattern, tuple(ops))
 
 

@@ -121,12 +121,21 @@ def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
         certs = [certificate_to_json_dict(v) for v in (v1, v2)]
         out.put(certificate_d1=certs[0], certificate_d2=certs[1])
     if cert_prefix:
-        texts = [json.dumps(cert, indent=2) + "\n" for cert in certs]
+        texts = [_certificate_text(cert) for cert in certs]
         for dim, text in enumerate(texts, start=1):
             cert_path = Path(f"{cert_prefix}.d{dim}.json")
             cert_path.write_text(text, encoding="utf-8")
             out.say(f"certificate (d={dim}): {cert_path}")
     return 0 if v2.answer else 1
+
+
+def _certificate_text(cert: dict) -> str:
+    """A certificate as JSON, a tree's table written one row per line."""
+    if cert["kind"] != "decomposition-tree":
+        return json.dumps(cert, indent=2) + "\n"
+    head = json.dumps({k: v for k, v in cert.items() if k != "root"})[:-1]
+    rows = ",\n".join(map(json.dumps, cert["root"]["rows"]))
+    return f'{head}, "root": {{"rows": [\n{rows}\n]}}}}\n'
 
 
 def cmd_classify(args) -> int:
@@ -369,7 +378,7 @@ def cmd_verify_cert(args) -> int:
     g = _read_graph(args.graph)
     try:
         data = json.loads(_read_text(args.certificate))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from None
     verdict = certificate_from_json_dict(data)
     try:
@@ -539,12 +548,6 @@ def main(argv=None) -> int:
         return 2
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        # Only certificate trees nest this deep: their JSON encoding,
-        # parsing and replay recurse once per level.
-        print("bound exceeded: certificate nesting is too deep to serialize, parse or "
-              f"replay (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     except OSError as exc:  # _read_text reports input files, so a file being written
         print(f"output error: {exc}", file=sys.stderr)

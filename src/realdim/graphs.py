@@ -67,17 +67,21 @@ class GainEdge:
         raise KeyError(f"vertex {v} is not an endpoint of edge {self.id}")
 
     def orbit_key(self) -> tuple:
-        """Equal for exactly the edges that describe the same orbit.
+        return orbit_key(self.tail, self.head, self.label)
 
-        Inverting an edge while negating its label gives the same orbit,
-        so a non-loop is keyed (a, b, gain read from a) with a < b, and a
-        selfloop at v is keyed (v, v, |label|).  Ids are ignored.
-        """
-        if self.tail < self.head:
-            return (self.tail, self.head, self.label)
-        if self.tail > self.head:
-            return (self.head, self.tail, -self.label)
-        return (self.tail, self.tail, abs(self.label))
+
+def orbit_key(tail: int, head: int, label: int) -> tuple:
+    """Equal for exactly the edges that describe the same orbit.
+
+    Inverting an edge while negating its label gives the same orbit, so a
+    non-loop is keyed (a, b, gain read from a) with a < b, and a selfloop
+    at v is keyed (v, v, |label|).  Ids are ignored.
+    """
+    if tail < head:
+        return (tail, head, label)
+    if tail > head:
+        return (head, tail, -label)
+    return (tail, tail, abs(label))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ graph, nothing recurses, and the work is near-linear.
 
 Every *yes* comes with a decomposition tree whose leaves are single
 edges/vertices (dimension one) or balanced triangles and two-vertex
-graphs (dimension two).  One-sum layers are glued at centroids of the
-block-cut tree, adding logarithmic depth; a plane tree has one two-sum
-level per reduction.  Every *no*, at any size, comes with a minor witness
-whose replay reaches a forbidden shape: a parallel pair or balanced
-triangle for dimension one; the doubled-double-pair triangle or the
-balanced complete graph on four vertices for dimension two.  Where the
-simplified graph has a K4 minor, the witness contracts a K4 subdivision.
+graphs (dimension two), written as a table of rows in post-order: a
+block appends one triangle two-sum per reduction, and one-sum layers are
+glued as chains in the order they are found.  Every *no*, at any size,
+comes with a minor witness whose replay reaches a forbidden shape: a
+parallel pair or balanced triangle for dimension one; the
+doubled-double-pair triangle or the balanced complete graph on four
+vertices for dimension two.  Where the simplified graph has a K4 minor,
+the witness contracts a K4 subdivision.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .certificates import DecompositionTree, RealizabilityVerdict
+from .certificates import DISJOINT_UNION, LEAF, DecompositionTree, RealizabilityVerdict, Row
 from .errors import RealdimError
 from .graphs import GainEdge, GainGraph, SimpleGraph
 from .minors import (
@@ -129,11 +130,8 @@ def _witness_simple_cycle(g: GainGraph, cycle: list) -> MinorWitness:
 
 
 def _forest_tree(g: GainGraph) -> DecompositionTree:
-    pieces = [
-        ((e.tail, e.head), DecompositionTree.leaf(GainGraph((e.tail, e.head), (e,))))
-        for e in g.edges
-        if not e.is_loop
-    ]
+    pieces = [((e.tail, e.head), [Row.leaf((e.tail, e.head), (e,))])
+              for e in g.edges if not e.is_loop]
     return _glue(g.vertices, pieces + _loop_pieces(g.edges))
 
 
@@ -146,144 +144,53 @@ def _loop_pieces(edges) -> list:
     for e in edges:
         if e.is_loop:
             by_vertex.setdefault(e.tail, []).append(e)
-    return [
-        ((v,), DecompositionTree.leaf(GainGraph((v,), by_vertex[v])))
-        for v in sorted(by_vertex)
-    ]
+    return [((v,), [Row.leaf((v,), by_vertex[v])]) for v in sorted(by_vertex)]
 
 
 def _glue(vertices, pieces) -> DecompositionTree:
-    """Glue pieces by one-sums within each component, then by disjoint union.
+    """Glue pieces into one table: one-sums within each component, then one
+    disjoint union of the components.
 
-    ``pieces`` are (vertices, tree) pairs that pairwise share at most one
-    vertex and whose block-cut graph is a forest.  A vertex in no piece
-    becomes a one-vertex leaf.  Components come in order of their least
-    vertex.
+    ``pieces`` are (vertices, rows) pairs that pairwise share at most one
+    vertex and whose block-cut graph is a forest.  A component is walked
+    breadth-first from its first piece, and each piece reached is
+    one-summed onto the rows before it at the vertex that reached it: it
+    shares no other vertex with them, since the block-cut graph has no
+    cycle.  A vertex in no piece becomes a one-vertex leaf.  Components
+    come in order of their least vertex.
     """
     at: dict = {}
     for i, (vs, _) in enumerate(pieces):
         for v in vs:
             at.setdefault(v, []).append(i)
-    seen: set = set()
-    trees = []
+    rows: list = []
+    components = 0
+    reached: set = set()
+    taken: set = set()
     for v in sorted(vertices):
-        if v in seen:
+        if v in reached:
             continue
+        components += 1
         if v not in at:
-            trees.append(DecompositionTree.leaf(GainGraph((v,), ())))
+            rows.append(Row(LEAF, (v,)))
             continue
-        ids = []
-        taken = {at[v][0]}
-        stack = [at[v][0]]
-        while stack:
-            i = stack.pop()
-            ids.append(i)
-            for u in pieces[i][0]:
-                seen.add(u)
-                for j in at[u]:
-                    if j not in taken:
-                        taken.add(j)
-                        stack.append(j)
-        trees.append(_fold(pieces, sorted(ids)))
-    return DecompositionTree.disjoint_union(trees)
-
-
-_PIECE, _CUT = 0, 1  # node kinds of the block-cut tree
-
-
-def _fold(pieces, ids) -> DecompositionTree:
-    """One-sum a connected set of pieces, splitting at a centroid.
-
-    The centroid is taken in the block-cut tree whose nodes are the pieces
-    and the vertices shared by several of them, each piece weighing one.
-    At a shared vertex every branch weighs at most half, and the branches
-    are glued there in a weight-balanced binary tree.  At a piece, each
-    part hanging off one of its shared vertices weighs at most half, and
-    the parts are glued onto the piece one after the other, lightest
-    first.  The depth is thus logarithmic in the number of pieces, plus
-    the number of shared vertices on one piece.
-    """
-    if len(ids) == 1:
-        return pieces[ids[0]][1]
-    at: dict = {}
-    for i in ids:
-        for v in pieces[i][0]:
-            at.setdefault(v, []).append(i)
-    cuts = {v: js for v, js in at.items() if len(js) > 1}
-
-    def neighbours(node):
-        kind, x = node
-        if kind == _PIECE:
-            return [(_CUT, v) for v in pieces[x][0] if v in cuts]
-        return [(_PIECE, j) for j in cuts[x]]
-
-    # Root the block-cut tree at a piece; in depth-first preorder every
-    # subtree is a contiguous run of ``order``.
-    root = (_PIECE, ids[0])
-    parent = {root: None}
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for nb in neighbours(node):
-            if nb != parent[node]:
-                parent[nb] = node
-                stack.append(nb)
-    pos = {node: k for k, node in enumerate(order)}
-    size = dict.fromkeys(order, 1)
-    weight = {node: int(node[0] == _PIECE) for node in order}
-    heaviest_child = dict.fromkeys(order, 0)
-    for node in reversed(order[1:]):
-        up = parent[node]
-        size[up] += size[node]
-        weight[up] += weight[node]
-        heaviest_child[up] = max(heaviest_child[up], weight[node])
-    total = len(ids)
-    centre = min(
-        order,
-        key=lambda node: (
-            max(total - weight[node], heaviest_child[node]),
-            node[0] == _PIECE,
-        ),
-    )
-
-    def pieces_in(nodes):
-        return sorted(x for kind, x in nodes if kind == _PIECE)
-
-    # The branches at the centre: one per child, and the rest of the tree
-    # through its parent.
-    branches = [
-        (nb, pieces_in(order[pos[nb] : pos[nb] + size[nb]]))
-        for nb in neighbours(centre)
-        if nb != parent[centre]
-    ]
-    if parent[centre] is not None:
-        lo, hi = pos[centre], pos[centre] + size[centre]
-        branches.append((parent[centre], pieces_in(order[:lo] + order[hi:])))
-
-    if centre[0] == _CUT:
-        parts = sorted(p for _, p in branches)
-        return _one_sum_balanced([(len(p), _fold(pieces, p)) for p in parts], centre[1])
-    tree = pieces[centre[1]][1]
-    for _, v, p in sorted((len(p), v, p) for (_, v), p in branches):
-        tree = DecompositionTree.one_sum(tree, _fold(pieces, p), v)
-    return tree
-
-
-def _one_sum_balanced(parts, v: int) -> DecompositionTree:
-    """One-sum (weight, tree) parts that share only ``v``, halving by weight."""
-    if len(parts) == 1:
-        return parts[0][1]
-    half = sum(w for w, _ in parts) / 2
-    acc = 0
-    for k, (w, _) in enumerate(parts[:-1], start=1):
-        acc += w
-        if acc >= half:
-            break
-    return DecompositionTree.one_sum(
-        _one_sum_balanced(parts[:k], v), _one_sum_balanced(parts[k:], v), v
-    )
+        taken.add(at[v][0])
+        queue = [(at[v][0], None)]
+        for i, via in queue:
+            vs, piece_rows = pieces[i]
+            rows += piece_rows
+            if via is not None:
+                rows.append(Row.one_sum(via))
+            for u in vs:
+                if u not in reached:
+                    reached.add(u)
+                    for j in at[u]:
+                        if j not in taken:
+                            taken.add(j)
+                            queue.append((j, u))
+    if components > 1:
+        rows.append(Row(DISJOINT_UNION, children=components))
+    return DecompositionTree(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +227,7 @@ def _decide2_split(h: GainGraph, alloc, loops):
     pieces = []
     for vset, eset in blocks:
         res = _decide2_block(vset, [e for pair in eset for e in by_pair[pair]], alloc)
-        if not isinstance(res, DecompositionTree):
+        if isinstance(res, MinorWitness):
             # Trim to the component, then to the block within it.
             ci = comp_of[min(vset)]
             comp = comps[ci]
@@ -354,9 +261,12 @@ def _add(adj: dict, e: GainEdge):
         by_orbit[e.orbit_key()] = e
 
 
+def _edges(adj: dict):
+    return (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
+
+
 def _graph(adj: dict) -> GainGraph:
-    edges = (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
-    return GainGraph(adj, edges)
+    return GainGraph(adj, _edges(adj))
 
 
 def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
@@ -371,21 +281,17 @@ def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
     return GainEdge(eb.id, eb.tail, a, -gain)
 
 
-def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int, child):
-    """Two-sum a balanced triangle on {w, a, b} onto child along a-b.
+def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int) -> list:
+    """Rows that two-sum a balanced triangle on {w, a, b} along a-b onto the
+    rows before them.
 
     The triangle reads gain ga towards a and gb towards b from w; its
     edges get fresh ids, since a real id may sit on other endpoints
     elsewhere in the tree.
     """
-    triangle = GainGraph((w, a, b), [
-        GainEdge(next(alloc), w, a, ga),
-        GainEdge(next(alloc), w, b, gb),
-        GainEdge(next(alloc), a, b, gb - ga),
-    ])
-    return DecompositionTree.balanced_two_sum(
-        DecompositionTree.leaf(triangle), child, (a, b), zero_child=0
-    )
+    i, j, k = next(alloc), next(alloc), next(alloc)
+    triangle = ((i, w, a, ga), (j, w, b, gb), (k, a, b, gb - ga))
+    return [Row(LEAF, tuple(sorted((w, a, b))), triangle), Row.two_sum((a, b), zero_child=1)]
 
 
 def _decide2_block(vertices, edges, alloc):
@@ -396,11 +302,12 @@ def _decide2_block(vertices, edges, alloc):
     after a balance check when doubled towards one (adding x-y if missing;
     the piece on {v, x, y} becomes a summand of its own).  Reductions keep
     the block two-connected, so it ends at a triangle; after a deletion
-    step the graph is balanced and only contractions follow.  The tree is
-    folded bottom-up from the list of steps, one two-sum level per step.
+    step the graph is balanced and only contractions follow.  The rows are
+    written from the final triangle back through the list of steps, each
+    step gluing its triangle (and piece) onto the rows before it.
     """
     if len(vertices) <= 2:
-        return DecompositionTree.leaf(GainGraph(vertices, edges))
+        return [Row.leaf(vertices, edges)]
     adj: dict = {v: {} for v in vertices}
     for e in edges:
         _add(adj, e)
@@ -408,7 +315,7 @@ def _decide2_block(vertices, edges, alloc):
     # heap until it is removed.
     degree_two = sorted(v for v in adj if len(adj[v]) == 2)
     # (w, a, b, gain w->a, gain w->b, None) for a contraction of w into a,
-    # (y, x, v, gain y->x, gain y->v, piece leaf) for a deletion of v.
+    # (y, x, v, gain y->x, gain y->v, piece leaf row) for a deletion of v.
     steps = []
     ops = []  # minor ops that replay the steps taken
     k4_host = None  # the graph and ops at a deletion step that added x-y
@@ -456,7 +363,7 @@ def _decide2_block(vertices, edges, alloc):
             for e in vx + [_series_edge(ea, vy[0], y, x)]:
                 _add(piece, e)
             steps.append((y, x, v, ea.gain_from(y), vy[0].gain_from(y),
-                          DecompositionTree.leaf(_graph(piece))))
+                          Row.leaf(piece, _edges(piece))))
             for u in adj.pop(v):
                 del adj[u][v]
         for u in (x, y):
@@ -469,14 +376,14 @@ def _decide2_block(vertices, edges, alloc):
     a, b = sorted(adj[w])
     contract(w, a, b)
 
-    tree = DecompositionTree.leaf(_graph(adj))
-    for w, a, b, ga, gb, leaf in reversed(steps):
-        if leaf is None:
-            tree = _triangle_sum(alloc, w, a, b, ga, gb, tree)
-        else:
-            piece_tree = _triangle_sum(alloc, w, a, b, ga, gb, leaf)
-            tree = DecompositionTree.balanced_two_sum(piece_tree, tree, (w, a), zero_child=1)
-    return tree
+    rows = [Row.leaf(adj, _edges(adj))]
+    for w, a, b, ga, gb, piece in reversed(steps):
+        if piece is None:
+            rows += _triangle_sum(alloc, w, a, b, ga, gb)
+        else:  # the balanced rest, then the piece with its triangle
+            rows += [piece, *_triangle_sum(alloc, w, a, b, ga, gb),
+                     Row.two_sum((w, a), zero_child=0)]
+    return rows
 
 
 # -- no-witness constructions ---------------------------------------------------

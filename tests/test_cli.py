@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import realdim
-from realdim.certificates import RealizabilityVerdict, certificate_to_json_dict
+from realdim.certificates import certificate_to_json_dict
 from realdim.cli import main
 from realdim.documents import (
     parse_framework_document,
@@ -17,6 +17,7 @@ from realdim.documents import (
     serialize_graph_document,
 )
 from realdim.errors import DocumentError
+from realdim.graphs import GainGraph
 from realdim.randgen import random_simple_gain_graph
 from realdim.realizability import is_1_realizable, is_2_realizable
 
@@ -362,14 +363,18 @@ def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
 
 
 # A triangle with its 1-2 pair doubled: 2-realizable, and not 1-realizable
-# by a k2-bullet witness.  With a pendant edge at 3, its d=2 certificate is
-# a one-sum whose second child is a balanced two-sum.
+# by a k2-bullet witness.  With a pendant edge at 3, its d=2 certificate
+# ends in a one-sum, after the balanced two-sum of the triangle's rows.
 TRIANGLE_DOUBLED = "gaingraph v1\nvertices 3\nedge 1 2 0\nedge 1 2 1\nedge 2 3 0\nedge 1 3 0\n"
 PANHANDLE = TRIANGLE_DOUBLED.replace("vertices 3", "vertices 4") + "edge 3 4 0\n"
 
 
+def row(c, i):
+    return c["root"]["rows"][i]
+
+
 def two_sum(c):
-    return c["root"]["children"][1]
+    return next(r for r in c["root"]["rows"] if r["node"] == "balanced_two_sum")
 
 
 def verify_mutated(tmp_path, capsys, graph, dim, mutate):
@@ -397,18 +402,18 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
         pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.update(ops=5), id="ops-not-list"),
         pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.pop("dimension"), id="no-dimension"),
         pytest.param(K2, 1, lambda c: c.update(root=[]), id="root-not-object"),
-        pytest.param(K2, 1, lambda c: c["root"].pop("graph"), id="leaf-no-graph"),
+        pytest.param(K2, 1, lambda c: row(c, 0).pop("edges"), id="leaf-no-graph"),
         pytest.param(K2, 1, lambda c: c.update(dimension=[1]), id="dimension-list"),
         pytest.param(K2, 1, lambda c: c.update(dimension=True), id="dimension-bool"),
         pytest.param(K2, 1, lambda c: c.update(dimension=3), id="dimension-3"),
         pytest.param(K2, 1, lambda c: c.pop("answer"), id="no-answer"),
         pytest.param(K2, 1, lambda c: c.update(answer="maybe"), id="answer-unknown"),
-        pytest.param(K2, 1, lambda c: c["root"]["graph"]["edges"][0].update(label="0"),
+        pytest.param(K2, 1, lambda c: row(c, 0).update(edges=[[1, 1, 2, "0"]]),
                      id="edge-label-string"),
-        pytest.param(PANHANDLE, 2, lambda c: c["root"].pop("children"), id="no-children"),
-        pytest.param(PANHANDLE, 2, lambda c: c["root"].update(children={}),
+        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).pop("children"), id="no-children"),
+        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(children={}),
                      id="children-not-list"),
-        pytest.param(PANHANDLE, 2, lambda c: c["root"].update(shared_vertex=[3]),
+        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(shared_vertex=[3]),
                      id="shared-vertex-list"),
         pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(shared_pair=[2]),
                      id="shared-pair-one"),
@@ -461,7 +466,8 @@ def test_certificate_not_json_exit_code(tmp_path, capsys):
 
 
 def _nested_certificate(depth):
-    """A d=1 certificate whose root is a chain of one-child disjoint unions.
+    """A d=1 certificate of format 1 whose root is a chain of one-child
+    disjoint unions.
 
     Built as text, since json.dumps itself recurses once per level.
     """
@@ -472,6 +478,7 @@ def _nested_certificate(depth):
 
 
 def test_deeply_nested_certificate_exceeds_bound(tmp_path):
+    # Too deep for the JSON parser, and of the old nested format besides.
     g = tmp_path / "k2.graph"
     g.write_text(K2)
     cert = tmp_path / "deep.json"
@@ -481,15 +488,88 @@ def test_deeply_nested_certificate_exceeds_bound(tmp_path):
         [sys.executable, "-m", "realdim.cli", "verify-cert", str(g), str(cert)],
         capture_output=True, text=True, env={"PYTHONPATH": src},
     )
-    assert proc.returncode == 3
-    assert "certificate nesting" in proc.stderr
+    assert proc.returncode in (2, 3)
+    assert "certificate" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
+def test_nested_json_certificate_exits_two(tmp_path, capsys):
+    g = tmp_path / "k2.graph"
+    g.write_text(K2)
+    cert = tmp_path / "deep.json"
+    cert.write_text('{"dimension": 1, "answer": "yes", "kind": "decomposition-tree", '
+                    '"root": {"rows": %s}}' % ("[" * 1200 + "]" * 1200))
+    assert main(["verify-cert", str(g), str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate")
+    assert "Traceback" not in err
+
+
+def test_format_1_certificate_is_refused(tmp_path, capsys):
+    nested = json.loads(_nested_certificate(1))["root"]
+    code, out = verify_mutated(tmp_path, capsys, K2, 1, lambda c: c.update(root=nested))
+    assert code == 2
+    assert "format 1" in out.err and "regenerate it from the graph" in out.err
+
+
+@pytest.mark.parametrize(
+    "mutate, expect",
+    [
+        pytest.param(lambda c: row(c, 2).update(shared_pair=[1, "x"]),
+                     "error: certificate row 2: shared_pair must be an integer",
+                     id="reader"),
+        pytest.param(lambda c: two_sum(c).update(shared_pair=[2, 3]),
+                     "INVALID (row 2: balanced_two_sum must share exactly [2, 3], got [1, 2])",
+                     id="replay"),
+        pytest.param(lambda c: row(c, 1)["edges"][0].__setitem__(3, 5),
+                     "INVALID (row 1: leaf outside the dimension-2 family", id="family"),
+        pytest.param(lambda c: row(c, 0)["edges"][0].__setitem__(2, 9),
+                     "INVALID (row 0: edge 1 has an end outside its leaf)", id="leaf-vertices"),
+    ],
+)
+def test_certificate_errors_name_the_row(tmp_path, capsys, mutate, expect):
+    _, out = verify_mutated(tmp_path, capsys, PANHANDLE, 2, mutate)
+    assert expect in out.out + out.err
+
+
+# Each breaks every table of two rows or more, where swapping two sibling
+# subtrees of a one-sum would leave a valid certificate.
+TAMPERS = (
+    lambda rows, rng: {"rows": rows[1:]},  # drop the first row
+    lambda rows, rng: {"rows": rows[:-1]},  # drop the last row
+    lambda rows, rng: {"rows": [rows[-1], *rows[1:-1], rows[0]]},  # swap first and last
+    lambda rows, rng: rng.choice(rows),  # one row as the root
+)
+
+
+def test_tampered_row_tables_never_verify(tmp_path, capsys):
+    """The tree tampers of the nested format, on flat tables: a missing
+    row, rows out of order, one row as the root."""
+    rng = random.Random(11)
+    g_path, cert_path = tmp_path / "g.graph", tmp_path / "cert.json"
+    graphs = [random_simple_gain_graph(rng, max_vertices=7, max_edges=10) for _ in range(40)]
+    tried = 0
+    for g in graphs + [GainGraph.of(9, [(i, i % 9 + 1, i % 3 - 1) for i in range(1, 10)])]:
+        g_path.write_text(f"gaingraph v1\nvertices {g.n}\n"
+                          + "".join(f"edge {e.tail} {e.head} {e.label}\n" for e in g.edges))
+        for verdict in (is_1_realizable(g), is_2_realizable(g)):
+            if not verdict.answer or len(verdict.certificate.rows) < 2:
+                continue
+            for tamper in TAMPERS:
+                data = certificate_to_json_dict(verdict)
+                data["root"] = tamper(data["root"]["rows"], rng)
+                cert_path.write_text(json.dumps(data))
+                code = main(["verify-cert", str(g_path), str(cert_path)])
+                out = capsys.readouterr()
+                assert code in (1, 2), out
+                assert "Traceback" not in out.err
+                tried += 1
+    assert tried > 100
+
+
 def test_classify_long_cycle_without_certificates(tmp_path):
-    # A d=2 certificate is one tree level per reduction, deeper here than
-    # the JSON encoder's recursion allows: plain output needs no
-    # certificate, and --cert-out reports the bound and writes no file.
+    # A d=2 certificate is one two-sum per reduction, but a flat table of
+    # rows: --cert-out writes it and verify-cert replays it at any length.
     n = 700
     g = tmp_path / "cycle.graph"
     g.write_text("gaingraph v1\nvertices %d\n" % n
@@ -507,22 +587,13 @@ def test_classify_long_cycle_without_certificates(tmp_path):
     assert "2-realizable: yes" in plain.stdout
     prefix = tmp_path / "cert"
     with_certs = classify("--cert-out", str(prefix))
-    assert with_certs.returncode == 3
-    assert "certificate nesting" in with_certs.stderr
-    assert "Traceback" not in with_certs.stderr
-    assert not list(tmp_path.glob("cert*"))
-
-
-def test_recursion_in_certificate_replay_exceeds_bound(tmp_path, capsys, monkeypatch):
-    def deep_verify(self, original):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(RealizabilityVerdict, "verify", deep_verify)
-    g = tmp_path / "k2.graph"
-    g.write_text(K2)
-    run(capsys, "classify", g, "--cert-out", tmp_path / "cert")
-    assert main(["verify-cert", str(g), str(tmp_path / "cert.d1.json")]) == 3
-    assert "certificate nesting" in capsys.readouterr().err
+    assert with_certs.returncode == 0, with_certs.stderr
+    verified = subprocess.run(
+        [sys.executable, "-m", "realdim.cli", "verify-cert", str(g), f"{prefix}.d2.json"],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert verified.returncode == 0, verified.stderr
+    assert "certificate: valid" in verified.stdout
 
 
 def test_bound_exceeded_exit_code(tmp_path, capsys):

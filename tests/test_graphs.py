@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from realdim.certificates import CertificateError, DecompositionTree
+from realdim.certificates import LEAF, CertificateError, DecompositionTree, Row
 from realdim.errors import BoundExceededError, RealdimError, SimplicityError
 from realdim.graphs import LIFT_WINDOW_BOUND, GainEdge, GainGraph, SimpleGraph
 from realdim.randgen import random_isomorphic_copy
@@ -430,7 +430,20 @@ def counterexample_c():
 
 
 def leaf(vertices, *edges):
-    return DecompositionTree.leaf(GainGraph(vertices, [GainEdge(*e) for e in edges]))
+    """A one-row table: a leaf with (id, tail, head, label) edges."""
+    return DecompositionTree((Row(LEAF, tuple(sorted(vertices)), edges),))
+
+
+def leaf_of(g):
+    return DecompositionTree((Row.leaf(g.vertices, g.edges),))
+
+
+def one_sum(left, right, v):
+    return DecompositionTree(left.rows + right.rows + (Row.one_sum(v),))
+
+
+def two_sum(left, right, pair, zero_child):
+    return DecompositionTree(left.rows + right.rows + (Row.two_sum(pair, zero_child),))
 
 
 def test_replay_of_counterexample_pieces():
@@ -438,26 +451,25 @@ def test_replay_of_counterexample_pieces():
     c = counterexample_c()
     assert c.n == 4 and c.m == 6
     for zero_child in (0, 1):
-        tree = DecompositionTree.balanced_two_sum(
-            DecompositionTree.leaf(counterexample_a()),
-            DecompositionTree.leaf(counterexample_b()), (1, 2), zero_child)
+        tree = two_sum(leaf_of(counterexample_a()), leaf_of(counterexample_b()), (1, 2),
+                       zero_child)
         with pytest.raises(CertificateError, match="not balanced"):
             tree.replay()
 
 
 def test_replay_label_conflict_detected():
     # Both sides carry the 1-2 edge of gain 0; edge 1 has gain 0 on one side, 5 on the other.
-    tree = DecompositionTree.balanced_two_sum(
+    tree = two_sum(
         leaf((1, 2), (1, 1, 2, 0)), leaf((1, 2), (2, 1, 2, 0), (1, 1, 2, 5)), (1, 2), 0)
     with pytest.raises(CertificateError, match="edge 1"):
         tree.replay()
 
 
 def test_replay_collapses_an_orbit_carried_under_two_ids():
-    two_sum = DecompositionTree.balanced_two_sum(
+    glued = two_sum(
         leaf((1, 2), (1, 1, 2, 3), (2, 2, 2, 1)), leaf((1, 2, 3), (5, 2, 1, -3), (6, 2, 3, 0)),
         (1, 2), zero_child=1)
-    u = DecompositionTree.one_sum(two_sum, leaf((2,), (7, 2, 2, -1)), 2).replay()
+    u = one_sum(glued, leaf((2,), (7, 2, 2, -1)), 2).replay()
     assert u.vertices == (1, 2, 3)
     assert [e.id for e in u.edges] == [1, 2, 6]
 

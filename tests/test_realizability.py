@@ -8,8 +8,10 @@ import time
 import pytest
 
 from realdim.certificates import (
+    LEAF,
     CertificateError,
     DecompositionTree,
+    Row,
     certificate_from_json_dict,
     certificate_to_json_dict,
     verify_decomposition,
@@ -35,6 +37,9 @@ from test_graphs import (
     k3_zero,
     k4_zero,
     ladder_graph,
+    leaf,
+    leaf_of,
+    one_sum,
 )
 
 
@@ -412,30 +417,24 @@ def test_decomposition_rejects_wrong_graph():
 
 
 def test_decomposition_rejects_tampering():
-    from realdim.graphs import GainEdge
-
     g = counterexample_a()
     tree = is_2_realizable(g).certificate
 
-    def corrupt(leaf_graph):
-        edges = list(leaf_graph.edges)
-        if edges and not edges[0].is_loop:
-            e = edges[0]
-            edges[0] = GainEdge(e.id, e.tail, e.head, e.label + 40)
-        return leaf_graph.replace_edges(edges)
+    def corrupt(row):
+        if row.kind != LEAF or not row.edges or row.edges[0][1] == row.edges[0][2]:
+            return row
+        i, t, h, z = row.edges[0]
+        return row._replace(edges=((i, t, h, z + 40),) + row.edges[1:])
 
-    bad = tree.map_leaf_graphs(corrupt)
+    bad = DecompositionTree(tuple(map(corrupt, tree.rows)))
+    assert bad != tree
     with pytest.raises(CertificateError):
         verify_decomposition(bad, g, 2)
 
 
 def test_replay_rejects_shared_id_naming_two_orbits():
-    from realdim.graphs import GainEdge
-
-    left = DecompositionTree.leaf(GainGraph((1, 2), [GainEdge(1, 1, 2, 0)]))
-    right = DecompositionTree.leaf(GainGraph((2, 3), [GainEdge(1, 2, 3, 0)]))
-    tree = DecompositionTree.one_sum(left, right, 2)
-    with pytest.raises(CertificateError, match="edge 1"):
+    tree = one_sum(leaf((1, 2), (1, 1, 2, 0)), leaf((2, 3), (1, 2, 3, 0)), 2)
+    with pytest.raises(CertificateError, match="row 1: edge 1"):
         tree.replay()
     with pytest.raises(CertificateError):
         verify_decomposition(tree, GainGraph.of(3, [(1, 2, 0), (2, 3, 0)]), 1)
@@ -443,7 +442,7 @@ def test_replay_rejects_shared_id_naming_two_orbits():
 
 def test_decomposition_rejects_wrong_leaf_family():
     g = k4_zero()
-    tree = DecompositionTree.leaf(g)  # a 4-vertex leaf is in no family
+    tree = leaf_of(g)  # a 4-vertex leaf is in no family
     with pytest.raises(CertificateError):
         verify_decomposition(tree, g, 2)
 
@@ -453,9 +452,10 @@ def test_unbalanced_triangle_leaf_is_refused():
 
     balanced = GainGraph.of(3, [(1, 2, 1), (3, 2, -2), (1, 3, 3)])
     unbalanced = GainGraph.of(3, [(1, 2, 1), (2, 3, 2), (1, 3, 4)])
-    assert leaf_in_family(balanced, 2) and not leaf_in_family(unbalanced, 2)
-    with pytest.raises(CertificateError, match="leaf outside"):
-        verify_decomposition(DecompositionTree.leaf(unbalanced), unbalanced, 2)
+    assert leaf_in_family(Row.leaf(balanced.vertices, balanced.edges), 2)
+    assert not leaf_in_family(Row.leaf(unbalanced.vertices, unbalanced.edges), 2)
+    with pytest.raises(CertificateError, match="row 0: leaf outside"):
+        verify_decomposition(leaf_of(unbalanced), unbalanced, 2)
 
 
 def test_triangle_leaf_family_matches_balance():
@@ -475,9 +475,27 @@ def test_triangle_leaf_family_matches_balance():
     for g in graphs:
         loopless = not any(e.is_loop for e in g.edges)
         triangle = g.m == 3 and loopless and g.underlying_simple_graph().is_complete()
-        answers.add((triangle, leaf_in_family(g, 2)))
-        assert leaf_in_family(g, 2) == (triangle and g.is_balanced())
+        in_family = leaf_in_family(Row.leaf(g.vertices, g.edges), 2)
+        answers.add((triangle, in_family))
+        assert in_family == (triangle and g.is_balanced())
     assert answers == {(True, True), (True, False), (False, False)}
+
+
+def test_switched_certificate_covers_the_switched_graph():
+    rng = random.Random(7)
+    graphs = [k2_zero(), counterexample_a(), counterexample_c(), k3_zero(), tree_with_loops(30, rng)]
+    checked = 0
+    for g in graphs:
+        for decide in (is_1_realizable, is_2_realizable):
+            v = decide(g)
+            if not v.answer:
+                continue
+            shift = {u: rng.randint(-3, 3) for u in g.vertices}
+            tree = v.certificate.switched(shift)
+            assert tree.replay() == v.certificate.replay().switch_many(shift)
+            verify_decomposition(tree, g.switch_many(shift), v.dimension_bound)
+            checked += 1
+    assert checked >= 5
 
 
 def test_certificate_json_roundtrip():
@@ -497,17 +515,19 @@ def test_certificate_json_roundtrip():
 
 
 # -- certificate depth --------------------------------------------------------------
-# These run at the default recursion limit: one-sum layers are glued as
-# balanced trees, so certificates stay logarithmically deep.
+# A tree of any depth is one flat table of rows, so its JSON nests to a
+# constant depth.
 
 
-def tree_depth(tree) -> int:
+def json_depth(data) -> int:
+    """Nesting depth of a JSON value, counting lists and objects."""
     deepest = 0
-    stack = [(tree, 1)]
+    stack = [(data, 0)]
     while stack:
         node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack.extend((c, d + 1) for c in node.children)
+        if isinstance(node, (dict, list)):
+            deepest = max(deepest, d + 1)
+            stack.extend((c, d + 1) for c in (node.values() if isinstance(node, dict) else node))
     return deepest
 
 
@@ -524,10 +544,10 @@ def assert_shallow_roundtrip(g, verdict):
     )
 
     assert verdict.answer
-    assert tree_depth(verdict.certificate) <= 4 * math.log2(g.n)
-    text = json.dumps(certificate_to_json_dict(verdict), indent=2)
-    back = certificate_from_json_dict(json.loads(text))
-    assert tree_depth(back.certificate) == tree_depth(verdict.certificate)
+    data = certificate_to_json_dict(verdict)
+    assert json_depth(data) == 6  # header, root, rows, row, edges, edge
+    back = certificate_from_json_dict(json.loads(json.dumps(data, indent=2)))
+    assert back.certificate == verdict.certificate
     assert back.verify(g) is True
 
 
@@ -601,4 +621,5 @@ def test_d2_decides_20000_vertices_at_default_recursion_limit(default_recursion_
     assert v.answer
     assert v.verify(g)
     if make is necklace:
-        assert v.certificate.zero_child == 1  # the root is the deletion step
+        # the root is the deletion step, whose balanced summand is the rest
+        assert v.certificate.rows[-1].zero_child == 0

@@ -1,15 +1,14 @@
-"""The iterative certificate replay against the recursive one it replaced.
+"""The certificate replay over a table of rows against a recursive reference.
 
-``reference_replay`` glues each tree level into a new graph through a
-pairwise ``union`` and checks each node's shape on its glued children;
-it is kept here as the reference.  The two must agree on accept/reject
-and on the replayed graph (vertices, edge ids and orbit keys), except
-where an edge id names two orbits in different leaves: the reference
-compares only the ids that survive each level's orbit collapse, the
-replay compares all of them.
+``reference_replay`` nests a table back into a tree, then glues each tree
+level into a new graph through a pairwise ``union`` and checks each
+node's shape on its glued children; it is kept here as the reference.
+The two must agree on accept/reject and on the replayed graph (vertices,
+edge ids and orbit keys), except where an edge id names two orbits in
+different leaves: the reference compares only the ids that survive each
+level's orbit collapse, the replay compares all of them.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -21,12 +20,14 @@ from realdim.certificates import (
     ONE_SUM,
     CertificateError,
     DecompositionTree,
+    Row,
 )
 from realdim.errors import RealdimError
-from realdim.graphs import GainEdge, GainGraph
+from realdim.graphs import GainEdge, GainGraph, orbit_key
 from realdim.randgen import random_simple_gain_graph
 from realdim.realizability import is_1_realizable, is_2_realizable
 from test_acceptance import corpus_500
+from test_graphs import leaf, one_sum, two_sum
 
 # -- the reference ---------------------------------------------------------------
 
@@ -50,12 +51,33 @@ def union(g1, g2):
     return GainGraph(set(g1.vertices) | set(g2.vertices), edges)
 
 
+def nest(rows):
+    """The tree a table stands for, as (row, children) pairs, a leaf's
+    children being its graph."""
+    done = []
+    for row in rows:
+        if row.kind == LEAF:
+            done.append((row, GainGraph(row.vertices, [GainEdge(*e) for e in row.edges])))
+            continue
+        if not 0 < row.children <= len(done):
+            raise CertificateError("a node has too few subtrees before it")
+        kids = done[-row.children:]
+        del done[-row.children:]
+        done.append((row, kids))
+    if len(done) != 1:
+        raise CertificateError("the rows are not one tree")
+    return done[0]
+
+
 def reference_replay(tree):
+    return _replay_node(nest(tree.rows))
+
+
+def _replay_node(node):
+    tree, kids = node
     if tree.kind == LEAF:
-        if tree.graph is None:
-            raise CertificateError("leaf without a graph")
-        return tree.graph
-    replays = [reference_replay(c) for c in tree.children]
+        return kids
+    replays = [_replay_node(c) for c in kids]
     if tree.kind == DISJOINT_UNION:
         if len(replays) < 2:
             raise CertificateError("disjoint union needs at least two children")
@@ -117,11 +139,15 @@ def outcome(replay, tree):
     return g.vertices, [(e.id, e.orbit_key()) for e in g.edges]
 
 
+def leaf_edges(rows):
+    return [e for row in rows if row.kind == LEAF for e in row.edges]
+
+
 def names_two_orbits(tree) -> bool:
     """Whether some edge id names two orbits in different leaves."""
     ids: dict = {}
-    return any(ids.setdefault(e.id, e.orbit_key()) != e.orbit_key()
-               for leaf in tree.leaves() for e in leaf.graph.edges)
+    return any(ids.setdefault(e[0], orbit_key(*e[1:])) != orbit_key(*e[1:])
+               for e in leaf_edges(tree.rows))
 
 
 def assert_replays_agree(tree) -> bool:
@@ -150,68 +176,76 @@ def test_replays_agree_on_acceptance_corpus():
 # -- mutated trees -----------------------------------------------------------------
 
 
-def nodes(tree, path=()):
-    yield path, tree
-    for i, c in enumerate(tree.children):
-        yield from nodes(c, path + (i,))
+def starts(rows):
+    """The first row of each row's subtree, which ends at the row itself."""
+    first, stack = [], []
+    for i, row in enumerate(rows):
+        start = i
+        if row.kind != LEAF:
+            start = stack[-row.children]
+            del stack[-row.children:]
+        stack.append(start)
+        first.append(start)
+    return first
 
 
-def put(tree, path, new):
-    if not path:
-        return new
-    children = list(tree.children)
-    children[path[0]] = put(children[path[0]], path[1:], new)
-    return dataclasses.replace(tree, children=tuple(children))
-
-
-def mutate_leaf(rng, graph, tree):
-    edges = list(graph.edges)
+def mutate_leaf(rng, row, rows):
+    edges = list(row.edges)
     move = rng.randrange(5)
     if move == 0 and edges:  # relabel an edge
-        i = rng.randrange(len(edges))
-        e = edges[i]
-        edges[i] = GainEdge(e.id, e.tail, e.head, e.label + rng.choice((-1, 1)))
+        k = rng.randrange(len(edges))
+        i, t, h, z = edges[k]
+        edges[k] = (i, t, h, z + rng.choice((-1, 1)))
     elif move == 1 and edges:  # give an edge an id used elsewhere in the tree
-        used = [f.id for leaf in tree.leaves() for f in leaf.graph.edges]
-        i = rng.randrange(len(edges))
-        e = edges[i]
-        edges[i] = GainEdge(rng.choice(used), e.tail, e.head, e.label)
+        k = rng.randrange(len(edges))
+        _, t, h, z = edges[k]
+        edges[k] = (rng.choice(leaf_edges(rows))[0], t, h, z)
     elif move == 2:  # switch a vertex
-        return graph.switch(rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2)))
+        shift = {rng.choice(row.vertices): rng.choice((-2, -1, 1, 2))}
+        (switched,) = DecompositionTree((row,)).switched(shift).rows
+        return switched
     elif move == 3 and edges:  # drop an edge
         edges.pop(rng.randrange(len(edges)))
     else:  # copy an edge of another leaf whose endpoints this leaf has
-        other = [f for leaf in tree.leaves() for f in leaf.graph.edges
-                 if {f.tail, f.head} <= set(graph.vertices)]
+        other = [f for f in leaf_edges(rows) if {f[1], f[2]} <= set(row.vertices)]
         if other:
             edges.append(rng.choice(other))
-    return GainGraph(graph.vertices, edges)
+    GainGraph(row.vertices, [GainEdge(*e) for e in edges])  # raises unless a simple graph
+    return row._replace(edges=tuple(edges))
 
 
 def mutate(rng, tree):
-    path, node = rng.choice(list(nodes(tree)))
-    vertices = sorted(set(v for leaf in tree.leaves() for v in leaf.graph.vertices))
+    """Mutate one row: a leaf's edges, or a node with its children's subtrees."""
+    rows = list(tree.rows)
+    first = starts(rows)
+    i = rng.randrange(len(rows))
+    node = rows[i]
     if node.kind == LEAF:
-        return put(tree, path, DecompositionTree.leaf(mutate_leaf(rng, node.graph, tree)))
+        rows[i] = mutate_leaf(rng, node, rows)
+        return DecompositionTree(tuple(rows))
+    vertices = sorted({v for row in rows if row.kind == LEAF for v in row.vertices})
+    ends = [i]  # each child's subtree is rows[first[end - 1]:end]
+    for _ in range(node.children):
+        ends.append(first[ends[-1] - 1])
+    parts = [rows[a:b] for b, a in zip(ends, ends[1:])][::-1]
     move = rng.randrange(5)
     if move == 0:  # reorder the children
-        new = dataclasses.replace(node, children=node.children[::-1])
+        parts = parts[::-1]
     elif move == 1 and node.kind == BALANCED_TWO_SUM:
-        new = dataclasses.replace(node, zero_child=1 - node.zero_child)
+        node = node._replace(zero_child=1 - node.zero_child)
     elif move == 2 and node.kind != DISJOINT_UNION:  # another one- or two-sum
         if rng.random() < 0.5:
-            new = DecompositionTree.one_sum(*node.children[:2], rng.choice(vertices))
+            node = Row.one_sum(rng.choice(vertices))
         else:
             pair = rng.sample(vertices, 2) if len(vertices) > 1 else (1, 2)
-            new = DecompositionTree.balanced_two_sum(*node.children[:2], pair, rng.randrange(2))
+            node = Row.two_sum(pair, rng.randrange(2))
     elif move == 3:  # a disjoint union of the children
-        new = DecompositionTree(DISJOINT_UNION, children=node.children)
+        node = Row(DISJOINT_UNION, children=node.children)
     else:  # graft in a copy of another subtree
-        _, other = rng.choice(list(nodes(tree)))
-        children = list(node.children)
-        children[rng.randrange(len(children))] = other
-        new = dataclasses.replace(node, children=tuple(children))
-    return put(tree, path, new)
+        j = rng.randrange(len(rows))
+        parts[rng.randrange(len(parts))] = rows[first[j]:j + 1]
+    rows[ends[-1]:i + 1] = [row for part in parts for row in part] + [node]
+    return DecompositionTree(tuple(rows))
 
 
 def mutated_trees(count, seed):
@@ -239,13 +273,8 @@ def test_replays_agree_on_mutated_trees():
 def test_id_naming_two_orbits_is_refused_though_the_reference_dropped_it():
     # Edge 5 first names the orbit of edge 3, so the reference drops it
     # at the two-sum; it then names the 2-3 edge, which the reference keeps.
-    left = DecompositionTree.balanced_two_sum(
-        DecompositionTree.leaf(GainGraph((1, 2), [GainEdge(3, 1, 2, 0)])),
-        DecompositionTree.leaf(GainGraph((1, 2), [GainEdge(5, 1, 2, 0)])),
-        (1, 2), zero_child=0,
-    )
-    tree = DecompositionTree.one_sum(
-        left, DecompositionTree.leaf(GainGraph((2, 3), [GainEdge(5, 2, 3, 0)])), 2)
+    left = two_sum(leaf((1, 2), (3, 1, 2, 0)), leaf((1, 2), (5, 1, 2, 0)), (1, 2), zero_child=0)
+    tree = one_sum(left, leaf((2, 3), (5, 2, 3, 0)), 2)
     assert outcome(reference_replay, tree) == ((1, 2, 3), [(3, (1, 2, 0)), (5, (2, 3, 0))])
-    with pytest.raises(CertificateError, match="edge 5 names two orbits"):
+    with pytest.raises(CertificateError, match="row 3: edge 5 names two orbits"):
         tree.replay()
