@@ -21,7 +21,6 @@ from .certificates import (
     CertificateError,
     DecompositionTree,
     RealizabilityVerdict,
-    covering_switch,
     verify_decomposition,
 )
 from .errors import (

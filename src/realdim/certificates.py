@@ -6,9 +6,9 @@ and its edges as ``(id, tail, head, label)`` tuples.  A node row glues the
 subtrees that end just before it, as many as its child count, by
 disjoint union, one-sum (a single shared vertex) or balanced two-sum (a
 single shared edge, one summand balanced).  Replaying the rows in order
-on a stack of finished subtrees builds a supergraph of the input on the
-same vertex set, up to a switching; gluing of these kinds never raises
-realizable dimension beyond the leaves'.  Nothing recurses on a table,
+on a stack of finished subtrees builds a supergraph of the input, in the
+input's own frame, on the same vertex set; gluing of these kinds never
+raises realizable dimension beyond the leaves'.  Nothing recurses on a table,
 and its JSON is one list of flat rows, so a tree of any depth is written,
 read and replayed in linear time.
 
@@ -19,13 +19,12 @@ against the input to a minor forbidden for the dimension (see
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RealdimError
 from .graphs import GainEdge, GainGraph, orbit_key
-from .minors import FORBIDDEN_D1, FORBIDDEN_D2, MinorOp, MinorPattern, MinorWitness
+from .minors import FORBIDDEN_D1, FORBIDDEN_D2, OP_KINDS, MinorOp, MinorPattern, MinorWitness
 
 LEAF = "leaf"
 DISJOINT_UNION = "disjoint_union"
@@ -154,7 +153,7 @@ class DecompositionTree:
 def _leaf_record(row: Row, ids: dict, first: dict) -> tuple:
     """A leaf's vertex set, gains by pair and balanced flag."""
     vertices = set(row.vertices)
-    pairs: dict = {}
+    keys = []
     for e in row.edges:
         eid, tail, head, label = e
         if tail not in vertices or head not in vertices:
@@ -165,8 +164,17 @@ def _leaf_record(row: Row, ids: dict, first: dict) -> tuple:
         if ids.setdefault(eid, key) != key:
             raise CertificateError(f"edge {eid} names two orbits in the tree")
         first.setdefault(key, e)
-        pairs.setdefault(key[:2], set()).add(key[2])
+        keys.append(key)
+    pairs = _pairs(keys)
     return vertices, pairs, _balanced(vertices, pairs)
+
+
+def _pairs(keys) -> dict:
+    """Orbit-key gains by vertex pair, loops under ``(v, v)``."""
+    pairs: dict = {}
+    for a, b, z in keys:
+        pairs.setdefault((a, b), set()).add(z)
+    return pairs
 
 
 def _balanced(vertices: set, pairs: dict) -> bool:
@@ -264,13 +272,9 @@ def _int(value, what: str) -> int:
 
 
 def graph_to_json_dict(g: GainGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "label": e.label}
-            for e in g.edges
-        ],
-    }
+    return {"vertices": list(g.vertices),
+            "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "label": e.label}
+                      for e in g.edges]}
 
 
 def graph_from_json_dict(data: dict) -> GainGraph:
@@ -280,17 +284,7 @@ def graph_from_json_dict(data: dict) -> GainGraph:
     return GainGraph([_int(v, "certificate vertex") for v in data["vertices"]], edges)
 
 
-# -- leaf families ----------------------------------------------------------------
-
-
-def _is_k3_zero_like(row: Row) -> bool:
-    """One edge on each pair of three vertices a < b < c, balanced: the
-    cycle a -> b -> c -> a has gain 0, read off the three orbit keys."""
-    if len(row.vertices) != 3 or len(row.edges) != 3:
-        return False
-    a, b, c = sorted(row.vertices)
-    (_, _, ab), (_, _, ac), (_, _, bc) = keys = sorted(orbit_key(*e[1:]) for e in row.edges)
-    return [k[:2] for k in keys] == [(a, b), (a, c), (b, c)] and ab + bc - ac == 0
+# -- checking a decomposition tree ------------------------------------------------
 
 
 def leaf_in_family(row: Row, dimension: int) -> bool:
@@ -300,92 +294,39 @@ def leaf_in_family(row: Row, dimension: int) -> bool:
     if dimension == 1:
         return n == 1 or (n == 2 and len(edges) == 1 and edges[0][1] != edges[0][2])
     if dimension == 2:
-        return n <= 2 or _is_k3_zero_like(row)
+        if n != 3 or len(edges) != 3:
+            return n <= 2
+        a, b, c = row.vertices
+        pairs = _pairs(orbit_key(*e[1:]) for e in edges)
+        return sorted(pairs) == [(a, b), (a, c), (b, c)] and _balanced(set(row.vertices), pairs)
     raise RealdimError("leaf families are defined for dimensions 1 and 2")
 
 
-# -- coverage --------------------------------------------------------------------
-
-
 def covering_switch(original: GainGraph, replayed: GainGraph):
-    """A switching of the original making it a subgraph of the replayed graph.
-
-    Returns a potential (vertex -> shift) or None.  Edges match content-wise
-    up to inversion; loops match by absolute label (multiset containment).
-    """
-    if not set(original.vertices) <= set(replayed.vertices):
-        return None
-    have = Counter((f.tail, abs(f.label)) for f in replayed.edges if f.is_loop)
-    if Counter((e.tail, abs(e.label)) for e in original.edges if e.is_loop) - have:
-        return None
-    gains: dict = {}  # (tail, head) -> gains of the replayed edges read from tail
-    for f in replayed.edges:
-        if not f.is_loop:
-            gains.setdefault((f.tail, f.head), set()).add(f.label)
-            gains.setdefault((f.head, f.tail), set()).add(-f.label)
-
-    adj: dict = {v: [] for v in original.vertices}
-    for e in original.edges:
-        if not e.is_loop:
-            adj[e.tail].append((e.head, e.label))
-            adj[e.head].append((e.tail, -e.label))
-    psi: dict = {}
-    for v in original.vertices:
-        if v not in psi and not _assign(adj, gains, v, psi):
-            return None
-    return psi
-
-
-def _assign(adj, gains, root, psi) -> bool:
-    """Assign switching shifts over root's component, in BFS order.
-
-    A vertex's shift is fixed by matching its BFS tree edge to one of the
-    replayed edges between the same two vertices; the edges back to
-    earlier vertices then check it.  Only the choice among parallel
-    replayed edges is ever undone.
-    """
-    tree = {root: None}
-    order = [root]
-    for u in order:
-        for w, z in adj[u]:
-            if w not in tree:
-                tree[w] = (u, z)
-                order.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    back = [[(w, z) for w, z in adj[v] if pos[w] < i] for i, v in enumerate(order)]
-    options: list = [None] * len(order)
-    psi[root] = 0
-    i = 1
-    while 0 < i < len(order):
-        v = order[i]
-        if options[i] is None:
-            u, z = tree[v]
-            options[i] = sorted(z + psi[u] - g for g in gains.get((u, v), ()))
-        while options[i]:
-            psi[v] = options[i].pop()
-            if all(z + psi[v] - psi[w] in gains.get((v, w), ()) for w, z in back[i]):
-                i += 1
-                break
-        else:
-            options[i] = None
-            psi.pop(v, None)
-            i -= 1
-    return i > 0
+    """The identity switching ``{}`` when the original, in its own frame, is
+    a subgraph of the replayed graph: its vertices are among the replay's
+    and so are its orbit keys (a loop's is ``(v, v, |label|)``).  Else None."""
+    keys = {f.orbit_key() for f in replayed.edges}
+    covered = set(original.vertices) <= set(replayed.vertices) and all(
+        e.orbit_key() in keys for e in original.edges)
+    return {} if covered else None
 
 
 def verify_decomposition(tree: DecompositionTree, original: GainGraph, dimension: int):
-    """Full check of a yes-certificate; raises CertificateError on failure."""
+    """Full check of a yes-certificate in its input's frame; raises
+    CertificateError on failure."""
     for i, row in enumerate(tree.rows):
         if row.kind == LEAF and not leaf_in_family(row, dimension):
             raise CertificateError(f"row {i}: leaf outside the dimension-{dimension} family: "
                                    f"vertices {list(row.vertices)}, edges {list(row.edges)}")
     replayed = tree.replay()
     if set(replayed.vertices) != set(original.vertices):
-        raise CertificateError(
-            "replayed graph is not on the same vertex set as the input"
-        )
+        raise CertificateError("replayed graph is not on the same vertex set as the input")
     if covering_switch(original, replayed) is None:
-        raise CertificateError("input is not a switched subgraph of the replay")
+        keys = {f.orbit_key() for f in replayed.edges}
+        eid = next(e.id for e in original.edges if e.orbit_key() not in keys)
+        raise CertificateError(f"input edge {eid} has no orbit in the replay (a certificate "
+                               f"is checked in its input's frame)")
     return replayed
 
 
@@ -421,7 +362,12 @@ class RealizabilityVerdict:
             if self.answer:
                 raise CertificateError('a minor witness certifies "no", not "yes"')
             if not cert.verify(original):
-                raise CertificateError("minor witness failed to replay")
+                try:
+                    cert.replay(original)
+                except RealdimError as exc:
+                    raise CertificateError(f"minor witness failed to replay: {exc}") from None
+                raise CertificateError(f"minor witness replays to a graph that is not "
+                                       f"{cert.pattern.describe()}")
             forbidden = {1: FORBIDDEN_D1, 2: FORBIDDEN_D2}.get(self.dimension_bound, ())
             if not any(p.kind == cert.pattern.kind
                        and (p.kind != "exact" or p.matches(cert.pattern.graph))
@@ -454,6 +400,8 @@ def witness_from_json_dict(data: dict) -> MinorWitness:
         pattern = MinorPattern.family(pat["kind"])
     ops = []
     for i, o in enumerate(data["ops"]):
+        if o["op"] not in OP_KINDS:
+            raise CertificateError(f"certificate op {i} has unknown kind {o['op']!r}")
         survivor = o.get("survivor")
         ops.append(MinorOp(o["op"], _int(o["target"], f"certificate op {i} target"),
                            survivor if survivor is None

@@ -118,11 +118,14 @@ def balanced_complete_pattern(n: int) -> MinorPattern:
     )
 
 
+OP_KINDS = ("delete_edge", "delete_vertex", "contract_edge")
+
+
 @dataclass(frozen=True)
 class MinorOp:
     """One minor operation, addressed by stable ids."""
 
-    kind: str  # "delete_edge" | "delete_vertex" | "contract_edge"
+    kind: str  # one of OP_KINDS
     target: int
     survivor: int | None = None
 
@@ -136,20 +139,29 @@ class MinorWitness:
 
     def replay(self, host: GainGraph) -> GainGraph:
         """Apply the ops in order, each run of deletions of one kind in one
-        rebuild; an unknown or repeated target raises ``RealdimError``."""
-        g = host
-        for kind, run in itertools.groupby(self.ops, key=lambda op: op.kind):
-            run = list(run)
-            if kind == "contract_edge":
-                for op in run:
-                    g = g.contract_edge(op.target, survivor=op.survivor)
-                continue
-            targets = [op.target for op in run]
-            if kind not in ("delete_edge", "delete_vertex"):
-                raise RealdimError(f"unknown minor operation {kind!r}")
-            if len(set(targets)) != len(targets):
-                raise RealdimError(f"{kind} repeats a target in {targets}")
-            g = g.delete_edges(targets) if kind == "delete_edge" else g.delete_vertices(targets)
+        rebuild.  An op that does not apply raises ``RealdimError`` naming
+        it, as in ``op 3 (contract_edge 17): unknown edge id 17``."""
+        g, i = host, 0  # i indexes the op being applied
+        try:
+            for kind, run in itertools.groupby(self.ops, key=lambda op: op.kind):
+                if kind == "contract_edge":
+                    for op in run:
+                        g = g.contract_edge(op.target, survivor=op.survivor)
+                        i += 1
+                    continue
+                if kind not in OP_KINDS:
+                    raise RealdimError(f"unknown minor operation {kind!r}")
+                have = {e.id for e in g.edges} if kind == "delete_edge" else set(g.vertices)
+                targets = [op.target for op in run]
+                for t in targets:
+                    if t not in have:
+                        raise RealdimError("not in the graph")
+                    have.discard(t)
+                    i += 1
+                g = g.delete_edges(targets) if kind == "delete_edge" else g.delete_vertices(targets)
+        except RealdimError as exc:
+            op = self.ops[i]
+            raise RealdimError(f"op {i} ({op.kind} {op.target}): {exc}") from None
         return g
 
     def verify(self, host: GainGraph) -> bool:

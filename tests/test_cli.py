@@ -400,6 +400,8 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
         pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c["ops"][-1].update(survivor="1"),
                      id="op-survivor-string"),
         pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.update(ops=5), id="ops-not-list"),
+        pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c["ops"][0].update(op=["x"]),
+                     id="op-unknown-kind"),
         pytest.param(COUNTEREXAMPLE_C, 1, lambda c: c.pop("dimension"), id="no-dimension"),
         pytest.param(K2, 1, lambda c: c.update(root=[]), id="root-not-object"),
         pytest.param(K2, 1, lambda c: row(c, 0).pop("edges"), id="leaf-no-graph"),
@@ -437,6 +439,13 @@ EXACT_K2 = {"kind": "exact", "graph": {"vertices": [1, 2], "edges": [
     {"id": 1, "tail": 1, "head": 2, "label": 0}]}}
 
 
+def switch_leaves_at(c, v):
+    """Switch every leaf edge of a tree certificate at vertex v by 1."""
+    for r in c["root"]["rows"]:
+        for e in r.get("edges", ()):
+            e[3] += (e[1] == v) - (e[2] == v)
+
+
 @pytest.mark.parametrize(
     "graph, dim, forge",
     [
@@ -448,6 +457,8 @@ EXACT_K2 = {"kind": "exact", "graph": {"vertices": [1, 2], "edges": [
                      id="witness-claims-yes"),
         pytest.param(K2, 1, lambda c: c.update(kind="minor-witness", answer="no", ops=[],
                                                pattern=EXACT_K2), id="exact-k2-pattern"),
+        pytest.param(TRIANGLE_DOUBLED, 2, lambda c: switch_leaves_at(c, 1),
+                     id="tree-in-a-switched-frame"),
     ],
 )
 def test_forged_certificate_is_invalid(tmp_path, capsys, graph, dim, forge):
@@ -530,6 +541,23 @@ def test_format_1_certificate_is_refused(tmp_path, capsys):
 def test_certificate_errors_name_the_row(tmp_path, capsys, mutate, expect):
     _, out = verify_mutated(tmp_path, capsys, PANHANDLE, 2, mutate)
     assert expect in out.out + out.err
+
+
+@pytest.mark.parametrize(
+    "mutate, expect",
+    [
+        pytest.param(lambda c: c["ops"][1].update(target=9),
+                     "INVALID (minor witness failed to replay: op 1 (delete_edge 9): "
+                     "not in the graph)", id="unknown-target"),
+        pytest.param(lambda c: c["ops"].pop(),
+                     "INVALID (minor witness replays to a graph that is not k2-bullet)",
+                     id="not-the-pattern"),
+    ],
+)
+def test_failed_witness_names_the_op(tmp_path, capsys, mutate, expect):
+    code, out = verify_mutated(tmp_path, capsys, PANHANDLE, 1, mutate)
+    assert code == 1
+    assert expect in out.out
 
 
 # Each breaks every table of two rows or more, where swapping two sibling

@@ -482,9 +482,12 @@ def test_triangle_leaf_family_matches_balance():
 
 
 def test_switched_certificate_covers_the_switched_graph():
+    # A certificate is checked in its input's frame: the switched one
+    # covers the switched graph, and the unswitched one is refused there,
+    # naming the first input edge whose orbit the shift moved out of it.
     rng = random.Random(7)
     graphs = [k2_zero(), counterexample_a(), counterexample_c(), k3_zero(), tree_with_loops(30, rng)]
-    checked = 0
+    checked = refused = 0
     for g in graphs:
         for decide in (is_1_realizable, is_2_realizable):
             v = decide(g)
@@ -493,9 +496,16 @@ def test_switched_certificate_covers_the_switched_graph():
             shift = {u: rng.randint(-3, 3) for u in g.vertices}
             tree = v.certificate.switched(shift)
             assert tree.replay() == v.certificate.replay().switch_many(shift)
-            verify_decomposition(tree, g.switch_many(shift), v.dimension_bound)
+            moved = g.switch_many(shift)
+            verify_decomposition(tree, moved, v.dimension_bound)
+            keys = {e.orbit_key() for e in v.certificate.replay().edges}
+            missing = [e.id for e in moved.edges if e.orbit_key() not in keys]
+            if missing:
+                with pytest.raises(CertificateError, match=rf"input edge {missing[0]} "):
+                    verify_decomposition(v.certificate, moved, v.dimension_bound)
+                refused += 1
             checked += 1
-    assert checked >= 5
+    assert checked >= 5 and refused >= 4
 
 
 def test_certificate_json_roundtrip():
