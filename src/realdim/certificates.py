@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph, orbit_key
-from .minors import FORBIDDEN_D1, FORBIDDEN_D2, OP_KINDS, MinorOp, MinorPattern, MinorWitness
+from .graphs import OP_KINDS, GainEdge, GainGraph, orbit_key
+from .minors import FORBIDDEN_D1, FORBIDDEN_D2, MinorOp, MinorPattern, MinorWitness
 
 LEAF = "leaf"
 DISJOINT_UNION = "disjoint_union"
@@ -237,8 +237,7 @@ def _glue(row: Row, parts: list) -> tuple:
 def _row_from_json(data: dict) -> Row:
     kind = data["node"]
     if kind == LEAF:
-        return Row(LEAF, tuple(sorted({_int(v, "vertex") for v in data["vertices"]})),
-                   tuple(map(_edge, data["edges"])))
+        return Row(LEAF, _vertices(data["vertices"], "vertex"), tuple(map(_edge, data["edges"])))
     children = _int(data["children"], "children")
     if kind == DISJOINT_UNION:
         return Row(kind, children=children)
@@ -264,6 +263,14 @@ def _edge(e) -> tuple:
     return tuple(e)
 
 
+def _vertices(values, what: str) -> tuple:
+    """Sorted integer vertices; a repeated one raises CertificateError."""
+    vs = sorted(_int(v, what) for v in values)
+    if len(set(vs)) < len(vs):
+        raise CertificateError(f"{what} list {values!r} repeats a vertex")
+    return tuple(vs)
+
+
 def _int(value, what: str) -> int:
     # an exact type check, since a bool is no integer here
     if type(value) is not int:
@@ -281,7 +288,7 @@ def graph_from_json_dict(data: dict) -> GainGraph:
     fields = ("id", "tail", "head", "label")
     edges = [GainEdge(*(_int(e[k], f"certificate edge {k}") for k in fields))
              for e in data["edges"]]
-    return GainGraph([_int(v, "certificate vertex") for v in data["vertices"]], edges)
+    return GainGraph(_vertices(data["vertices"], "certificate pattern vertex"), edges)
 
 
 # -- checking a decomposition tree ------------------------------------------------

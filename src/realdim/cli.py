@@ -20,7 +20,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import CertificateError, certificate_from_json_dict, certificate_to_json_dict
+from .certificates import (
+    CertificateError,
+    certificate_from_json_dict,
+    certificate_to_json_dict,
+    witness_to_json_dict,
+)
 from .documents import (
     FrameworkDocument,
     GraphDocument,
@@ -179,11 +184,8 @@ def cmd_minor(args) -> int:
     if witness is None:
         out.say("minor: none", minor=False)
         return out.flush(0)
-    ops = [
-        {"op": op.kind, "target": op.target, "survivor": op.survivor}
-        for op in witness.ops
-    ]
-    out.say(f"minor: found ({len(witness.ops)} operations)", minor=True, ops=ops)
+    out.say(f"minor: found ({len(witness.ops)} operations)", minor=True,
+            ops=witness_to_json_dict(witness)["ops"])
     for op in witness.ops:
         extra = f" survivor {op.survivor}" if op.kind == "contract_edge" else ""
         out.say(f"  {op.kind} {op.target}{extra}")

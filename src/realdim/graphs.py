@@ -31,6 +31,9 @@ from .errors import BoundExceededError, RealdimError, SimplicityError
 # at the bound `realdim lift` runs for about 1.5 s in about 130 MB.
 LIFT_WINDOW_BOUND = 100_000
 
+# Minor operations, applied by GainGraph.minor.
+OP_KINDS = ("delete_edge", "delete_vertex", "contract_edge")
+
 
 @dataclass(frozen=True)
 class GainEdge:
@@ -347,7 +350,7 @@ class GainGraph:
     certificates can refer to vertices and edges across operations.
 
     Instances are treated as immutable: every operation returns a new
-    graph.
+    graph.  Deletions and contractions all go through one pass, :meth:`minor`.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[GainEdge] = ()):
@@ -374,9 +377,6 @@ class GainGraph:
         """Build a graph on vertices 1..n from (tail, head, label) triples."""
         edges = [GainEdge(i, t, h, z) for i, (t, h, z) in enumerate(triples, start=1)]
         return cls(range(1, n + 1), edges)
-
-    def replace_edges(self, edges) -> "GainGraph":
-        return GainGraph(self.vertices, edges)
 
     def fresh_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=0) + 1
@@ -440,72 +440,61 @@ class GainGraph:
             else:
                 z = e.label + potentials.get(e.tail, 0) - potentials.get(e.head, 0)
                 out.append(GainEdge(e.id, e.tail, e.head, z))
-        return self.replace_edges(out)
+        return GainGraph(self.vertices, out)
 
     def invert_edge(self, eid: int) -> "GainGraph":
-        e = self.edge(eid)
-        out = [f.inverted() if f.id == eid else f for f in self.edges]
-        return self.replace_edges(out)
+        self.edge(eid)
+        return GainGraph(self.vertices, [f.inverted() if f.id == eid else f for f in self.edges])
 
     def delete_edge(self, eid: int) -> "GainGraph":
-        self.edge(eid)
-        return self.replace_edges([e for e in self.edges if e.id != eid])
+        return self.minor([("delete_edge", eid, None)])
 
     def delete_edges(self, eids) -> "GainGraph":
-        drop = set(eids)
-        for eid in drop:
-            self.edge(eid)
-        return self.replace_edges([e for e in self.edges if e.id not in drop])
+        return self.minor([("delete_edge", eid, None) for eid in eids])
 
     def delete_vertex(self, v: int) -> "GainGraph":
-        return self.delete_vertices((v,))
+        return self.minor([("delete_vertex", v, None)])
 
     def delete_vertices(self, vs) -> "GainGraph":
-        drop = set(vs)
-        for v in drop:
-            if v not in self._vset:
-                raise RealdimError(f"unknown vertex {v}")
-        keep = [e for e in self.edges if e.tail not in drop and e.head not in drop]
-        return GainGraph((u for u in self.vertices if u not in drop), keep)
+        return self.minor([("delete_vertex", v, None) for v in vs])
 
     def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
-        """Contract a non-loop edge, switching its label to zero first.
+        """Contract a non-loop: switch its head by its label, merge the other
+        end into ``survivor`` (the smaller end by default), drop zero-label
+        loops, and keep the smallest id of each orbit (deterministic; any
+        choice gives an isomorphic graph)."""
+        return self.minor([("contract_edge", eid, survivor)])
 
-        The endpoints merge into ``survivor`` (the smaller endpoint by
-        default).  Zero-label selfloops created by the merge are dropped,
-        and among parallel edges that now describe the same orbit the one
-        with the smallest id is kept.  All retention choices give
-        isomorphic results; this one is deterministic.
-        """
-        e = self.edge(eid)
-        if e.is_loop:
-            raise RealdimError(f"cannot contract selfloop {eid}")
-        g = self if e.label == 0 else self.switch(e.head, e.label)
-        e = g.edge(eid)
-        if survivor is None:
-            survivor = min(e.tail, e.head)
-        elif survivor not in (e.tail, e.head):
-            raise RealdimError("survivor must be an endpoint of the contracted edge")
-        gone = e.head if survivor == e.tail else e.tail
-
-        def move(v):
-            return survivor if v == gone else v
-
-        merged = []
-        for f in g.edges:
-            if f.id == eid:
-                continue
-            t, h = move(f.tail), move(f.head)
-            if t == h and f.label == 0:
-                continue
-            merged.append(GainEdge(f.id, t, h, f.label))
-
-        kept: dict = {}
-        for f in merged:
-            key = f.orbit_key()
-            if key not in kept or f.id < kept[key].id:
-                kept[key] = f
-        return GainGraph((u for u in self.vertices if u != gone), kept.values())
+    def minor(self, ops) -> "GainGraph":
+        """Apply ``(kind, target, survivor)`` ops, kinds from ``OP_KINDS``,
+        in one pass over the live edges by id and, per vertex, its edge ids
+        (some perhaps deleted since); build one graph at the end.  Deleting
+        an edge costs O(1) and a vertex its list; a contraction touches the
+        edges of its two ends only.  A failing op raises ``RealdimError``
+        naming it, as in ``op 3 (contract_edge 17): unknown edge id 17``."""
+        edges = dict(self._by_id)
+        inc: dict = {v: [] for v in self.vertices}
+        for e in self.edges:
+            inc[e.tail].append(e.id)
+            if e.head != e.tail:
+                inc[e.head].append(e.id)
+        for i, (kind, target, survivor) in enumerate(ops):
+            try:
+                if kind == "delete_edge":
+                    if edges.pop(target, None) is None:
+                        raise RealdimError("not in the graph")
+                elif kind == "delete_vertex":
+                    if target not in inc:
+                        raise RealdimError("not in the graph")
+                    for eid in inc.pop(target):
+                        edges.pop(eid, None)
+                elif kind == "contract_edge":
+                    _contract(edges, inc, target, survivor)
+                else:
+                    raise RealdimError(f"unknown minor operation {kind!r}")
+            except RealdimError as exc:
+                raise RealdimError(f"op {i} ({kind} {target}): {exc}") from None
+        return GainGraph(inc, edges.values())
 
     # -- derived graphs ----------------------------------------------------------
 
@@ -666,6 +655,38 @@ class GainGraph:
                 f"canonical_form bound is {max_vertices} vertices, graph has {self.n}"
             )
         return canonical_state(*self.orbit_state())
+
+
+def _contract(edges: dict, inc: dict, eid: int, survivor) -> None:
+    """One contraction of :meth:`GainGraph.minor`, in place."""
+    e = edges.pop(eid, None)  # an error drops the whole pass
+    if e is None:
+        raise RealdimError(f"unknown edge id {eid}")
+    if e.is_loop:
+        raise RealdimError(f"cannot contract selfloop {eid}")
+    if survivor is None:
+        survivor = min(e.tail, e.head)
+    elif survivor not in (e.tail, e.head):
+        raise RealdimError("survivor must be an endpoint of the contracted edge")
+    gone = e.head if survivor == e.tail else e.tail
+    kept: dict = {}  # orbit key -> edge with the smallest id
+    for fid in inc[survivor] + inc.pop(gone):
+        f = edges.pop(fid, None)
+        if f is None:
+            continue
+        t, h, z = f.tail, f.head, f.label
+        if t != h:  # switch the head, which leaves loops alone
+            z += e.label if t == e.head else -e.label if h == e.head else 0
+        t, h = survivor if t == gone else t, survivor if h == gone else h
+        if t == h and z == 0:
+            continue
+        if (t, h, z) != (f.tail, f.head, f.label):
+            f = GainEdge(fid, t, h, z)
+        key = orbit_key(t, h, z)
+        if key not in kept or fid < kept[key].id:
+            kept[key] = f
+    edges.update((f.id, f) for f in kept.values())
+    inc[survivor] = [f.id for f in kept.values()]
 
 
 def canonical_state(n: int, triples) -> tuple:

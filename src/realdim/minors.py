@@ -1,7 +1,7 @@
 """Exhaustive minor testing for labelled graphs and finite-graph checks.
 
 Minors arise from edge deletions, vertex deletions, and contractions of
-non-loop edges (contraction switches the label to zero first).  The
+non-loop edges, which :meth:`GainGraph.minor` applies in one pass.  The
 labelled search is the correctness oracle for the polynomial deciders,
 which never call it; it is feasible only for small hosts.
 
@@ -43,6 +43,7 @@ import itertools
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BoundExceededError, RealdimError
 from .graphs import GainGraph, SimpleGraph, canonical_state
@@ -118,51 +119,24 @@ def balanced_complete_pattern(n: int) -> MinorPattern:
     )
 
 
-OP_KINDS = ("delete_edge", "delete_vertex", "contract_edge")
+class MinorOp(NamedTuple):
+    """One minor operation, addressed by stable ids, as GainGraph.minor reads it."""
 
-
-@dataclass(frozen=True)
-class MinorOp:
-    """One minor operation, addressed by stable ids."""
-
-    kind: str  # one of OP_KINDS
+    kind: str  # one of graphs.OP_KINDS
     target: int
     survivor: int | None = None
 
 
 @dataclass(frozen=True)
 class MinorWitness:
-    """A reduction from a host to a forbidden pattern, replayed op by op."""
+    """A reduction from a host to a forbidden pattern."""
 
     pattern: MinorPattern
     ops: tuple = ()
 
     def replay(self, host: GainGraph) -> GainGraph:
-        """Apply the ops in order, each run of deletions of one kind in one
-        rebuild.  An op that does not apply raises ``RealdimError`` naming
-        it, as in ``op 3 (contract_edge 17): unknown edge id 17``."""
-        g, i = host, 0  # i indexes the op being applied
-        try:
-            for kind, run in itertools.groupby(self.ops, key=lambda op: op.kind):
-                if kind == "contract_edge":
-                    for op in run:
-                        g = g.contract_edge(op.target, survivor=op.survivor)
-                        i += 1
-                    continue
-                if kind not in OP_KINDS:
-                    raise RealdimError(f"unknown minor operation {kind!r}")
-                have = {e.id for e in g.edges} if kind == "delete_edge" else set(g.vertices)
-                targets = [op.target for op in run]
-                for t in targets:
-                    if t not in have:
-                        raise RealdimError("not in the graph")
-                    have.discard(t)
-                    i += 1
-                g = g.delete_edges(targets) if kind == "delete_edge" else g.delete_vertices(targets)
-        except RealdimError as exc:
-            op = self.ops[i]
-            raise RealdimError(f"op {i} ({op.kind} {op.target}): {exc}") from None
-        return g
+        """One :meth:`GainGraph.minor` pass: time linear in the ops and the degrees they touch."""
+        return host.minor(self.ops)
 
     def verify(self, host: GainGraph) -> bool:
         try:
@@ -278,7 +252,7 @@ def has_minor(host: GainGraph, pattern: MinorPattern,
                 e = g.edges[k]
                 op = MinorOp(kind, e.id, min(e.tail, e.head) if kind == "contract_edge" else None)
             ops.append(op)
-            g = MinorWitness(pattern, (op,)).replay(g)
+            g = g.minor([op])
         return MinorWitness(pattern, tuple(ops))
     finally:
         _trim()

@@ -75,20 +75,12 @@ def random_minor_operation(rng: random.Random, g: GainGraph) -> GainGraph | None
     """Apply one random deletion or contraction; None if nothing applies."""
     ops = []
     for e in g.edges:
-        ops.append(("delete_edge", e.id))
+        ops.append(("delete_edge", e.id, None))
         if not e.is_loop:
-            ops.append(("contract_edge", e.id))
+            ops.append(("contract_edge", e.id, None))
     if g.n > 1:
-        for v in g.vertices:
-            ops.append(("delete_vertex", v))
-    if not ops:
-        return None
-    kind, target = rng.choice(ops)
-    if kind == "delete_edge":
-        return g.delete_edge(target)
-    if kind == "contract_edge":
-        return g.contract_edge(target)
-    return g.delete_vertex(target)
+        ops += [("delete_vertex", v, None) for v in g.vertices]
+    return g.minor([rng.choice(ops)]) if ops else None
 
 
 def random_framework(

@@ -87,13 +87,8 @@ def _smallest_parallel_pair(g: GainGraph):
 
 def _keep_only(g: GainGraph, keep_vertices, keep_edge_ids) -> list:
     """Deletion ops trimming g to a vertex/edge subset; edges first."""
-    ops = [
-        MinorOp("delete_edge", e.id) for e in g.edges if e.id not in keep_edge_ids
-    ]
-    ops += [
-        MinorOp("delete_vertex", v) for v in g.vertices if v not in keep_vertices
-    ]
-    return ops
+    return ([MinorOp("delete_edge", e.id) for e in g.edges if e.id not in keep_edge_ids]
+            + [MinorOp("delete_vertex", v) for v in g.vertices if v not in keep_vertices])
 
 
 def _smallest_ids(g: GainGraph, a: int, b: int, k: int) -> set:

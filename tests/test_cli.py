@@ -55,6 +55,8 @@ edge 4 2 1
 """
 
 K2 = "gaingraph v1\nvertices 2\nedge 1 2 0\n"
+# Its d=1 certificate is a witness whose pattern is the exact balanced triangle.
+TRIANGLE = "gaingraph v1\nvertices 3\nedge 1 2 0\nedge 2 3 0\nedge 1 3 0\n"
 
 
 @pytest.fixture
@@ -412,6 +414,10 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
         pytest.param(K2, 1, lambda c: c.update(answer="maybe"), id="answer-unknown"),
         pytest.param(K2, 1, lambda c: row(c, 0).update(edges=[[1, 1, 2, "0"]]),
                      id="edge-label-string"),
+        pytest.param(K2, 1, lambda c: row(c, 0).update(vertices=[1, 2, 1]),
+                     id="leaf-repeated-vertex"),
+        pytest.param(TRIANGLE, 1, lambda c: c["pattern"]["graph"]["vertices"].append(1),
+                     id="pattern-repeated-vertex"),
         pytest.param(PANHANDLE, 2, lambda c: row(c, -1).pop("children"), id="no-children"),
         pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(children={}),
                      id="children-not-list"),
@@ -616,12 +622,15 @@ def test_classify_long_cycle_without_certificates(tmp_path):
     prefix = tmp_path / "cert"
     with_certs = classify("--cert-out", str(prefix))
     assert with_certs.returncode == 0, with_certs.stderr
-    verified = subprocess.run(
-        [sys.executable, "-m", "realdim.cli", "verify-cert", str(g), f"{prefix}.d2.json"],
-        capture_output=True, text=True, env={"PYTHONPATH": src},
-    )
-    assert verified.returncode == 0, verified.stderr
-    assert "certificate: valid" in verified.stdout
+    # The d=1 certificate is a minor witness of n - 2 contractions, replayed
+    # in one pass.
+    for dim in (2, 1):
+        verified = subprocess.run(
+            [sys.executable, "-m", "realdim.cli", "verify-cert", str(g), f"{prefix}.d{dim}.json"],
+            capture_output=True, text=True, env={"PYTHONPATH": src},
+        )
+        assert verified.returncode == 0, verified.stderr
+        assert "certificate: valid" in verified.stdout
 
 
 def test_bound_exceeded_exit_code(tmp_path, capsys):

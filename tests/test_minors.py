@@ -5,8 +5,8 @@ from collections import Counter, OrderedDict, deque
 import pytest
 
 from realdim import minors
-from realdim.errors import BoundExceededError
-from realdim.graphs import GainGraph, SimpleGraph, canonical_state
+from realdim.errors import BoundExceededError, RealdimError
+from realdim.graphs import GainEdge, GainGraph, SimpleGraph, canonical_state, orbit_key
 from realdim.minors import (
     K2_BULLET,
     K3_BULLETBULLET,
@@ -132,6 +132,24 @@ def test_replay_rejects_unknown_or_repeated_target_in_a_deletion_run(host, witne
     assert witness.verify(host) is ok
 
 
+def ref_apply(g, op):
+    """One op by deleting or by switching then rebuilding, apart from GainGraph.minor."""
+    kind, target, survivor = op
+    if kind == "delete_edge":
+        return GainGraph(g.vertices, [e for e in g.edges if e.id != target])
+    if kind == "delete_vertex":
+        return GainGraph([v for v in g.vertices if v != target],
+                         [e for e in g.edges if target not in (e.tail, e.head)])
+    e = g.edge(target)
+    gone = e.head if survivor == e.tail else e.tail
+    kept = {}
+    for f in g.switch_many({e.head: e.label}).edges:  # in id order
+        t, h = (survivor if v == gone else v for v in (f.tail, f.head))
+        if f.id != target and (t != h or f.label != 0):
+            kept.setdefault(orbit_key(t, h, f.label), GainEdge(f.id, t, h, f.label))
+    return GainGraph([v for v in g.vertices if v != gone], kept.values())
+
+
 def test_replay_of_deletion_runs_equals_op_by_op():
     rng = random.Random(13)
     from realdim.randgen import random_simple_gain_graph
@@ -145,16 +163,24 @@ def test_replay_of_deletion_runs_equals_op_by_op():
             non_loops = [e for e in h.edges if not e.is_loop]
             if kind == "delete_edge" and h.edges:
                 op = MinorOp(kind, rng.choice(h.edges).id)
-                h = h.delete_edge(op.target)
             elif kind == "contract_edge" and non_loops:
                 e = rng.choice(non_loops)
                 op = MinorOp(kind, e.id, rng.choice((e.tail, e.head)))
-                h = h.contract_edge(op.target, survivor=op.survivor)
             else:
                 op = MinorOp("delete_vertex", rng.choice(h.vertices))
-                h = h.delete_vertex(op.target)
+            h = ref_apply(h, op)
             ops.append(op)
-        assert MinorWitness(MinorPattern.family(K2_BULLET), tuple(ops)).replay(g) == h
+        witness = MinorWitness(MinorPattern.family(K2_BULLET), tuple(ops))
+        assert witness.replay(g) == h
+        # contracting an edge that an earlier op removed fails, naming its own index
+        left = {e.id for e in h.edges}
+        removed = [e.id for e in g.edges if e.id not in left]
+        if removed:
+            eid = removed[0]
+            bad = MinorWitness(witness.pattern, witness.ops + (MinorOp("contract_edge", eid),))
+            with pytest.raises(RealdimError, match=rf"^op {len(ops)} \(contract_edge {eid}\): "
+                                                   rf"unknown edge id {eid}$"):
+                bad.replay(g)
 
 
 def test_minor_invariant_under_isomorphism():

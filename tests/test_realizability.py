@@ -595,10 +595,9 @@ def necklace(n):
     return GainGraph.of(n, [(1, 2, 1)] + [(i, i % n + 1, i % 3 - 1) for i in range(1, n + 1)])
 
 
-@pytest.mark.parametrize("make", [long_cycle, lambda n: balanced_strip(n, random.Random(3))],
-                         ids=["cycle", "strip-two-tree"])
-def test_d2_passes_linearly_many_edges_through_gain_graphs(monkeypatch, make):
-    g = make(2000)
+@pytest.fixture
+def edge_records(monkeypatch):
+    """The edge count of every GainGraph built while the test runs."""
     records = []
     init = GainGraph.__init__
 
@@ -607,12 +606,29 @@ def test_d2_passes_linearly_many_edges_through_gain_graphs(monkeypatch, make):
         records.append(len(self.edges))
 
     monkeypatch.setattr(GainGraph, "__init__", counting_init)
+    return records
+
+
+@pytest.mark.parametrize("make", [long_cycle, lambda n: balanced_strip(n, random.Random(3))],
+                         ids=["cycle", "strip-two-tree"])
+def test_d2_passes_linearly_many_edges_through_gain_graphs(edge_records, make):
+    g = make(2000)
     v = is_2_realizable(g)
     assert v.answer
-    assert sum(records) <= 10 * g.m
-    records.clear()
+    assert sum(edge_records) <= 10 * g.m
+    edge_records.clear()
     assert v.verify(g)
-    assert sum(records) <= 4 * g.m
+    assert sum(edge_records) <= 4 * g.m
+
+
+def test_d1_witness_replay_passes_linearly_many_edges_through_gain_graphs(edge_records):
+    # n - 2 contractions, replayed in one pass that builds one graph
+    g = long_cycle(2000)
+    v = is_1_realizable(g)
+    assert not v.answer
+    edge_records.clear()
+    assert v.verify(g)
+    assert sum(edge_records) <= 4 * g.m
 
 
 @pytest.fixture
@@ -633,3 +649,10 @@ def test_d2_decides_20000_vertices_at_default_recursion_limit(default_recursion_
     if make is necklace:
         # the root is the deletion step, whose balanced summand is the rest
         assert v.certificate.rows[-1].zero_child == 0
+
+
+def test_d1_witness_of_20000_cycle_verifies(default_recursion_limit):
+    g = long_cycle(20000)
+    v = is_1_realizable(g)
+    assert not v.answer
+    assert v.verify(g)
