@@ -455,9 +455,6 @@ class GainGraph:
     def delete_vertex(self, v: int) -> "GainGraph":
         return self.minor([("delete_vertex", v, None)])
 
-    def delete_vertices(self, vs) -> "GainGraph":
-        return self.minor([("delete_vertex", v, None) for v in vs])
-
     def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
         """Contract a non-loop: switch its head by its label, merge the other
         end into ``survivor`` (the smaller end by default), drop zero-label
@@ -647,9 +644,10 @@ class GainGraph:
 
     def canonical_form(self, max_vertices: int = 8):
         """Hashable encoding equal for two graphs iff they are isomorphic:
-        :func:`canonical_state` of :meth:`orbit_state`.  It tries every
-        invariant-respecting vertex ordering, hence the size bound; parallel
-        edges need no bound, since no choice of tree edge is enumerated."""
+        :func:`canonical_state` of :meth:`orbit_state`.  It tries every BFS
+        vertex ordering, branching where a vertex invariant ties, which is
+        factorial for symmetric graphs, hence the size bound; parallel edges
+        need no bound, since no choice of tree edge is enumerated."""
         if self.n > max_vertices:
             raise BoundExceededError(
                 f"canonical_form bound is {max_vertices} vertices, graph has {self.n}"
@@ -694,45 +692,57 @@ def canonical_state(n: int, triples) -> tuple:
     with the given edge orbit keys: equal iff the graphs are isomorphic
     (equal after switchings, edge inversions and a vertex bijection).
 
-    For each vertex ordering that respects a degree, multiplicity and loop
-    invariant, a BFS forest is grown in that order, and each tree pair's
-    parallel edge with the smallest gain read from the parent is switched
-    to gain 0.  Switching shifts every gain of a pair by one constant, so
-    that edge does not depend on the labelling.  The result is the least
-    encoding over the orderings.
+    It tries the BFS orderings only: the next vertex is an unvisited
+    neighbour, of least degree/multiplicity/loop invariant, of the earliest
+    vertex that still has one; when a component is used up, an unvisited
+    vertex of least invariant starts the next.  Only ties branch.  Each
+    vertex joins switched so that the smallest gain read from its parent
+    is 0, and each root with potential 0; switching shifts every gain of a
+    pair by one constant, so that edge does not depend on the labelling.
+    Vertices are renumbered in the order they join.  The result is the
+    least encoding over the orderings.
     """
     loops: list = [[] for _ in range(n + 1)]
-    gains: dict = {}
-    adj: list = [set() for _ in range(n + 1)]
+    nbr: list = [{} for _ in range(n + 1)]  # nbr[u][w]: the gains read from u
     for a, b, z in triples:
         if a == b:
             loops[a].append(z)
         else:
-            gains.setdefault((a, b), []).append(z)
-            adj[a].add(b)
-            adj[b].add(a)
-    groups: dict = {}
-    for v in range(1, n + 1):
-        mults = sorted(len(gains[min(v, w), max(v, w)]) for w in adj[v])
-        groups.setdefault((len(adj[v]), tuple(mults), tuple(sorted(loops[v]))), []).append(v)
+            nbr[a].setdefault(b, []).append(z)
+            nbr[b].setdefault(a, []).append(-z)
+    inv = [(len(d), sorted(map(len, d.values())), sorted(lp)) for d, lp in zip(nbr, loops)]
     best = None
-    for parts in itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups))):
-        order = list(itertools.chain.from_iterable(parts))
-        pos = {v: k for k, v in enumerate(order, start=1)}
-        phi: list = [None] * (n + 1)
-        for root in order:
-            if phi[root] is None:
-                phi[root] = 0
-                queue = [root]
-                for u in queue:
-                    for w in sorted(adj[u], key=pos.__getitem__):
-                        if phi[w] is None:
-                            low = min(gains[u, w]) if u < w else -max(gains[w, u])
-                            phi[w] = phi[u] + low
-                            queue.append(w)
+
+    def grow(order: list, phi: list, head: int) -> None:
+        nonlocal best
+        while len(order) < n:
+            while head < len(order):
+                u = order[head]
+                ties = [w for w in nbr[u] if phi[w] is None]
+                if ties:
+                    break
+                head += 1
+            else:
+                u = None
+                ties = [w for w in range(1, n + 1) if phi[w] is None]
+            if len(ties) > 1:
+                low = min(inv[w] for w in ties)
+                # Isolated roots of one invariant are interchangeable.
+                ties = [w for w in ties if inv[w] == low][:None if low[0] else 1]
+            for w in ties[1:]:
+                more = phi[:]
+                more[w] = 0 if u is None else phi[u] + min(nbr[u][w])
+                grow(order + [w], more, head)
+            w = ties[0]
+            phi[w] = 0 if u is None else phi[u] + min(nbr[u][w])
+            order.append(w)
+        pos = [0] * (n + 1)
+        for k, v in enumerate(order, start=1):
+            pos[v] = k
         cand = sorted((pos[a], pos[b], z + phi[a] - phi[b]) if pos[a] <= pos[b]
                       else (pos[b], pos[a], phi[b] - phi[a] - z) for a, b, z in triples)
         if best is None or cand < best:
             best = cand
-    return n, tuple(best)
 
+    grow([], [None] * (n + 1), 0)
+    return n, tuple(best)

@@ -10,16 +10,19 @@ It searches states ``(n, orbit keys)`` on vertices 1..n, as
 tuples: delete a key, delete an isolated vertex, or contract a non-loop,
 which shifts the gains at the merged vertex, drops zero loops and merges
 equal orbits.  Successors below the patterns' vertex or edge minimum are
-dropped; the rest are canonicalized (:func:`graphs.canonical_state`),
-and whether the patterns are reachable from each class is kept in one
-LRU cache that every query shares, trimmed to a fixed size after each
-query so that one query expands a class once.  When no pattern has a
-selfloop or an isolated vertex, each state loses its own first: a
-contraction never turns a loop into a non-loop and an isolated vertex
-stays isolated, so such a pattern is a minor of G iff it is a minor of G
-without them.  Other exact patterns are searched unstripped.  Matching a
-whole graph against an exact pattern, as a witness check does, goes
-through the size-bounded :meth:`GainGraph.canonical_form`.
+dropped; the rest are canonicalized (:func:`graphs.canonical_state`,
+the least encoding over BFS vertex orderings that branch only where a
+vertex invariant ties), each distinct sorted state once, and whether
+the patterns are reachable from each class is kept too.  Both tables
+are LRU caches that every query shares, trimmed to a fixed size after
+each query so that one query expands a class once.  When no pattern has
+a selfloop or an isolated vertex, each state loses its own, as the
+successor is made: a contraction never turns a loop into a non-loop and
+an isolated vertex stays isolated, so such a pattern is a minor of G iff
+it is a minor of G without them.  Other exact patterns are searched
+unstripped.  Matching a whole graph against an exact pattern, as a
+witness check does, goes through the size-bounded
+:meth:`GainGraph.canonical_form`.
 
 A :func:`has_minor` witness is read off the verdicts: from the host, the
 first successor (deletions before contractions) whose class reaches the
@@ -90,6 +93,18 @@ class MinorPattern:
     def _canonical(self):
         return self.graph.canonical_form()
 
+    @cached_property
+    def _key(self) -> tuple:
+        return self.kind, self.graph and self.graph.orbit_state()
+
+    @cached_property
+    def _strips(self) -> bool:
+        """Whether the pattern has no selfloop and no isolated vertex."""
+        if self.graph is None:
+            return True
+        n, triples = self._key[1]
+        return _strip(n, triples)[0] == n and all(a != b for a, b, _ in triples)
+
     def _matches(self, state) -> bool:
         """Whether a canonical state is this pattern (of exactly its minimum size)."""
         n, triples = state
@@ -146,19 +161,33 @@ class MinorWitness:
         return self.pattern.matches(final)
 
 
-def _steps(n: int, triples):
+def _steps(n: int, triples, strip: bool = False):
     """``(op kind, index, state)`` for each state one step below ``(n,
     triples)``: delete each key, delete each isolated vertex (deleting any
     other vertex is deleting its edges first), contract each non-loop.
     Contracting (a, b, z) merges b into a: gains read from b shift by z,
     zero loops go, equal orbits merge, and the vertices above b move down
-    by one."""
-    for k in range(len(triples)):
-        yield "delete_edge", k, (n, triples[:k] + triples[k + 1:])
-    ends = {v for t in triples for v in t[:2]}
+    by one.  With ``strip`` each state also loses its selfloops and then
+    its isolated vertices; from a state that has none, those are read off
+    the degrees instead of by a pass over each successor."""
+    ends = [0] * (n + 1)  # keys at each vertex, a loop counted twice
+    for a, b, _ in triples:
+        ends[a] += 1
+        ends[b] += 1
+    if strip and (0 in ends[1:] or any(a == b for a, b, _ in triples)):
+        for kind, k, (n1, rest) in _steps(n, triples):
+            yield kind, k, _strip(n1, rest)
+        return
+    for k, (a, b, _) in enumerate(triples):
+        m, rest = n, triples[:k] + triples[k + 1:]
+        if strip:
+            for x in (b, a):
+                if ends[x] == 1:
+                    m, rest = m - 1, _drop(rest, x)
+        yield "delete_edge", k, (m, rest)
     for x in range(1, n + 1):
-        if x not in ends:
-            yield "delete_vertex", x, (n - 1, [(a - (a > x), b - (b > x), z) for a, b, z in triples])
+        if not ends[x]:
+            yield "delete_vertex", x, (n - 1, _drop(triples, x))
     for k, (a, b, z) in enumerate(triples):
         if a == b:
             continue
@@ -174,10 +203,18 @@ def _steps(n: int, triples):
                 if u > v:
                     u, v, w = v, u, -w
                 elif u == v:
-                    w = abs(w)
+                    w = 0 if strip else abs(w)
             if j != k and (u != v or w):
                 merged.add((u - (u > b), v - (v > b), w))
-        yield "contract_edge", k, (n - 1, list(merged))
+        if strip and not any(a in t[:2] for t in merged):
+            yield "contract_edge", k, (n - 2, _drop(merged, a))
+        else:
+            yield "contract_edge", k, (n - 1, list(merged))
+
+
+def _drop(triples, x: int) -> list:
+    """The keys of a state without its isolated vertex x, renumbered."""
+    return [(a - (a > x), b - (b > x), z) for a, b, z in triples]
 
 
 def _strip(n: int, triples):
@@ -193,16 +230,23 @@ def _strip(n: int, triples):
 # used entries go until it holds _CACHE_SIZE.
 _CACHE_SIZE = 1 << 15
 _CACHE: OrderedDict = OrderedDict()
+# Canonical states keyed by the sorted state as a search step made it, so
+# that each distinct state is canonicalized once whatever the patterns;
+# shared and trimmed in the same way.
+_CANON_SIZE = 1 << 15
+_CANON: OrderedDict = OrderedDict()
 
 
 def _trim() -> None:
-    while len(_CACHE) > _CACHE_SIZE:
-        _CACHE.popitem(last=False)
+    for table, size in ((_CACHE, _CACHE_SIZE), (_CANON, _CANON_SIZE)):
+        while len(table) > size:
+            table.popitem(last=False)
 
 
 def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
-    """``(reaches, verdict)``: the memoized test of whether one of the
-    patterns is a minor of a state, and its verdict on the host."""
+    """``(reaches, strip, verdict)``: the memoized test of whether one of
+    the patterns is a minor of a state (stripped when ``strip``, as
+    :func:`_steps` makes them), and its verdict on the host."""
     if host.n > max_vertices or host.m > max_edges:
         raise BoundExceededError(
             f"minor search bound is {max_vertices} vertices / {max_edges} edges; "
@@ -210,26 +254,29 @@ def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
         )
     need_v = min(p.min_vertices() for p in patterns)
     need_e = min(p.min_edges() for p in patterns)
-    exact = [p.graph.orbit_state() for p in patterns if p.graph is not None]
-    strip = all(_strip(n, t)[0] == n and all(a != b for a, b, _ in t) for n, t in exact)
-    patterns_key = tuple((p.kind, p.graph and p.graph.orbit_state()) for p in patterns)
+    strip = all(p._strips for p in patterns)
+    patterns_key = tuple(p._key for p in patterns)
 
     def reaches(n: int, triples) -> bool:
-        if strip:
-            n, triples = _strip(n, triples)
         if n < need_v or len(triples) < need_e:
             return False
-        state = canonical_state(n, triples)
+        raw = n, tuple(sorted(triples))
+        state = _CANON.get(raw)
+        if state is None:
+            state = _CANON[raw] = canonical_state(*raw)
+        else:
+            _CANON.move_to_end(raw)
         key = (patterns_key, state)
         if key in _CACHE:
             _CACHE.move_to_end(key)
             return _CACHE[key]
         verdict = any(p._matches(state) for p in patterns) or any(
-            reaches(*s) for _, _, s in _steps(*state))
+            reaches(*s) for _, _, s in _steps(*state, strip))
         _CACHE[key] = verdict
         return verdict
 
-    return reaches, reaches(*host.orbit_state())
+    root = host.orbit_state()
+    return reaches, strip, reaches(*(_strip(*root) if strip else root))
 
 
 def has_minor(host: GainGraph, pattern: MinorPattern,
@@ -240,12 +287,13 @@ def has_minor(host: GainGraph, pattern: MinorPattern,
     The witness is the greedy path described in the module docstring.  A
     step's index names an edge, since ``orbit_state`` keeps edge order."""
     try:
-        reaches, found = _search(host, (pattern,), max_vertices, max_edges)
+        reaches, strip, found = _search(host, (pattern,), max_vertices, max_edges)
         if not found:
             return None
         ops, g = [], host
         while not pattern.matches(g):
-            kind, k, _ = next(step for step in _steps(*g.orbit_state()) if reaches(*step[2]))
+            kind, k, _ = next(step for step in _steps(*g.orbit_state(), strip)
+                              if reaches(*step[2]))
             if kind == "delete_vertex":
                 op = MinorOp(kind, g.vertices[k - 1])
             else:
@@ -277,7 +325,7 @@ def contains_forbidden(host: GainGraph, dimension: int,
     else:
         raise RealdimError("forbidden sets are known for dimensions 1 and 2 only")
     try:
-        return _search(host, patterns, max_vertices, max_edges)[1]
+        return _search(host, patterns, max_vertices, max_edges)[2]
     finally:
         _trim()
 

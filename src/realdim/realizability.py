@@ -628,7 +628,9 @@ def realizable_dimension_bounds(
     The lower bound combines the finite-graph dimension of the simplified
     graph, the complete-case value, and the deciders' refusals; the upper
     bound is the vertex count, tightened when a decider answers yes.  The
-    interval collapses to a point for every decided case.  ``d1`` and
+    interval collapses to a point for every decided case.  The finite
+    graph's dimension is computed only when both deciders refuse, since
+    otherwise the interval is already a point.  ``d1`` and
     ``d2`` are verdicts of ``is_1_realizable`` and ``is_2_realizable`` on
     ``g`` already at hand; a decider whose verdict is given is not run.
     """
@@ -637,23 +639,18 @@ def realizable_dimension_bounds(
         if verdict is not None and verdict.dimension_bound != dim:
             raise RealdimError(f"d{dim} must be a dimension-{dim} verdict")
     n = g.n
-    lower = 1
     si = g.underlying_simple_graph()
-    if si.is_complete():
-        complete_value = realizable_dimension_complete_case(g)
-        if complete_value == n:
-            return RdBounds(n, n)
-        lower = max(lower, n - 1)
-    elif finite_has_minor(si, "K4"):
-        if si.n <= brute_force_bound:
-            f = finite_rd_upper3(si, brute_force_bound)
-            lower = max(lower, 4 if f == ">=4" else f)
-        else:
-            lower = max(lower, 3)
+    complete = si.is_complete()
+    if complete and realizable_dimension_complete_case(g) == n:
+        return RdBounds(n, n)
     if (d1 if d1 is not None else is_1_realizable(g)).answer:
         return RdBounds(1, 1)
-    lower = max(lower, 2)
     if (d2 if d2 is not None else is_2_realizable(g)).answer:
         return RdBounds(2, 2)
-    lower = max(lower, 3)
+    lower = 3
+    if complete:
+        lower = max(lower, n - 1)
+    elif si.n <= brute_force_bound:
+        f = finite_rd_upper3(si, brute_force_bound)
+        lower = max(lower, 4 if f == ">=4" else f)
     return RdBounds(lower, n)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter, OrderedDict, deque
 
 import pytest
@@ -20,6 +21,7 @@ from realdim.minors import (
     has_minor,
 )
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
+from realdim.realizability import is_2_realizable
 from test_graphs import counterexample_c, k3_zero, k4_zero, ladder_graph
 
 
@@ -396,6 +398,20 @@ def test_canonical_form_partition_equals_reference():
     # A canonical form is itself a state on 1..n, and its own canonical form.
     assert all(canonical_state(*new) == new for new, _ in pairs)
     assert len(pairs) == len({new for new, _ in pairs}) == len({old for _, old in pairs})
+    # Sparse 6-7 vertex graphs: the BFS restarts at new roots, among them
+    # vertices with only loops and isolated ones.
+    graphs, shapes = [], Counter()
+    for _ in range(80):
+        g = random_simple_gain_graph(rng, max_vertices=7, max_edges=9, min_vertices=6,
+                                     label_min=-1, label_max=1)
+        graphs += [g, random_isomorphic_copy(rng, g)]
+        shapes["disconnected"] += not g.underlying_simple_graph().is_connected()
+        shapes["loop"] += any(e.is_loop for e in g.edges)
+        shapes["isolated"] += g.n > len({v for e in g.edges for v in (e.tail, e.head)})
+    assert min(shapes.values()) >= 20, shapes
+    pairs = {(g.canonical_form(), ref_canonical(g)) for g in graphs}
+    assert all(canonical_state(*new) == new for new, _ in pairs)
+    assert len(pairs) == len({new for new, _ in pairs}) == len({old for _, old in pairs})
 
 
 def test_cache_stays_under_its_cap_and_answers_survive_eviction(monkeypatch):
@@ -415,14 +431,32 @@ def test_cache_stays_under_its_cap_and_answers_survive_eviction(monkeypatch):
     assert len(cache) == 7
 
 
+def test_canonical_table_stays_under_its_cap_and_answers_survive_eviction(monkeypatch):
+    rng = random.Random(57)
+    graphs = [random_simple_gain_graph(rng, max_vertices=5, max_edges=8) for _ in range(40)]
+    expected = [(contains_forbidden(g, 1), contains_forbidden(g, 2),
+                 has_minor(g, NAMED_PATTERNS[3])) for g in graphs]
+    table = OrderedDict()
+    monkeypatch.setattr(minors, "_CACHE", OrderedDict())
+    monkeypatch.setattr(minors, "_CANON", table)
+    monkeypatch.setattr(minors, "_CANON_SIZE", 7)
+    for _ in range(2):
+        for g, want in zip(graphs, expected):
+            got = (contains_forbidden(g, 1), contains_forbidden(g, 2),
+                   has_minor(g, NAMED_PATTERNS[3]))
+            assert got == want, g
+            assert len(table) <= 7
+    assert len(table) == 7
+
+
 def test_a_query_expands_each_class_once_whatever_the_cap(monkeypatch):
     # The cap is applied between queries, so one query never re-expands
     # a class that it evicted itself.
     expanded = Counter()
 
-    def steps(n, triples):
+    def steps(n, triples, strip=False):
         expanded[n, tuple(triples)] += 1
-        return real_steps(n, triples)
+        return real_steps(n, triples, strip)
 
     real_steps = minors._steps
     monkeypatch.setattr(minors, "_steps", steps)
@@ -433,6 +467,23 @@ def test_a_query_expands_each_class_once_whatever_the_cap(monkeypatch):
     assert not contains_forbidden(fan, 2)
     assert len(expanded) > 50 and max(expanded.values()) == 1
     assert len(minors._CACHE) == 1
+
+
+def test_sparse_eight_vertex_host_answers_quickly(monkeypatch):
+    # The host has 6! * 2! orderings that respect its vertex invariant but
+    # only 8 BFS orderings, and its minors are alike.
+    h = GainGraph.of(8, [(1, 2, 0), (2, 3, 1), (3, 4, 0), (4, 5, 2), (5, 6, 0), (6, 7, 1),
+                         (7, 8, 0), (8, 1, 0), (1, 5, 1)])
+    times = []
+    for _ in range(3):
+        monkeypatch.setattr(minors, "_CACHE", OrderedDict())
+        monkeypatch.setattr(minors, "_CANON", OrderedDict())
+        start = time.perf_counter()
+        found = contains_forbidden(h, 2)
+        times.append(time.perf_counter() - start)
+    assert found is False
+    assert found == (not is_2_realizable(h).answer)
+    assert min(times) < 0.5, times
 
 
 def test_pattern_match_keeps_the_canonical_form_bound():
