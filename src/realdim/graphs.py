@@ -449,9 +449,6 @@ class GainGraph:
     def delete_edge(self, eid: int) -> "GainGraph":
         return self.minor([("delete_edge", eid, None)])
 
-    def delete_edges(self, eids) -> "GainGraph":
-        return self.minor([("delete_edge", eid, None) for eid in eids])
-
     def delete_vertex(self, v: int) -> "GainGraph":
         return self.minor([("delete_vertex", v, None)])
 

@@ -56,6 +56,8 @@ K3_BULLETBULLET = "k3-bulletbullet"
 
 DEFAULT_VERTEX_BOUND = 8
 DEFAULT_EDGE_BOUND = 16
+# Largest simple host whose K5 and K222 minors are searched by brute force.
+FINITE_MINOR_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -439,27 +441,27 @@ def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
     return extend(0, {}, 0, [])
 
 
-def finite_has_minor(host: SimpleGraph, pattern: str,
-                     brute_force_bound: int = 10) -> bool:
+def finite_has_minor(host: SimpleGraph, pattern: str) -> bool:
     """Minor test against one of K3, K4, K5, K222.
 
     K3 and K4 run at any size (cycle test, series-parallel reduction);
-    K5 and K222 brute-force branch sets and are size-bounded.
+    K5 and K222 brute-force branch sets, on at most ``FINITE_MINOR_BOUND``
+    vertices.
     """
     if pattern == "K3":
         return host.find_cycle() is not None
     if pattern == "K4":
         return _has_k4_minor(host)
     if pattern in ("K5", "K222"):
-        if host.n > brute_force_bound:
+        if host.n > FINITE_MINOR_BOUND:
             raise BoundExceededError(
-                f"brute-force minor bound is {brute_force_bound} vertices"
+                f"brute-force minor bound is {FINITE_MINOR_BOUND} vertices"
             )
         return _has_simple_minor_branch_sets(host, pattern)
     raise RealdimError(f"unknown finite pattern {pattern!r}")
 
 
-def finite_rd_upper3(host: SimpleGraph, brute_force_bound: int = 10):
+def finite_rd_upper3(host: SimpleGraph):
     """Realizable dimension of a finite simple graph when it is at most 3.
 
     Returns 0..3, or the string ">=4" when a K5 or K222 minor is present.
@@ -472,8 +474,6 @@ def finite_rd_upper3(host: SimpleGraph, brute_force_bound: int = 10):
         return 1
     if not finite_has_minor(host, "K4"):
         return 2
-    if not finite_has_minor(host, "K5", brute_force_bound) and not finite_has_minor(
-        host, "K222", brute_force_bound
-    ):
+    if not finite_has_minor(host, "K5") and not finite_has_minor(host, "K222"):
         return 3
     return ">=4"

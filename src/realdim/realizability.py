@@ -3,13 +3,13 @@
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
 is the absence of any cycle other than selfloops.  ``is_2_realizable``
-strips selfloops, splits the graph into blocks once, and runs one loop
-of series reductions per block on one mutable multigraph, removing a
-degree-two vertex by contracting one of its edges (both multiplicities
-one) or by deleting it after a balance check (one doubled side).  Labels
-stay in the input's frame: a contraction writes the gain of the path it
-replaces onto the surviving edge, so no step switches or rebuilds the
-graph, nothing recurses, and the work is near-linear.
+leaves selfloops out, splits the graph into blocks once, and runs one
+loop of series reductions per block on one mutable multigraph, removing
+a degree-two vertex by contracting one of its edges (both multiplicities
+one) or by deleting it after a balance check of the rest (one doubled
+side).  Labels stay in the input's frame: a contraction writes the gain
+of the path it replaces onto the surviving edge, so no step switches or
+rebuilds the graph, nothing recurses, and the work is near-linear.
 
 Every *yes* comes with a decomposition tree whose leaves are single
 edges/vertices (dimension one) or balanced triangles and two-vertex
@@ -19,8 +19,10 @@ glued as chains in the order they are found.  Every *no*, at any size,
 comes with a minor witness whose replay reaches a forbidden shape: a
 parallel pair or balanced triangle for dimension one; the
 doubled-double-pair triangle or the balanced complete graph on four
-vertices for dimension two.  Where the simplified graph has a K4 minor,
-the witness contracts a K4 subdivision.
+vertices for dimension two.  A dimension-two witness is built on the
+block's own multigraph, where the reduction loop stopped; its paths come
+from one router, ``_disjoint_paths``.  Where the simplified graph has a
+K4 minor, the witness contracts a K4 subdivision.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .certificates import DISJOINT_UNION, LEAF, DecompositionTree, RealizabilityVerdict, Row
 from .errors import RealdimError
 from .graphs import GainEdge, GainGraph, SimpleGraph
 from .minors import (
+    FINITE_MINOR_BOUND,
     K3_BULLETBULLET,
     MinorOp,
     MinorPattern,
@@ -85,36 +89,33 @@ def _smallest_parallel_pair(g: GainGraph):
     return min((pair for pair, c in count.items() if c >= 2), default=None)
 
 
-def _keep_only(g: GainGraph, keep_vertices, keep_edge_ids) -> list:
-    """Deletion ops trimming g to a vertex/edge subset; edges first."""
-    return ([MinorOp("delete_edge", e.id) for e in g.edges if e.id not in keep_edge_ids]
-            + [MinorOp("delete_vertex", v) for v in g.vertices if v not in keep_vertices])
+def _keep_only(vertices, edges, keep_vertices, keep_edge_ids) -> list:
+    """Deletion ops trimming a graph to a vertex/edge subset; edges first."""
+    return ([MinorOp("delete_edge", i) for i in sorted(e.id for e in edges)
+             if i not in keep_edge_ids]
+            + [MinorOp("delete_vertex", v) for v in sorted(vertices) if v not in keep_vertices])
 
 
-def _smallest_ids(g: GainGraph, a: int, b: int, k: int) -> set:
-    """The k smallest ids among the edges joining a and b."""
-    return set(sorted(e.id for e in g.edges_between(a, b))[:k])
+def _smallest_ids(edges, k: int) -> set:
+    """The k smallest ids among the edges."""
+    return set(sorted(e.id for e in edges)[:k])
 
 
 def _witness_parallel_pair(g: GainGraph, a: int, b: int) -> MinorWitness:
-    ops = _keep_only(g, {a, b}, _smallest_ids(g, a, b, 2))
+    ops = _keep_only(g.vertices, g.edges, {a, b}, _smallest_ids(g.edges_between(a, b), 2))
     return MinorWitness(K2_BULLET_PATTERN, tuple(ops))
 
 
-def _path_edges(g: GainGraph, path: list) -> list:
+def _path_edges(adj: dict, path: list) -> list:
     """The smallest-id edge joining each consecutive pair of a vertex path."""
-    smallest: dict = {}
-    for e in g.edges:
-        if not e.is_loop and (e.pair() not in smallest or e.id < smallest[e.pair()].id):
-            smallest[e.pair()] = e
-    return [smallest[frozenset(pair)] for pair in zip(path, path[1:])]
+    return [min(adj[a][b].values(), key=attrgetter("id")) for a, b in zip(path, path[1:])]
 
 
 def _witness_simple_cycle(g: GainGraph, cycle: list) -> MinorWitness:
     """Contract a cycle to a balanced triangle or an unbalanced pair."""
-    edges = _path_edges(g, cycle + cycle[:1])
+    edges = _path_edges(_multigraph(g.vertices, g.edges), cycle + cycle[:1])
     gain = sum(e.gain_from(cycle[i]) for i, e in enumerate(edges))
-    ops = _keep_only(g, set(cycle), {e.id for e in edges})
+    ops = _keep_only(g.vertices, g.edges, set(cycle), {e.id for e in edges})
     k = len(cycle)
     target = 3 if gain == 0 else 2
     # merge cycle[1], ..., cycle[k-target] into cycle[0]
@@ -196,19 +197,19 @@ def _glue(vertices, pieces) -> DecompositionTree:
 def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
     """Plane realizability, decided by series reductions in each block."""
     _require_nonempty(g)
-    alloc = itertools.count(g.fresh_edge_id())
-    loops = [e for e in g.edges if e.is_loop]
-    core = g.delete_edges([e.id for e in loops]) if loops else g
-    res = _decide2_split(core, alloc, loops)
+    res = _decide2_split(g, itertools.count(g.fresh_edge_id()))
     if isinstance(res, DecompositionTree):
         return RealizabilityVerdict(2, True, res)
-    witness = _prefix(res, [MinorOp("delete_edge", e.id) for e in loops])
+    witness = _prefix(res, [MinorOp("delete_edge", e.id) for e in g.edges if e.is_loop])
     return RealizabilityVerdict(2, False, witness)
 
 
-def _decide2_split(h: GainGraph, alloc, loops):
-    """Decide every block, then glue blocks and selfloop leaves by one-sums."""
-    si = h.underlying_simple_graph()
+def _decide2_split(g: GainGraph, alloc):
+    """Decide every block, then glue blocks and selfloop leaves by one-sums.
+
+    Selfloops belong to no block; a witness starts by deleting them.
+    """
+    si = g.underlying_simple_graph()
     comps = si.components()
     blocks = si.blocks()
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
@@ -216,8 +217,9 @@ def _decide2_split(h: GainGraph, alloc, loops):
     for vset, _ in blocks:
         blocks_in[comp_of[min(vset)]] += 1
     by_pair: dict = {}
-    for e in h.edges:
-        by_pair.setdefault(e.pair(), []).append(e)
+    for e in g.edges:
+        if not e.is_loop:
+            by_pair.setdefault(e.pair(), []).append(e)
 
     pieces = []
     for vset, eset in blocks:
@@ -228,17 +230,17 @@ def _decide2_split(h: GainGraph, alloc, loops):
             comp = comps[ci]
             ops = []
             if len(comps) > 1:
-                ops += [MinorOp("delete_vertex", u) for u in h.vertices if u not in comp]
+                ops += [MinorOp("delete_vertex", u) for u in g.vertices if u not in comp]
             if blocks_in[ci] > 1:
                 ops += [
                     MinorOp("delete_edge", e.id)
-                    for e in h.edges
-                    if e.tail in comp and e.pair() not in eset
+                    for e in g.edges
+                    if e.tail in comp and not e.is_loop and e.pair() not in eset
                 ]
                 ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in vset]
             return _prefix(res, ops)
         pieces.append((vset, res))
-    return _glue(h.vertices, pieces + _loop_pieces(loops))
+    return _glue(g.vertices, pieces + _loop_pieces(g.edges))
 
 
 def _add(adj: dict, e: GainEdge):
@@ -256,12 +258,17 @@ def _add(adj: dict, e: GainEdge):
         by_orbit[e.orbit_key()] = e
 
 
+def _multigraph(vertices, edges) -> dict:
+    """The multigraph of a vertex and an edge list, selfloops left out."""
+    adj: dict = {v: {} for v in vertices}
+    for e in edges:
+        if not e.is_loop:
+            _add(adj, e)
+    return adj
+
+
 def _edges(adj: dict):
     return (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
-
-
-def _graph(adj: dict) -> GainGraph:
-    return GainGraph(adj, _edges(adj))
 
 
 def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
@@ -292,20 +299,20 @@ def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int) -> list:
 def _decide2_block(vertices, edges, alloc):
     """Decide one two-connected block by series reductions, without recursion.
 
-    Each step removes the smallest degree-two vertex v, with neighbours
-    x < y: it is contracted into x when single towards both, and deleted
-    after a balance check when doubled towards one (adding x-y if missing;
-    the piece on {v, x, y} becomes a summand of its own).  Reductions keep
-    the block two-connected, so it ends at a triangle; after a deletion
-    step the graph is balanced and only contractions follow.  The rows are
-    written from the final triangle back through the list of steps, each
-    step gluing its triangle (and piece) onto the rows before it.
+    Each step takes the smallest degree-two vertex v, with neighbours
+    x < y, out of the graph: it is contracted into x when single towards
+    both, and deleted after a balance check of the rest when doubled
+    towards one (adding x-y if missing; the piece on {v, x, y} becomes a
+    summand of its own).  Reductions keep the block two-connected, so it
+    ends at a triangle; after a deletion step the graph is balanced and
+    only contractions follow.  The rows are written from the final
+    triangle back through the list of steps, each step gluing its triangle
+    (and piece) onto the rows before it.  A "no" is read off this same
+    multigraph, v's edges and the ops replaying the steps taken.
     """
     if len(vertices) <= 2:
         return [Row.leaf(vertices, edges)]
-    adj: dict = {v: {} for v in vertices}
-    for e in edges:
-        _add(adj, e)
+    adj = _multigraph(vertices, edges)
     # A reduction never raises a degree, so a degree-two vertex stays on the
     # heap until it is removed.
     degree_two = sorted(v for v in adj if len(adj[v]) == 2)
@@ -313,14 +320,21 @@ def _decide2_block(vertices, edges, alloc):
     # (y, x, v, gain y->x, gain y->v, piece leaf row) for a deletion of v.
     steps = []
     ops = []  # minor ops that replay the steps taken
-    k4_host = None  # the graph and ops at a deletion step that added x-y
+    k4_host = None  # the vertices, edges and ops at a deletion step that added x-y
 
-    def contract(w, a, b):
-        (ea,), (eb,) = adj[w][a].values(), adj[w][b].values()
-        steps.append((w, a, b, ea.gain_from(w), eb.gain_from(w), None))
-        ops.append(MinorOp("contract_edge", ea.id, a))
+    def pop(w):
+        """Take w out of adj: its neighbours a < b and its edges towards each."""
+        a, b = sorted(adj[w])
+        wa, wb = list(adj[w][a].values()), list(adj[w][b].values())
         for u in adj.pop(w):
             del adj[u][w]
+        return a, b, wa, wb
+
+    def contract(w, ea, eb):
+        """Contract ea (w-a) of a popped w into a, so that eb (w-b) joins a-b."""
+        a = ea.other(w)
+        steps.append((w, a, eb.other(w), ea.gain_from(w), eb.gain_from(w), None))
+        ops.append(MinorOp("contract_edge", ea.id, a))
         _add(adj, _series_edge(ea, eb, w, a))
 
     while len(adj) > 3:
@@ -331,45 +345,41 @@ def _decide2_block(vertices, edges, alloc):
             # graph after a deletion step that added x-y is balanced, so it
             # can fail only here; rerouting x-y through the deleted vertex
             # gives a K4 subdivision of the graph at that step.
-            h, pre = k4_host or (_graph(adj), ops)
-            return _prefix(_witness_k4(h, h.underlying_simple_graph()), pre)
+            if k4_host is None:
+                return _prefix(_witness_k4(adj), ops)
+            vs, es, pre = k4_host
+            return _prefix(_witness_k4(_multigraph(vs, es)), pre)
         v = heapq.heappop(degree_two)
-        x, y = sorted(adj[v])
-        vx, vy = list(adj[v][x].values()), list(adj[v][y].values())
-        if len(vx) >= 2 and len(vy) >= 2:
-            return _prefix(_witness_both_doubled(_graph(adj), v, x, y), ops)
+        x, y, vx, vy = pop(v)
         if len(vx) == 1 and len(vy) == 1:
-            contract(v, x, y)
+            contract(v, vx[0], vy[0])
+        elif len(vx) >= 2 and len(vy) >= 2:
+            return _prefix(_witness_both_doubled(adj, v, vx, vy), ops)
         else:
             if len(vy) >= 2:
                 x, y, vx, vy = y, x, vy, vx
-            h = _graph(adj)
-            bal = h.delete_vertex(v).balance()
+            bal = GainGraph(adj, _edges(adj)).balance()
             if not bal.balanced:
-                return _prefix(_witness_unbalanced_rest(h, v, x, y, bal.witness), ops)
+                return _prefix(_witness_unbalanced_rest(adj, v, vx, vy, bal.witness), ops)
             if y in adj[x]:  # a single edge, the rest being balanced
                 (ea,) = adj[x][y].values()
                 ops.append(MinorOp("delete_vertex", v))
             else:
                 ea = GainEdge(next(alloc), x, y, bal.potentials[y] - bal.potentials[x])
-                k4_host = (h, list(ops))
+                k4_host = ([v, *adj], [*vx, *vy, *_edges(adj)], list(ops))
                 _add(adj, ea)
-            piece: dict = {x: {}, v: {}}
-            for e in vx + [_series_edge(ea, vy[0], y, x)]:
-                _add(piece, e)
+            piece = _multigraph((x, v), vx + [_series_edge(ea, vy[0], y, x)])
             steps.append((y, x, v, ea.gain_from(y), vy[0].gain_from(y),
                           Row.leaf(piece, _edges(piece))))
-            for u in adj.pop(v):
-                del adj[u][v]
         for u in (x, y):
             if len(adj[u]) == 2:
                 heapq.heappush(degree_two, u)
 
     if sum(len(es) >= 2 for a in adj for b, es in adj[a].items() if a < b) >= 2:
-        return _prefix(_witness_trim_to_double_double(_graph(adj)), ops)
+        return _prefix(_witness_trim_to_double_double(adj), ops)
     w = min(u for u in adj if all(len(es) == 1 for es in adj[u].values()))
-    a, b = sorted(adj[w])
-    contract(w, a, b)
+    _, _, (ea,), (eb,) = pop(w)
+    contract(w, ea, eb)
 
     rows = [Row.leaf(adj, _edges(adj))]
     for w, a, b, ga, gb, piece in reversed(steps):
@@ -382,25 +392,28 @@ def _decide2_block(vertices, edges, alloc):
 
 
 # -- no-witness constructions ---------------------------------------------------
+# Each reads the block multigraph adj; where a degree-two vertex v has been
+# taken out of it, the host also holds v and its edges vx and vy.
 
 
-def _witness_k4(h: GainGraph, si: SimpleGraph) -> MinorWitness:
-    """A forbidden minor of h, whose simplified graph si has a K4 minor.
+def _witness_k4(adj: dict) -> MinorWitness:
+    """A forbidden minor of adj, whose simplified graph has a K4 minor.
 
-    Deleting the edges of si one at a time, each kept only where the K4
-    minor needs it, leaves a K4 subdivision; its six branch paths contract
-    to a K4 on the four branch vertices.  With every triangle balanced
+    Deleting the simplified graph's edges (adjacent pairs) one at a time,
+    each kept only where the K4 minor needs it, leaves a K4 subdivision;
+    its six branch paths contract to a K4 on the four branch vertices.  With every triangle balanced
     that is the balanced K4.  Otherwise two triangles are unbalanced (the
     four triangle gains are dependent, so one alone cannot be nonzero);
     they share a branch, and contracting it leaves a triangle with two
     doubled pairs.
     """
-    kept = set(si.edges)
-    for pair in sorted(si.edges, key=sorted):
+    pairs = sorted((a, b) for a in adj for b in adj[a] if a < b)
+    kept = set(pairs)
+    for pair in pairs:
         kept.discard(pair)
-        if not finite_has_minor(SimpleGraph(si.vertices, kept), "K4"):
+        if not finite_has_minor(SimpleGraph(adj, kept), "K4"):
             kept.add(pair)
-    sub = SimpleGraph(si.vertices, kept)
+    sub = SimpleGraph(adj, kept)
     branch = sorted(v for v in sub.vertices if sub.degree(v) == 3)
     paths = {}  # (a, b) with a < b -> branch path from a to b
     for a in branch:
@@ -410,13 +423,13 @@ def _witness_k4(h: GainGraph, si: SimpleGraph) -> MinorWitness:
                 path.append(min(sub.neighbors(path[-1]) - {path[-2]}))
             if a < path[-1]:
                 paths[a, path[-1]] = path
-    edges = {ab: _path_edges(h, path) for ab, path in paths.items()}
+    edges = {ab: _path_edges(adj, path) for ab, path in paths.items()}
     gain = {
         ab: sum(e.gain_from(u) for u, e in zip(paths[ab], edges[ab])) for ab in paths
     }
 
     keep_vertices = {u for path in paths.values() for u in path}
-    ops = _keep_only(h, keep_vertices, {e.id for es in edges.values() for e in es})
+    ops = _keep_only(adj, _edges(adj), keep_vertices, {e.id for es in edges.values() for e in es})
     for (a, _), es in edges.items():
         ops += [MinorOp("contract_edge", e.id, a) for e in es[:-1]]
     unbalanced = [
@@ -432,69 +445,48 @@ def _witness_k4(h: GainGraph, si: SimpleGraph) -> MinorWitness:
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
-def _witness_trim_to_double_double(h: GainGraph) -> MinorWitness:
-    """Three vertices with spanning multiplicity graph: delete surplus edges."""
-    pairs = [(a, b) for i, a in enumerate(h.vertices) for b in h.vertices[i + 1 :]]
-    doubled = [p for p in pairs if h.multiplicity(*p) >= 2]
+def _witness_trim_to_double_double(adj: dict) -> MinorWitness:
+    """A triangle with two or three doubled pairs: delete surplus edges."""
+    pairs = list(itertools.combinations(sorted(adj), 2))
+    doubled = [(a, b) for a, b in pairs if len(adj[a][b]) >= 2]
     single = next((p for p in pairs if p not in doubled), None)
     if single is None:
-        single = min(doubled)
-        doubled = [p for p in doubled if p != single]
-    keep = _smallest_ids(h, *single, 1)
-    for p in doubled[:2]:
-        keep |= _smallest_ids(h, *p, 2)
-    ops = _keep_only(h, set(h.vertices), keep)
-    return MinorWitness(K3BB_PATTERN, tuple(ops))
+        single, *doubled = doubled
+    keep = _smallest_ids(adj[single[0]][single[1]].values(), 1)
+    for a, b in doubled[:2]:
+        keep |= _smallest_ids(adj[a][b].values(), 2)
+    return MinorWitness(K3BB_PATTERN, tuple(_keep_only(adj, _edges(adj), adj, keep)))
 
 
-def _witness_both_doubled(h: GainGraph, v: int, x: int, y: int) -> MinorWitness:
+def _witness_both_doubled(adj: dict, v: int, vx: list, vy: list) -> MinorWitness:
     """Doubled towards both neighbors: contract an x-y path avoiding v."""
-    path = _shortest_path_avoiding(h.underlying_simple_graph(), x, y, v)
-    path_edges = _path_edges(h, path)
-    keep = {e.id for e in path_edges} | _smallest_ids(h, v, x, 2) | _smallest_ids(h, v, y, 2)
-    ops = _keep_only(h, {v} | set(path), keep)
+    x, y = vx[0].other(v), vy[0].other(v)
+    (path,) = _disjoint_paths(adj, (x,), {y})
+    path_edges = _path_edges(adj, path)
+    keep = {e.id for e in path_edges} | _smallest_ids(vx, 2) | _smallest_ids(vy, 2)
+    ops = _keep_only([v, *adj], [*vx, *vy, *_edges(adj)], {v, *path}, keep)
     ops += [MinorOp("contract_edge", e.id, x) for e in path_edges[:-1]]
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
-def _shortest_path_avoiding(si: SimpleGraph, x: int, y: int, avoid: int) -> list:
-    prev = {x: None}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if u == y:
-            break
-        for w in sorted(si.neighbors(u)):
-            if w != avoid and w not in prev:
-                prev[w] = u
-                queue.append(w)
-    if y not in prev:
-        raise RealdimError("expected an x-y path avoiding the degree-two vertex")
-    path = [y]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
-def _witness_unbalanced_rest(
-    h: GainGraph, v: int, x: int, y: int, walk
-) -> MinorWitness:
+def _witness_unbalanced_rest(adj: dict, v: int, vx: list, vy: list, walk) -> MinorWitness:
     """Unbalanced cycle beyond v: route x and y to it disjointly and contract.
 
     The final shape keeps v, the doubled pair towards x, the single edge
     towards y, and turns the unbalanced cycle into a parallel pair between
     the two path endpoints.
     """
+    x, y = vx[0].other(v), vy[0].other(v)
     cyc_vertices = list(walk.sequence[0:-1:2])
     cyc_edges = list(walk.sequence[1::2])
-    si_rest = h.delete_vertex(v).underlying_simple_graph()
-    p1, p2 = _two_disjoint_paths(si_rest, x, y, set(cyc_vertices))
+    p1, p2 = _disjoint_paths(adj, (x, y), set(cyc_vertices))
     u1, u2 = p1[-1], p2[-1]
 
-    path_edges_1, path_edges_2 = _path_edges(h, p1), _path_edges(h, p2)
+    path_edges_1, path_edges_2 = _path_edges(adj, p1), _path_edges(adj, p2)
     keep = {e.id for e in path_edges_1 + path_edges_2 + cyc_edges}
-    keep |= _smallest_ids(h, v, x, 2) | _smallest_ids(h, v, y, 1)
-    ops = _keep_only(h, {v} | set(p1) | set(p2) | set(cyc_vertices), keep)
+    keep |= _smallest_ids(vx, 2) | _smallest_ids(vy, 1)
+    ops = _keep_only([v, *adj], [*vx, *vy, *_edges(adj)],
+                     {v, *p1, *p2, *cyc_vertices}, keep)
     ops += [MinorOp("contract_edge", e.id, x) for e in path_edges_1]
     ops += [MinorOp("contract_edge", e.id, y) for e in path_edges_2]
 
@@ -510,78 +502,57 @@ def _witness_unbalanced_rest(
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
-def _two_disjoint_paths(si: SimpleGraph, x: int, y: int, targets: set):
-    """Vertex-disjoint paths from x and from y to distinct target vertices.
+def _disjoint_paths(adj: dict, sources, targets: set) -> list:
+    """Vertex-disjoint paths in adj from each source to a target, one target
+    each; a path stops at the first target it meets.
 
-    Unit-capacity flow with split vertices; paths stop at first target
-    contact.  Existence is guaranteed by two-connectedness of the graph
-    the callers work in.
+    Menger's theorem by augmenting paths: each round is one breadth-first
+    search over the split network, in which vertex w is an arc of capacity
+    one from node (w, 0) to node (w, 1), an edge u-w is an arc from (u, 1)
+    to (w, 0), and a target's node (w, 0) leads out.  The flow is the map
+    ``into``: a path enters w from ``into[w]`` (None at a source).  Sources
+    start each search in increasing order and neighbours are visited in
+    increasing order, so the paths do not depend on the order of ``adj``.
+    The callers route inside a two-connected block, so the paths exist.
     """
-    arcs: dict = {}
-
-    def add(u, w):
-        arcs.setdefault(u, {})[w] = arcs.get(u, {}).get(w, 0) + 1
-
-    for vtx in si.vertices:
-        if vtx in targets:
-            add(("in", vtx), "T")
-        else:
-            add(("in", vtx), ("out", vtx))
-    for pair in si.edges:
-        a, b = tuple(pair)
-        for s, t in ((a, b), (b, a)):
-            if s not in targets:
-                add(("out", s), ("in", t))
-    add("S", ("in", x))
-    add("S", ("in", y))
-
-    flow: dict = {}
-
-    def residual(u, w):
-        return arcs.get(u, {}).get(w, 0) - flow.get((u, w), 0) + flow.get((w, u), 0)
-
-    pushed = 0
-    for _ in range(2):
-        prev = {"S": None}
-        queue = deque(["S"])
+    into: dict = {}
+    for _ in sources:
+        prev = {(s, 0): None for s in sorted(sources) if s not in into}
+        queue = deque(prev)
         while queue:
-            u = queue.popleft()
-            if u == "T":
-                break
-            neighbors = set(arcs.get(u, {})) | {
-                a for (a, b2) in flow if b2 == u and flow[(a, b2)] > 0
-            }
-            for w in sorted(neighbors, key=str):
-                if w not in prev and residual(u, w) > 0:
-                    prev[w] = u
-                    queue.append(w)
-        if "T" not in prev:
-            break
-        node = "T"
+            node = w, out = queue.popleft()
+            if out:  # along an unused edge, or back into w along its path
+                step = [(u, 0) for u in sorted(adj[w]) if into.get(u) != w]
+                if w in into:
+                    step.append((w, 0))
+            elif w not in into:
+                if w in targets:
+                    break
+                step = [(w, 1)]
+            else:  # back along the edge its path enters w by
+                step = [] if into[w] is None else [(into[w], 1)]
+            for nxt in step:
+                if nxt not in prev:
+                    prev[nxt] = node
+                    queue.append(nxt)
+        else:
+            raise RealdimError("expected disjoint paths from the sources to the targets")
         while prev[node] is not None:
-            u = prev[node]
-            if flow.get((node, u), 0) > 0:
-                flow[(node, u)] -= 1
-            else:
-                flow[(u, node)] = flow.get((u, node), 0) + 1
-            node = u
-        pushed += 1
-    if pushed < 2:
-        raise RealdimError("expected two disjoint paths to the unbalanced cycle")
-
-    def walk(start):
-        path = [start]
-        node = ("in", start)
-        for _ in range(4 * (si.n + 2)):
-            nxt = next(w for w in arcs.get(node, {}) if flow.get((node, w), 0) > 0)
-            if nxt == "T":
-                return path
-            if isinstance(nxt, tuple) and nxt[0] == "in":
-                path.append(nxt[1])
-            node = nxt
-        raise RealdimError("flow decomposition did not terminate")
-
-    return walk(x), walk(y)
+            (u, u_out), (w, _) = prev[node], node
+            if u != w and u_out:  # along the edge u-w
+                into[w] = u
+            elif u != w:  # back along the edge w-u
+                del into[u]
+            node = prev[node]
+        into[node[0]] = None
+    succ = {u: w for w, u in into.items() if u is not None}
+    paths = []
+    for s in sources:
+        path = [s]
+        while path[-1] not in targets:
+            path.append(succ[path[-1]])
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +589,6 @@ class RdBounds:
 
 def realizable_dimension_bounds(
     g: GainGraph,
-    brute_force_bound: int = 10,
     *,
     d1: RealizabilityVerdict | None = None,
     d2: RealizabilityVerdict | None = None,
@@ -650,7 +620,7 @@ def realizable_dimension_bounds(
     lower = 3
     if complete:
         lower = max(lower, n - 1)
-    elif si.n <= brute_force_bound:
-        f = finite_rd_upper3(si, brute_force_bound)
+    elif si.n <= FINITE_MINOR_BOUND:
+        f = finite_rd_upper3(si)
         lower = max(lower, 4 if f == ">=4" else f)
     return RdBounds(lower, n)

@@ -517,6 +517,13 @@ def test_k5_detects_itself_and_k4():
     assert not finite_has_minor(complete_simple(4), "K5")
 
 
+def test_brute_force_minor_search_refuses_hosts_over_its_bound():
+    host = complete_simple(minors.FINITE_MINOR_BOUND + 1)
+    assert host.n == 11
+    with pytest.raises(BoundExceededError):
+        finite_has_minor(host, "K5")
+
+
 def test_finite_rd_upper3_values():
     assert finite_rd_upper3(complete_simple(3)) == 2
     assert finite_rd_upper3(k222_simple()) == ">=4"

@@ -19,9 +19,12 @@ from realdim.graphs import GainEdge, GainGraph
 from realdim.randgen import (
     random_framework,
     random_isomorphic_copy,
+    random_minor_operation,
     random_simple_gain_graph,
     random_switch_sequence,
 )
+from realdim.realizability import is_2_realizable
+from test_realizability import balanced_strip, labelled_strip, necklace
 
 
 def walk_gain(g, sequence):
@@ -244,3 +247,47 @@ def test_flatten_random_sweep():
         if before == n + 1:
             assert affine_dimension(flat) < before
         done += 1
+
+
+# -- minor closure of the plane decider at scale ---------------------------------
+# A graph with a forbidden minor keeps it in every graph containing it, and
+# every minor of a 2-realizable graph is 2-realizable.
+
+
+def with_new_edge(rng, g):
+    """g plus one edge of an orbit g does not have, maybe a selfloop."""
+    keys = {e.orbit_key() for e in g.edges}
+    while True:
+        e = GainEdge(g.fresh_edge_id(), rng.choice(g.vertices), rng.choice(g.vertices),
+                     rng.randint(-3, 3))
+        if not (e.is_loop and e.label == 0) and e.orbit_key() not in keys:
+            return GainGraph(g.vertices, g.edges + (e,))
+
+
+def with_pendant_vertex(rng, g):
+    v = max(g.vertices) + 1
+    e = GainEdge(g.fresh_edge_id(), rng.choice(g.vertices), v, rng.randint(-3, 3))
+    return GainGraph(g.vertices + (v,), g.edges + (e,))
+
+
+def test_d2_no_survives_an_added_edge_or_pendant_vertex_at_scale():
+    rng = random.Random(61)
+    for _ in range(8):
+        g = labelled_strip(rng.randint(300, 1000), rng)
+        assert not is_2_realizable(g).answer
+        for grow in (with_new_edge, with_pendant_vertex):
+            h = grow(rng, g)
+            v = is_2_realizable(h)
+            assert not v.answer
+            assert v.verify(h)
+
+
+def test_d2_yes_survives_a_random_minor_operation_at_scale():
+    rng = random.Random(67)
+    for g in (balanced_strip(1000, random.Random(71)), necklace(1000)):
+        assert is_2_realizable(g).answer
+        for _ in range(6):
+            h = random_minor_operation(rng, g)
+            v = is_2_realizable(h)
+            assert v.answer
+            assert v.verify(h)

@@ -195,6 +195,22 @@ def test_deletion_case_unbalanced_rest():
     check_verdict(g, v)
 
 
+def test_unbalanced_rest_routing_that_must_reroute():
+    # Vertex 1 is doubled towards x = 2 and single towards y = 3; the rest
+    # is unbalanced only on the triangle 6-7-8.  y reaches the rest only
+    # through 4, which lies on x's shortest route 2-4-6, so the second
+    # augmenting path takes 4 from x and x goes round by 5-9-10-7.
+    g = GainGraph.of(10, [
+        (1, 2, 0), (1, 2, 1), (1, 3, 0), (2, 4, 0), (2, 5, 0), (3, 4, 0), (4, 6, 0),
+        (6, 7, 0), (6, 8, 0), (7, 8, 1), (5, 9, 0), (9, 10, 0), (10, 7, 0),
+    ])
+    v = is_2_realizable(g)
+    assert not v.answer
+    back = certificate_from_json_dict(json.loads(json.dumps(certificate_to_json_dict(v))))
+    assert back.verify(g) is True
+    assert v.answer == (not contains_forbidden(g, 2, max_vertices=10))
+
+
 def test_wheel_min_degree_three_not_2_realizable():
     g = GainGraph.of(
         4, [(1, 2, 0), (2, 3, 0), (3, 1, 0), (1, 4, 0), (2, 4, 0), (3, 4, 1)]
@@ -609,13 +625,27 @@ def edge_records(monkeypatch):
     return records
 
 
-@pytest.mark.parametrize("make", [long_cycle, lambda n: balanced_strip(n, random.Random(3))],
-                         ids=["cycle", "strip-two-tree"])
-def test_d2_passes_linearly_many_edges_through_gain_graphs(edge_records, make):
+def labelled_strip(n, rng):
+    """The strip of balanced_strip with random labels: a "no" found at the
+    first deletion step, whose rest is unbalanced."""
+    g = balanced_strip(n, rng)
+    return GainGraph.of(n, [(e.tail, e.head, rng.randint(-3, 3)) for e in g.edges])
+
+
+@pytest.mark.parametrize("make, answer, decide_bound", [
+    (long_cycle, True, 10),
+    (lambda n: balanced_strip(n, random.Random(3)), True, 10),
+    # one balance check of the rest, and no other graph of the block
+    (lambda n: labelled_strip(n, random.Random(3)), False, 1),
+    (necklace, True, 1),
+], ids=["cycle", "strip-two-tree", "labelled-strip", "necklace"])
+def test_d2_passes_linearly_many_edges_through_gain_graphs(edge_records, make, answer,
+                                                           decide_bound):
     g = make(2000)
+    edge_records.clear()
     v = is_2_realizable(g)
-    assert v.answer
-    assert sum(edge_records) <= 10 * g.m
+    assert v.answer is answer
+    assert sum(edge_records) <= decide_bound * g.m
     edge_records.clear()
     assert v.verify(g)
     assert sum(edge_records) <= 4 * g.m
