@@ -274,14 +274,6 @@ def _read(data: dict, edge_lines: list, kinds: tuple):
     return FrameworkDocument(graph, d, tuple(sorted(pos.items())), lattice, stress)
 
 
-def document_kind(text: str):
-    """The kind a document declares: the first word of a text document's
-    header, or the ``kind`` field of a JSON one (None if there is none)."""
-    if text.lstrip().startswith("{"):
-        return _twin(text)[0].get("kind")
-    return next((tokens[0] for _, tokens in _logical_lines(text)), None)
-
-
 def parse_graph_document(text: str) -> GraphDocument:
     """A graph document, or the graph part of a framework document (whose
     other fields are checked all the same)."""

@@ -16,11 +16,15 @@ vertex orbit; it adds the integer to outgoing labels and subtracts it
 from incoming ones, leaving selfloops alone.  Switching, edge inversion
 and vertex renaming generate the isomorphism notion implemented by
 :meth:`GainGraph.canonical_form`.
+
+The block split :func:`blocks` and the cycle search :func:`find_cycle`
+read any loopless ``{vertex: neighbours}`` mapping: the deciders' own
+multigraph, whose neighbour values are edge dicts, as well as a
+:class:`SimpleGraph`'s adjacency.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -207,89 +211,104 @@ class SimpleGraph:
         )
 
     def find_cycle(self):
-        """Return some cycle as a vertex list, or None.  DFS based."""
-        parent: dict = {}
-        for start in sorted(self.vertices):
-            if start in parent:
-                continue
-            parent[start] = None
-            stack = [start]
-            order = {start: 0}
-            while stack:
-                u = stack.pop()
-                for w in sorted(self._adj[u]):
-                    if w not in parent:
-                        parent[w] = u
-                        order[w] = order[u] + 1
-                        stack.append(w)
-                    elif w != parent[u] and order.get(w) is not None:
-                        # back or cross edge in the DFS forest: walk both
-                        # endpoints up to their meeting point.
-                        pu = [u]
-                        pw = [w]
-                        a, b = u, w
-                        while order[a] > order[b]:
-                            a = parent[a]
-                            pu.append(a)
-                        while order[b] > order[a]:
-                            b = parent[b]
-                            pw.append(b)
-                        while a != b:
-                            a = parent[a]
-                            b = parent[b]
-                            pu.append(a)
-                            pw.append(b)
-                        cycle = pu + pw[-2::-1]
-                        if len(cycle) >= 3:
-                            return cycle
-        return None
+        """Some cycle as a vertex list, or None; see :func:`find_cycle`."""
+        return find_cycle(self._adj)
 
     def blocks(self) -> list:
-        """Biconnected components as (vertex frozenset, edge frozenset).
-
-        Bridges are blocks of one edge.  Isolated vertices yield no block.
-        Iterative Hopcroft-Tarjan with an edge stack; each DFS frame keeps
-        the stack position of the tree edge into its vertex, where a block
-        hanging off that edge starts.
-        """
-        found = []
-        visited = set()
-        for start in sorted(self.vertices):
-            if start in visited:
-                continue
-            discovery = {start: 0}
-            low = {start: 0}
-            visited.add(start)
-            edge_stack = []
-            stack = [(start, start, iter(sorted(self._adj[start])), 0)]
-            while stack:
-                grandparent, parent, children, ind = stack[-1]
-                child = next(children, None)
-                if child is not None:
-                    if grandparent == child:
-                        continue
-                    if child in visited:
-                        if discovery[child] <= discovery[parent]:
-                            low[parent] = min(low[parent], discovery[child])
-                            edge_stack.append(frozenset((parent, child)))
-                    else:
-                        low[child] = discovery[child] = len(discovery)
-                        visited.add(child)
-                        stack.append((parent, child, iter(sorted(self._adj[child])),
-                                      len(edge_stack)))
-                        edge_stack.append(frozenset((parent, child)))
-                else:
-                    stack.pop()
-                    if stack:
-                        if low[parent] >= discovery[grandparent]:
-                            found.append(edge_stack[ind:])
-                            del edge_stack[ind:]
-                        low[grandparent] = min(low[parent], low[grandparent])
-        return [(frozenset(itertools.chain.from_iterable(es)), frozenset(es)) for es in found]
+        """Biconnected components as (vertex frozenset, edge frozenset); see
+        :func:`blocks`."""
+        return [(frozenset(vs), frozenset(map(frozenset, pairs)))
+                for _, vs, pairs in blocks(self._adj)]
 
     def is_complete(self) -> bool:
         n = self.n
         return self.m == n * (n - 1) // 2
+
+
+def find_cycle(adj: Mapping):
+    """Return some cycle of a loopless ``{vertex: neighbours}`` graph as a
+    vertex list, or None.  DFS based."""
+    parent: dict = {}
+    for start in sorted(adj):
+        if start in parent:
+            continue
+        parent[start] = None
+        stack = [start]
+        order = {start: 0}
+        while stack:
+            u = stack.pop()
+            for w in sorted(adj[u]):
+                if w not in parent:
+                    parent[w] = u
+                    order[w] = order[u] + 1
+                    stack.append(w)
+                elif w != parent[u] and order.get(w) is not None:
+                    # back or cross edge in the DFS forest: walk both
+                    # endpoints up to their meeting point.
+                    pu = [u]
+                    pw = [w]
+                    a, b = u, w
+                    while order[a] > order[b]:
+                        a = parent[a]
+                        pu.append(a)
+                    while order[b] > order[a]:
+                        b = parent[b]
+                        pw.append(b)
+                    while a != b:
+                        a = parent[a]
+                        b = parent[b]
+                        pu.append(a)
+                        pw.append(b)
+                    cycle = pu + pw[-2::-1]
+                    if len(cycle) >= 3:
+                        return cycle
+    return None
+
+
+def blocks(adj: Mapping) -> list:
+    """Biconnected components of a loopless ``{vertex: neighbours}`` graph
+    as (root, sorted vertex tuple, list of vertex pairs).
+
+    The root is the DFS start of the block's component, its least vertex.
+    Bridges are blocks of one pair.  Isolated vertices yield no block.
+    Iterative Hopcroft-Tarjan with an edge stack; each DFS frame keeps the
+    stack position of the tree edge into its vertex, where a block hanging
+    off that edge starts.
+    """
+    found = []
+    visited = set()
+    for start in sorted(adj):
+        if start in visited:
+            continue
+        discovery = {start: 0}
+        low = {start: 0}
+        visited.add(start)
+        edge_stack = []
+        stack = [(start, start, iter(sorted(adj[start])), 0)]
+        while stack:
+            grandparent, parent, children, ind = stack[-1]
+            child = next(children, None)
+            if child is not None:
+                if grandparent == child:
+                    continue
+                if child in visited:
+                    if discovery[child] <= discovery[parent]:
+                        low[parent] = min(low[parent], discovery[child])
+                        edge_stack.append((parent, child))
+                else:
+                    low[child] = discovery[child] = len(discovery)
+                    visited.add(child)
+                    stack.append((parent, child, iter(sorted(adj[child])), len(edge_stack)))
+                    edge_stack.append((parent, child))
+            else:
+                stack.pop()
+                if stack:
+                    if low[parent] >= discovery[grandparent]:
+                        pairs = edge_stack[ind:]
+                        del edge_stack[ind:]
+                        found.append((start, tuple(sorted({v for p in pairs for v in p})), pairs))
+                    low[grandparent] = min(low[parent], low[grandparent])
+    return found
 
 
 @dataclass(frozen=True)
@@ -407,9 +426,6 @@ class GainGraph:
         want = {a, b}
         return [e for e in self.edges if not e.is_loop and {e.tail, e.head} == want]
 
-    def multiplicity(self, a: int, b: int) -> int:
-        return len(self.edges_between(a, b)) if a != b else 0
-
     def __eq__(self, other):
         if not isinstance(other, GainGraph):
             return NotImplemented
@@ -445,12 +461,6 @@ class GainGraph:
     def invert_edge(self, eid: int) -> "GainGraph":
         self.edge(eid)
         return GainGraph(self.vertices, [f.inverted() if f.id == eid else f for f in self.edges])
-
-    def delete_edge(self, eid: int) -> "GainGraph":
-        return self.minor([("delete_edge", eid, None)])
-
-    def delete_vertex(self, v: int) -> "GainGraph":
-        return self.minor([("delete_vertex", v, None)])
 
     def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
         """Contract a non-loop: switch its head by its label, merge the other

@@ -1,11 +1,15 @@
 """Polynomial-time realizability deciders with certificates.
 
+Each decider holds its input as one multigraph, ``{u: {w: {orbit key:
+edge}}}`` with selfloops left out, built once per call.
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
-is the absence of any cycle other than selfloops.  ``is_2_realizable``
-leaves selfloops out, splits the graph into blocks once, and runs one
-loop of series reductions per block on one mutable multigraph, removing
-a degree-two vertex by contracting one of its edges (both multiplicities
+is the absence of any cycle other than selfloops, read off the
+multigraph as a parallel pair or a cycle of ``graphs.find_cycle``.
+``is_2_realizable`` splits the multigraph into blocks once, with
+``graphs.blocks``, and runs one loop of series reductions per block on
+the block's multigraph, which shares its pair dicts, removing a
+degree-two vertex by contracting one of its edges (both multiplicities
 one) or by deleting it after a balance check of the rest (one doubled
 side).  Labels stay in the input's frame: a contraction writes the gain
 of the path it replaces onto the surviving edge, so no step switches or
@@ -35,7 +39,7 @@ from operator import attrgetter
 
 from .certificates import DISJOINT_UNION, LEAF, DecompositionTree, RealizabilityVerdict, Row
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph, SimpleGraph
+from .graphs import GainEdge, GainGraph, SimpleGraph, blocks, find_cycle
 from .minors import (
     FINITE_MINOR_BOUND,
     K3_BULLETBULLET,
@@ -71,22 +75,15 @@ def _prefix(witness: MinorWitness, ops) -> MinorWitness:
 def is_1_realizable(g: GainGraph) -> RealizabilityVerdict:
     """Line realizability: no parallel pair and a forest after ignoring loops."""
     _require_nonempty(g)
-    pair = _smallest_parallel_pair(g)
+    adj = _multigraph(g.vertices, g.edges)
+    pair = min(((a, b) for a in adj for b, es in adj[a].items() if a < b and len(es) >= 2),
+               default=None)
     if pair is not None:
         return RealizabilityVerdict(1, False, _witness_parallel_pair(g, *pair))
-    cycle = g.underlying_simple_graph().find_cycle()
+    cycle = find_cycle(adj)
     if cycle is not None:
-        return RealizabilityVerdict(1, False, _witness_simple_cycle(g, cycle))
+        return RealizabilityVerdict(1, False, _witness_simple_cycle(g, adj, cycle))
     return RealizabilityVerdict(1, True, _forest_tree(g))
-
-
-def _smallest_parallel_pair(g: GainGraph):
-    count: dict = {}
-    for e in g.edges:
-        if not e.is_loop:
-            pair = (min(e.tail, e.head), max(e.tail, e.head))
-            count[pair] = count.get(pair, 0) + 1
-    return min((pair for pair, c in count.items() if c >= 2), default=None)
 
 
 def _keep_only(vertices, edges, keep_vertices, keep_edge_ids) -> list:
@@ -111,9 +108,10 @@ def _path_edges(adj: dict, path: list) -> list:
     return [min(adj[a][b].values(), key=attrgetter("id")) for a, b in zip(path, path[1:])]
 
 
-def _witness_simple_cycle(g: GainGraph, cycle: list) -> MinorWitness:
-    """Contract a cycle to a balanced triangle or an unbalanced pair."""
-    edges = _path_edges(_multigraph(g.vertices, g.edges), cycle + cycle[:1])
+def _witness_simple_cycle(g: GainGraph, adj: dict, cycle: list) -> MinorWitness:
+    """Contract a cycle of g, whose multigraph is adj, to a balanced triangle
+    or an unbalanced pair."""
+    edges = _path_edges(adj, cycle + cycle[:1])
     gain = sum(e.gain_from(cycle[i]) for i, e in enumerate(edges))
     ops = _keep_only(g.vertices, g.edges, set(cycle), {e.id for e in edges})
     k = len(cycle)
@@ -207,39 +205,32 @@ def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
 def _decide2_split(g: GainGraph, alloc):
     """Decide every block, then glue blocks and selfloop leaves by one-sums.
 
-    Selfloops belong to no block; a witness starts by deleting them.
+    Selfloops belong to no block; a witness starts by deleting them.  Each
+    block's multigraph shares its pair dicts with the multigraph of g, and
+    its loop adds edges to them.  An edge with both ends in a block is one
+    of its edges, so a loop touches no pair of a later block, and the
+    multigraph of g is read only for the pairs of blocks not yet decided;
+    a trim reads g itself.
     """
-    si = g.underlying_simple_graph()
-    comps = si.components()
-    blocks = si.blocks()
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    blocks_in = [0] * len(comps)
-    for vset, _ in blocks:
-        blocks_in[comp_of[min(vset)]] += 1
-    by_pair: dict = {}
-    for e in g.edges:
-        if not e.is_loop:
-            by_pair.setdefault(e.pair(), []).append(e)
-
+    adj = _multigraph(g.vertices, g.edges)
+    found = blocks(adj)
     pieces = []
-    for vset, eset in blocks:
-        res = _decide2_block(vset, [e for pair in eset for e in by_pair[pair]], alloc)
+    for root, vs, pairs in found:
+        block: dict = {v: {} for v in vs}
+        for a, b in pairs:
+            block[a][b] = block[b][a] = adj[a][b]
+        res = _decide2_block(block, alloc)
         if isinstance(res, MinorWitness):
             # Trim to the component, then to the block within it.
-            ci = comp_of[min(vset)]
-            comp = comps[ci]
-            ops = []
-            if len(comps) > 1:
-                ops += [MinorOp("delete_vertex", u) for u in g.vertices if u not in comp]
-            if blocks_in[ci] > 1:
-                ops += [
-                    MinorOp("delete_edge", e.id)
-                    for e in g.edges
-                    if e.tail in comp and not e.is_loop and e.pair() not in eset
-                ]
-                ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in vset]
+            comp = {u for r, us, _ in found if r == root for u in us}
+            ops = [MinorOp("delete_vertex", u) for u in g.vertices if u not in comp]
+            if sum(r == root for r, _, _ in found) > 1:
+                inside = set(vs)
+                ops += [MinorOp("delete_edge", e.id) for e in g.edges if e.tail in comp
+                        and not e.is_loop and not (e.tail in inside and e.head in inside)]
+                ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in inside]
             return _prefix(res, ops)
-        pieces.append((vset, res))
+        pieces.append((vs, res))
     return _glue(g.vertices, pieces + _loop_pieces(g.edges))
 
 
@@ -253,9 +244,10 @@ def _add(adj: dict, e: GainEdge):
     by_orbit = adj[e.tail].get(e.head)
     if by_orbit is None:
         by_orbit = adj[e.tail][e.head] = adj[e.head][e.tail] = {}
-    old = by_orbit.get(e.orbit_key())
+    key = e.orbit_key()
+    old = by_orbit.get(key)
     if old is None or e.id < old.id:
-        by_orbit[e.orbit_key()] = e
+        by_orbit[key] = e
 
 
 def _multigraph(vertices, edges) -> dict:
@@ -296,8 +288,9 @@ def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int) -> list:
     return [Row(LEAF, tuple(sorted((w, a, b))), triangle), Row.two_sum((a, b), zero_child=1)]
 
 
-def _decide2_block(vertices, edges, alloc):
-    """Decide one two-connected block by series reductions, without recursion.
+def _decide2_block(adj: dict, alloc):
+    """Decide one two-connected block, held as the multigraph adj, by series
+    reductions, without recursion.
 
     Each step takes the smallest degree-two vertex v, with neighbours
     x < y, out of the graph: it is contracted into x when single towards
@@ -310,9 +303,8 @@ def _decide2_block(vertices, edges, alloc):
     (and piece) onto the rows before it.  A "no" is read off this same
     multigraph, v's edges and the ops replaying the steps taken.
     """
-    if len(vertices) <= 2:
-        return [Row.leaf(vertices, edges)]
-    adj = _multigraph(vertices, edges)
+    if len(adj) <= 2:
+        return [Row.leaf(adj, _edges(adj))]
     # A reduction never raises a degree, so a degree-two vertex stays on the
     # heap until it is removed.
     degree_two = sorted(v for v in adj if len(adj[v]) == 2)
@@ -609,8 +601,8 @@ def realizable_dimension_bounds(
         if verdict is not None and verdict.dimension_bound != dim:
             raise RealdimError(f"d{dim} must be a dimension-{dim} verdict")
     n = g.n
-    si = g.underlying_simple_graph()
-    complete = si.is_complete()
+    # Fewer edges than pairs leave the simplified graph incomplete.
+    complete = g.m >= n * (n - 1) // 2 and g.underlying_simple_graph().is_complete()
     if complete and realizable_dimension_complete_case(g) == n:
         return RdBounds(n, n)
     if (d1 if d1 is not None else is_1_realizable(g)).answer:
@@ -620,7 +612,7 @@ def realizable_dimension_bounds(
     lower = 3
     if complete:
         lower = max(lower, n - 1)
-    elif si.n <= FINITE_MINOR_BOUND:
-        f = finite_rd_upper3(si)
+    elif n <= FINITE_MINOR_BOUND:
+        f = finite_rd_upper3(g.underlying_simple_graph())
         lower = max(lower, 4 if f == ">=4" else f)
     return RdBounds(lower, n)

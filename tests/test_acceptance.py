@@ -102,7 +102,7 @@ def corpus_500():
 
 def has_nonloop_cycle(g):
     if any(
-        g.multiplicity(a, b) >= 2 for a, b in itertools.combinations(g.vertices, 2)
+        len(g.edges_between(a, b)) >= 2 for a, b in itertools.combinations(g.vertices, 2)
     ):
         return True
     return g.underlying_simple_graph().find_cycle() is not None

@@ -6,8 +6,9 @@ import pytest
 
 from realdim.certificates import LEAF, CertificateError, DecompositionTree, Row
 from realdim.errors import BoundExceededError, RealdimError, SimplicityError
-from realdim.graphs import LIFT_WINDOW_BOUND, GainEdge, GainGraph, SimpleGraph
-from realdim.randgen import random_isomorphic_copy
+from realdim.graphs import LIFT_WINDOW_BOUND, GainEdge, GainGraph, SimpleGraph, blocks
+from realdim.minors import MinorOp
+from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
 
 
 def k2_zero():
@@ -155,19 +156,19 @@ def test_invert_preserves_balance_verdict():
 
 
 def test_delete_edge_of_k2():
-    g = k2_zero().delete_edge(1)
+    g = k2_zero().minor([MinorOp("delete_edge", 1)])
     assert g.m == 0 and g.vertices == (1, 2)
 
 
 def test_delete_vertex_of_k3_bullets():
-    g = k3_bullets().delete_vertex(3)
+    g = k3_bullets().minor([MinorOp("delete_vertex", 3)])
     assert g.vertices == (1, 2)
     assert [e.label for e in g.edges] == [0]
 
 
 def test_delete_loop():
     g = GainGraph.of(2, [(1, 2, 0), (1, 1, 1)])
-    h = g.delete_edge(2)
+    h = g.minor([MinorOp("delete_edge", 2)])
     assert h == k2_zero()
 
 
@@ -331,11 +332,11 @@ def test_balance_preserved_by_minors():
         g = g.switch_many(pot)
         assert g.is_balanced()
         for e in g.edges:
-            assert g.delete_edge(e.id).is_balanced()
+            assert g.minor([MinorOp("delete_edge", e.id)]).is_balanced()
             if not e.is_loop:
                 assert g.contract_edge(e.id).is_balanced()
         for v in g.vertices:
-            assert g.delete_vertex(v).is_balanced()
+            assert g.minor([MinorOp("delete_vertex", v)]).is_balanced()
 
 
 # -- canonical form --------------------------------------------------------------
@@ -545,6 +546,48 @@ def test_simplegraph_blocks_of_long_path_in_linear_time():
     assert time.perf_counter() - start < 1.5
     assert len(blocks) == n - 1
     assert {es for _, es in blocks} == {frozenset([e]) for e in sg.edges}
+
+
+def cycle_pair_sets(adj):
+    """The vertex-pair set of every cycle, from simple paths out of its least vertex."""
+    found = []
+
+    def extend(path):
+        for w in adj[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                found.append({frozenset(p) for p in zip(path, path[1:] + path[:1])})
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in adj:
+        extend([s])
+    return found
+
+
+def test_blocks_equal_the_brute_force_cycle_relation():
+    # Two pairs share a block iff they are equal or lie on a common cycle;
+    # a multigraph's neighbour values may be edge lists, and its loops are
+    # left out of the mapping.
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_simple_gain_graph(rng, max_vertices=8, max_edges=12)
+        adj = {v: {} for v in g.vertices}
+        for e in g.edges:
+            if not e.is_loop:
+                adj[e.tail].setdefault(e.head, []).append(e)
+                adj[e.head].setdefault(e.tail, []).append(e)
+        components = SimpleGraph(adj, [e.pair() for e in g.edges if not e.is_loop]).components()
+        block_of = {}
+        for k, (root, vs, pairs) in enumerate(blocks(adj)):
+            assert vs == tuple(sorted({v for p in pairs for v in p}))
+            assert root == min(next(c for c in components if vs[0] in c))
+            for p in pairs:
+                assert frozenset(p) not in block_of
+                block_of[frozenset(p)] = k
+        assert set(block_of) == {e.pair() for e in g.edges if not e.is_loop}
+        cycles = cycle_pair_sets(adj)
+        for p, q in itertools.combinations(block_of, 2):
+            assert (block_of[p] == block_of[q]) == any(p in c and q in c for c in cycles)
 
 
 def test_simplegraph_find_cycle():

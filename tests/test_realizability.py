@@ -17,10 +17,11 @@ from realdim.certificates import (
     verify_decomposition,
 )
 from realdim.errors import RealdimError
-from realdim.graphs import GainGraph
-from realdim.minors import MinorWitness, contains_forbidden
+from realdim.graphs import GainGraph, SimpleGraph
+from realdim.minors import MinorOp, MinorWitness, contains_forbidden
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
 from realdim.realizability import (
+    K4_ZERO_PATTERN,
     RdBounds,
     is_1_realizable,
     is_2_realizable,
@@ -175,6 +176,24 @@ def test_disconnected_mixed_components():
     check_verdict(g, v)
 
 
+def test_no_block_witness_trims_the_other_component_then_the_other_block():
+    # A balanced K4 on 1-4 shares the cut vertex 4 with the triangle 4-5-6,
+    # beside the component 7-8 and its selfloop 11.  The witness deletes
+    # the loop, the other component, then the triangle's edges and its
+    # other vertices, leaving the K4 as it is.
+    g = GainGraph.of(8, [(1, 2, 0), (1, 3, 0), (1, 4, 0), (2, 3, 0), (2, 4, 0), (3, 4, 0),
+                         (4, 5, 0), (5, 6, 1), (4, 6, 0), (7, 8, 2), (8, 8, 1)])
+    v = is_2_realizable(g)
+    assert not v.answer
+    assert v.certificate.pattern == K4_ZERO_PATTERN
+    assert v.certificate.ops == (
+        MinorOp("delete_edge", 11), MinorOp("delete_vertex", 7), MinorOp("delete_vertex", 8),
+        MinorOp("delete_edge", 7), MinorOp("delete_edge", 8), MinorOp("delete_edge", 9),
+        MinorOp("delete_vertex", 5), MinorOp("delete_vertex", 6),
+    )
+    check_verdict(g, v)
+
+
 def test_deletion_case_balanced_rest():
     # degree-2 vertex 1 doubled towards 2, single towards 3; rest balanced.
     g = GainGraph.of(
@@ -305,7 +324,7 @@ def test_deletion_step_with_added_edge_gives_k4_witness():
         (1, 2, 0), (1, 2, 1), (1, 3, 2),
         (2, 4, 1), (2, 5, -1), (3, 4, 2), (3, 5, 0), (4, 5, -2),
     ])
-    assert g.delete_vertex(1).is_balanced()
+    assert g.minor([MinorOp("delete_vertex", 1)]).is_balanced()
     v = is_2_realizable(g)
     assert not v.answer
     assert v.certificate.verify(g)
@@ -686,3 +705,27 @@ def test_d1_witness_of_20000_cycle_verifies(default_recursion_limit):
     v = is_1_realizable(g)
     assert not v.answer
     assert v.verify(g)
+
+
+@pytest.mark.parametrize("make", [
+    long_cycle, necklace, lambda n: balanced_strip(n, random.Random(7)),
+    lambda n: labelled_strip(n, random.Random(7)), lambda n: tree_with_loops(n, random.Random(7)),
+    # doubled towards both neighbours of vertex 1
+    lambda n: GainGraph.of(4, [(1, 2, 0), (1, 2, 1), (1, 3, 0), (1, 3, 1), (2, 4, 0), (3, 4, 0)]),
+    # doubled towards 2, single towards 3, and the rest unbalanced
+    lambda n: GainGraph.of(4, [(1, 2, 0), (1, 2, 1), (1, 3, 0), (2, 4, 0), (3, 4, 1), (2, 3, 0)]),
+], ids=["cycle", "necklace", "strip", "labelled-strip", "tree-with-loops", "both-doubled",
+        "unbalanced-rest"])
+def test_deciders_build_no_simple_graph(monkeypatch, make):
+    # Both deciders split, search and build witnesses on their own
+    # multigraph; only a K4-subdivision witness and the bounds make a
+    # SimpleGraph.
+    g = make(300)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a decider built a SimpleGraph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimpleGraph, "__init__", refuse)
+        verdicts = is_1_realizable(g), is_2_realizable(g)
+    assert all(v.verify(g) for v in verdicts)
