@@ -368,11 +368,11 @@ class RealizabilityVerdict:
         if isinstance(cert, MinorWitness):
             if self.answer:
                 raise CertificateError('a minor witness certifies "no", not "yes"')
-            if not cert.verify(original):
-                try:
-                    cert.replay(original)
-                except RealdimError as exc:
-                    raise CertificateError(f"minor witness failed to replay: {exc}") from None
+            try:
+                final = cert.replay(original)
+            except RealdimError as exc:
+                raise CertificateError(f"minor witness failed to replay: {exc}") from None
+            if not cert.pattern.matches(final):
                 raise CertificateError(f"minor witness replays to a graph that is not "
                                        f"{cert.pattern.describe()}")
             forbidden = {1: FORBIDDEN_D1, 2: FORBIDDEN_D2}.get(self.dimension_bound, ())

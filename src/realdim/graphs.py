@@ -17,10 +17,13 @@ from incoming ones, leaving selfloops alone.  Switching, edge inversion
 and vertex renaming generate the isomorphism notion implemented by
 :meth:`GainGraph.canonical_form`.
 
-The block split :func:`blocks` and the cycle search :func:`find_cycle`
-read any loopless ``{vertex: neighbours}`` mapping: the deciders' own
-multigraph, whose neighbour values are edge dicts, as well as a
-:class:`SimpleGraph`'s adjacency.
+The deciders hold a graph as one multigraph, ``{u: {w: {orbit key:
+edge}}}`` with selfloops left out, built by :func:`multigraph`.  The
+balance test :func:`balance` reads it.  The block split :func:`blocks`,
+the cycle search :func:`find_cycle` and the series-parallel reducer
+:func:`has_k4_minor` read any loopless ``{vertex: neighbours}`` mapping:
+that multigraph, whose neighbour values are edge dicts, as well as
+neighbour sets such as a :class:`SimpleGraph`'s adjacency.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .errors import BoundExceededError, RealdimError, SimplicityError
 # Largest lift window built, counted as (quotient vertices + edges) x shifts;
 # at the bound `realdim lift` runs for about 1.5 s in about 130 MB.
 LIFT_WINDOW_BOUND = 100_000
+# Most vertices GainGraph.canonical_form takes; its BFS orderings are
+# factorial in the worst case.
+CANONICAL_FORM_BOUND = 8
 
 # Minor operations, applied by GainGraph.minor.
 OP_KINDS = ("delete_edge", "delete_vertex", "contract_edge")
@@ -311,6 +317,68 @@ def blocks(adj: Mapping) -> list:
     return found
 
 
+def multigraph_add(adj: dict, e: GainEdge) -> None:
+    """Put the non-loop e into a multigraph held as ``{u: {w: {orbit key:
+    edge}}}``.
+
+    Both ends of a pair share one edge dict.  An edge landing on an orbit
+    already present keeps the smaller id, as ``GainGraph.contract_edge``
+    does.
+    """
+    by_orbit = adj[e.tail].get(e.head)
+    if by_orbit is None:
+        by_orbit = adj[e.tail][e.head] = adj[e.head][e.tail] = {}
+    key = e.orbit_key()
+    old = by_orbit.get(key)
+    if old is None or e.id < old.id:
+        by_orbit[key] = e
+
+
+def multigraph(vertices, edges) -> dict:
+    """The multigraph of a vertex and an edge list, selfloops left out."""
+    adj: dict = {v: {} for v in vertices}
+    for e in edges:
+        if not e.is_loop:
+            multigraph_add(adj, e)
+    return adj
+
+
+def multigraph_edges(adj: dict):
+    """The edges of a multigraph, each once."""
+    return (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
+
+
+def has_k4_minor(adj: Mapping) -> bool:
+    """Whether a loopless ``{vertex: neighbours}`` graph has a K4 minor.
+
+    Series-parallel reduction of a copy: a graph is K4-minor-free iff
+    removing vertices of degree at most one and suppressing vertices of
+    degree two empties it (Duffin 1965).
+    """
+    adj = {v: set(ns) for v, ns in adj.items()}
+    queue = set(adj)
+    while queue:
+        v = queue.pop()
+        if v not in adj:
+            continue
+        deg = len(adj[v])
+        if deg <= 1:
+            for u in adj[v]:
+                adj[u].discard(v)
+                queue.add(u)
+            del adj[v]
+        elif deg == 2:
+            a, b = sorted(adj[v])
+            adj[a].discard(v)
+            adj[b].discard(v)
+            adj[a].add(b)
+            adj[b].add(a)
+            del adj[v]
+            queue.add(a)
+            queue.add(b)
+    return bool(adj)
+
+
 @dataclass(frozen=True)
 class WalkWitness:
     """A closed walk with nonzero gain, certifying unbalancedness.
@@ -358,6 +426,70 @@ class BalanceResult:
     balanced: bool
     witness: WalkWitness | None
     potentials: dict
+
+
+def balance(adj: dict, edges) -> BalanceResult:
+    """Decide the balance of a graph given as its multigraph ``adj`` (see
+    :func:`multigraph`) and its edges, selfloops included; on failure
+    return an unbalanced closed walk.
+
+    Potentials come from zeroing a breadth-first spanning forest of adj:
+    roots and neighbours in increasing order, and the smallest-id edge of
+    each pair as its tree edge, which keeps the forest independent of the
+    labelling.  The graph is balanced iff afterwards every edge has label
+    zero; ``edges`` are checked in the order given, and the first that is
+    not (a selfloop always) closes the witness.
+    """
+    parent_edge: dict = {}
+    phi: dict = {}
+    for root in sorted(adj):
+        if root in phi:
+            continue
+        parent_edge[root] = None
+        phi[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in sorted(adj[u]):
+                if w not in phi:
+                    e = parent_edge[w] = min(adj[u][w].values(), key=lambda f: f.id)
+                    # Switching by phi sends label z to z + phi(tail) - phi(head);
+                    # the tree edge (u, w) becomes 0 when phi(w) = phi(u) + gain.
+                    phi[w] = phi[u] + e.gain_from(u)
+                    queue.append(w)
+
+    for e in edges:
+        if e.is_loop:
+            return BalanceResult(False, WalkWitness((e.tail, e, e.tail), e.label), phi)
+        residual = e.label + phi[e.tail] - phi[e.head]
+        if residual != 0:
+            # Tree edges have residual 0 by construction, so e is not one.
+            return BalanceResult(False, _cycle_through(e, parent_edge, residual), phi)
+    return BalanceResult(True, None, phi)
+
+
+def _cycle_through(e: GainEdge, parent_edge: dict, gain: int) -> WalkWitness:
+    """Close the non-tree edge e with the tree path from its head to its tail."""
+    def path_to_root(v):
+        seq = [v]
+        while parent_edge[seq[-1]] is not None:
+            seq.append(parent_edge[seq[-1]].other(seq[-1]))
+        return seq
+
+    up_t = path_to_root(e.tail)
+    up_h = path_to_root(e.head)
+    while len(up_t) > 1 and len(up_h) > 1 and up_t[-2] == up_h[-2]:
+        up_t.pop()
+        up_h.pop()
+    # up_h joined to reversed up_t meets at the common ancestor.
+    walk = [e.tail, e, e.head]
+    for v in up_h[1:]:
+        walk.append(parent_edge[walk[-1]])
+        walk.append(v)
+    for v in reversed(up_t[:-1]):
+        walk.append(parent_edge[v])
+        walk.append(v)
+    return WalkWitness(tuple(walk), gain)
 
 
 class GainGraph:
@@ -551,93 +683,10 @@ class GainGraph:
 
     # -- balance ----------------------------------------------------------------
 
-    def _spanning_forest(self):
-        """BFS forest over the underlying simple graph.
-
-        Returns (parent edge per vertex, BFS order).  Tree edges are the
-        smallest-id edge of each parent/child pair, which keeps the forest
-        independent of the labelling.
-        """
-        parent_edge: dict = {}
-        order = []
-        seen = set()
-        adj: dict = {v: {} for v in self.vertices}
-        for e in self.edges:
-            if e.is_loop:
-                continue
-            for a, b in ((e.tail, e.head), (e.head, e.tail)):
-                cur = adj[a].get(b)
-                if cur is None or e.id < cur.id:
-                    adj[a][b] = e
-        for root in self.vertices:
-            if root in seen:
-                continue
-            seen.add(root)
-            parent_edge[root] = None
-            order.append(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in sorted(adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        parent_edge[w] = adj[u][w]
-                        order.append(w)
-                        queue.append(w)
-        return parent_edge, order
-
     def balance(self) -> BalanceResult:
-        """Decide balance; on failure return an unbalanced closed walk.
-
-        Potentials come from zeroing a spanning forest: a graph is balanced
-        iff afterwards every remaining edge (and every selfloop) has label
-        zero.
-        """
-        parent_edge, order = self._spanning_forest()
-        phi: dict = {}
-        for v in order:
-            e = parent_edge[v]
-            if e is None:
-                phi[v] = 0
-            else:
-                u = e.other(v)
-                # Switching by phi sends label z to z + phi(tail) - phi(head);
-                # the tree edge (u, v) becomes 0 when phi(v) = phi(u) + gain.
-                phi[v] = phi[u] + e.gain_from(u)
-
-        for e in self.edges:
-            if e.is_loop:
-                witness = WalkWitness((e.tail, e, e.tail), e.label)
-                return BalanceResult(False, witness, phi)
-            residual = e.label + phi[e.tail] - phi[e.head]
-            if residual != 0:
-                # Tree edges have residual 0 by construction, so e is not one.
-                witness = self._cycle_through(e, parent_edge, residual)
-                return BalanceResult(False, witness, phi)
-        return BalanceResult(True, None, phi)
-
-    def _cycle_through(self, e: GainEdge, parent_edge: dict, gain: int) -> WalkWitness:
-        # Close the non-tree edge e with the tree path head -> tail.
-        def path_to_root(v):
-            seq = [v]
-            while parent_edge[seq[-1]] is not None:
-                seq.append(parent_edge[seq[-1]].other(seq[-1]))
-            return seq
-
-        up_t = path_to_root(e.tail)
-        up_h = path_to_root(e.head)
-        while len(up_t) > 1 and len(up_h) > 1 and up_t[-2] == up_h[-2]:
-            up_t.pop()
-            up_h.pop()
-        # up_h joined to reversed up_t meets at the common ancestor.
-        walk = [e.tail, e, e.head]
-        for v in up_h[1:]:
-            walk.append(parent_edge[walk[-1]])
-            walk.append(v)
-        for v in reversed(up_t[:-1]):
-            walk.append(parent_edge[v])
-            walk.append(v)
-        return WalkWitness(tuple(walk), gain)
+        """Decide balance; on failure return an unbalanced closed walk.  See
+        :func:`balance`."""
+        return balance(multigraph(self.vertices, self.edges), self.edges)
 
     def is_balanced(self) -> bool:
         return self.balance().balanced
@@ -649,15 +698,16 @@ class GainGraph:
         pos = {v: k for k, v in enumerate(self.vertices, start=1)}
         return self.n, tuple((pos[a], pos[b], z) for a, b, z in map(GainEdge.orbit_key, self.edges))
 
-    def canonical_form(self, max_vertices: int = 8):
+    def canonical_form(self):
         """Hashable encoding equal for two graphs iff they are isomorphic:
         :func:`canonical_state` of :meth:`orbit_state`.  It tries every BFS
         vertex ordering, branching where a vertex invariant ties, which is
-        factorial for symmetric graphs, hence the size bound; parallel edges
-        need no bound, since no choice of tree edge is enumerated."""
-        if self.n > max_vertices:
+        factorial for symmetric graphs, hence ``CANONICAL_FORM_BOUND``;
+        parallel edges need no bound, since no choice of tree edge is
+        enumerated."""
+        if self.n > CANONICAL_FORM_BOUND:
             raise BoundExceededError(
-                f"canonical_form bound is {max_vertices} vertices, graph has {self.n}"
+                f"canonical_form bound is {CANONICAL_FORM_BOUND} vertices, graph has {self.n}"
             )
         return canonical_state(*self.orbit_state())
 

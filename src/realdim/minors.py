@@ -36,8 +36,8 @@ or three vertices with one single and two doubled pairs.  Families are
 matched by shape predicates because they are closed under isomorphism.
 
 Finite-graph checks (for the underlying simple graph) use a cycle test
-for a K3 minor, series-parallel reduction for K4, and a branch-set search
-for K5 and K222.
+for a K3 minor, series-parallel reduction (:func:`graphs.has_k4_minor`)
+for K4, and a branch-set search for K5 and K222.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BoundExceededError, RealdimError
-from .graphs import GainGraph, SimpleGraph, canonical_state
+from .graphs import GainGraph, SimpleGraph, canonical_state, has_k4_minor
 
 K2_BULLET = "k2-bullet"
 K3_BULLETBULLET = "k3-bulletbullet"
@@ -334,32 +334,6 @@ def contains_forbidden(host: GainGraph, dimension: int,
 
 # -- finite simple-graph checks ---------------------------------------------------
 
-def _has_k4_minor(g: SimpleGraph) -> bool:
-    """Series-parallel reduction: K4-minor-free iff it reduces to nothing."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    queue = set(adj)
-    while queue:
-        v = queue.pop()
-        if v not in adj:
-            continue
-        deg = len(adj[v])
-        if deg <= 1:
-            for u in adj[v]:
-                adj[u].discard(v)
-                queue.add(u)
-            del adj[v]
-        elif deg == 2:
-            a, b = sorted(adj[v])
-            adj[a].discard(v)
-            adj[b].discard(v)
-            adj[a].add(b)
-            adj[b].add(a)
-            del adj[v]
-            queue.add(a)
-            queue.add(b)
-    return bool(adj)
-
-
 def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
     """Branch-set search for K5 / K222 minors.
 
@@ -451,7 +425,7 @@ def finite_has_minor(host: SimpleGraph, pattern: str) -> bool:
     if pattern == "K3":
         return host.find_cycle() is not None
     if pattern == "K4":
-        return _has_k4_minor(host)
+        return has_k4_minor(host._adj)
     if pattern in ("K5", "K222"):
         if host.n > FINITE_MINOR_BOUND:
             raise BoundExceededError(

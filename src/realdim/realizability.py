@@ -1,7 +1,10 @@
 """Polynomial-time realizability deciders with certificates.
 
 Each decider holds its input as one multigraph, ``{u: {w: {orbit key:
-edge}}}`` with selfloops left out, built once per call.
+edge}}}`` with selfloops left out, built once per call by
+``graphs.multigraph``; ``graphs.blocks``, ``graphs.find_cycle``,
+``graphs.balance`` and ``graphs.has_k4_minor`` read it, and neither
+decider builds a ``GainGraph`` or a ``SimpleGraph``.
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
 is the absence of any cycle other than selfloops, read off the
@@ -26,7 +29,8 @@ doubled-double-pair triangle or the balanced complete graph on four
 vertices for dimension two.  A dimension-two witness is built on the
 block's own multigraph, where the reduction loop stopped; its paths come
 from one router, ``_disjoint_paths``.  Where the simplified graph has a
-K4 minor, the witness contracts a K4 subdivision.
+K4 minor, the witness contracts a K4 subdivision, found on neighbour
+sets with ``graphs.has_k4_minor``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,17 @@ from operator import attrgetter
 
 from .certificates import DISJOINT_UNION, LEAF, DecompositionTree, RealizabilityVerdict, Row
 from .errors import RealdimError
-from .graphs import GainEdge, GainGraph, SimpleGraph, blocks, find_cycle
+from .graphs import (
+    GainEdge,
+    GainGraph,
+    balance,
+    blocks,
+    find_cycle,
+    has_k4_minor,
+    multigraph,
+    multigraph_add,
+    multigraph_edges,
+)
 from .minors import (
     FINITE_MINOR_BOUND,
     K3_BULLETBULLET,
@@ -47,7 +61,6 @@ from .minors import (
     MinorPattern,
     MinorWitness,
     balanced_complete_pattern,
-    finite_has_minor,
     finite_rd_upper3,
 )
 
@@ -75,7 +88,7 @@ def _prefix(witness: MinorWitness, ops) -> MinorWitness:
 def is_1_realizable(g: GainGraph) -> RealizabilityVerdict:
     """Line realizability: no parallel pair and a forest after ignoring loops."""
     _require_nonempty(g)
-    adj = _multigraph(g.vertices, g.edges)
+    adj = multigraph(g.vertices, g.edges)
     pair = min(((a, b) for a in adj for b, es in adj[a].items() if a < b and len(es) >= 2),
                default=None)
     if pair is not None:
@@ -212,7 +225,7 @@ def _decide2_split(g: GainGraph, alloc):
     multigraph of g is read only for the pairs of blocks not yet decided;
     a trim reads g itself.
     """
-    adj = _multigraph(g.vertices, g.edges)
+    adj = multigraph(g.vertices, g.edges)
     found = blocks(adj)
     pieces = []
     for root, vs, pairs in found:
@@ -232,35 +245,6 @@ def _decide2_split(g: GainGraph, alloc):
             return _prefix(res, ops)
         pieces.append((vs, res))
     return _glue(g.vertices, pieces + _loop_pieces(g.edges))
-
-
-def _add(adj: dict, e: GainEdge):
-    """Put e into a multigraph held as {u: {w: {orbit key: edge}}}.
-
-    Both ends of a pair share one edge dict.  An edge landing on an orbit
-    already present keeps the smaller id, as ``GainGraph.contract_edge``
-    does.
-    """
-    by_orbit = adj[e.tail].get(e.head)
-    if by_orbit is None:
-        by_orbit = adj[e.tail][e.head] = adj[e.head][e.tail] = {}
-    key = e.orbit_key()
-    old = by_orbit.get(key)
-    if old is None or e.id < old.id:
-        by_orbit[key] = e
-
-
-def _multigraph(vertices, edges) -> dict:
-    """The multigraph of a vertex and an edge list, selfloops left out."""
-    adj: dict = {v: {} for v in vertices}
-    for e in edges:
-        if not e.is_loop:
-            _add(adj, e)
-    return adj
-
-
-def _edges(adj: dict):
-    return (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
 
 
 def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
@@ -297,14 +281,16 @@ def _decide2_block(adj: dict, alloc):
     both, and deleted after a balance check of the rest when doubled
     towards one (adding x-y if missing; the piece on {v, x, y} becomes a
     summand of its own).  Reductions keep the block two-connected, so it
-    ends at a triangle; after a deletion step the graph is balanced and
-    only contractions follow.  The rows are written from the final
-    triangle back through the list of steps, each step gluing its triangle
-    (and piece) onto the rows before it.  A "no" is read off this same
-    multigraph, v's edges and the ops replaying the steps taken.
+    ends at a pair; on a triangle every vertex has degree two, and a
+    triangle with two doubled pairs fails at its first step.  After a
+    deletion step the graph is balanced and only contractions follow.  The
+    rows are written from the final pair back through the list of steps,
+    each step gluing its triangle (and piece) onto the rows before it.  A
+    "no" is read off this same multigraph, v's edges and the ops replaying
+    the steps taken.
     """
     if len(adj) <= 2:
-        return [Row.leaf(adj, _edges(adj))]
+        return [Row.leaf(adj, multigraph_edges(adj))]
     # A reduction never raises a degree, so a degree-two vertex stays on the
     # heap until it is removed.
     degree_two = sorted(v for v in adj if len(adj[v]) == 2)
@@ -314,22 +300,7 @@ def _decide2_block(adj: dict, alloc):
     ops = []  # minor ops that replay the steps taken
     k4_host = None  # the vertices, edges and ops at a deletion step that added x-y
 
-    def pop(w):
-        """Take w out of adj: its neighbours a < b and its edges towards each."""
-        a, b = sorted(adj[w])
-        wa, wb = list(adj[w][a].values()), list(adj[w][b].values())
-        for u in adj.pop(w):
-            del adj[u][w]
-        return a, b, wa, wb
-
-    def contract(w, ea, eb):
-        """Contract ea (w-a) of a popped w into a, so that eb (w-b) joins a-b."""
-        a = ea.other(w)
-        steps.append((w, a, eb.other(w), ea.gain_from(w), eb.gain_from(w), None))
-        ops.append(MinorOp("contract_edge", ea.id, a))
-        _add(adj, _series_edge(ea, eb, w, a))
-
-    while len(adj) > 3:
+    while len(adj) > 2:
         while degree_two and degree_two[0] not in adj:
             heapq.heappop(degree_two)
         if not degree_two:
@@ -340,17 +311,22 @@ def _decide2_block(adj: dict, alloc):
             if k4_host is None:
                 return _prefix(_witness_k4(adj), ops)
             vs, es, pre = k4_host
-            return _prefix(_witness_k4(_multigraph(vs, es)), pre)
+            return _prefix(_witness_k4(multigraph(vs, es)), pre)
         v = heapq.heappop(degree_two)
-        x, y, vx, vy = pop(v)
+        x, y = sorted(adj[v])
+        vx, vy = list(adj[v][x].values()), list(adj[v][y].values())
+        for u in adj.pop(v):
+            del adj[u][v]
         if len(vx) == 1 and len(vy) == 1:
-            contract(v, vx[0], vy[0])
+            steps.append((v, x, y, vx[0].gain_from(v), vy[0].gain_from(v), None))
+            ops.append(MinorOp("contract_edge", vx[0].id, x))
+            multigraph_add(adj, _series_edge(vx[0], vy[0], v, x))
         elif len(vx) >= 2 and len(vy) >= 2:
             return _prefix(_witness_both_doubled(adj, v, vx, vy), ops)
         else:
             if len(vy) >= 2:
                 x, y, vx, vy = y, x, vy, vx
-            bal = GainGraph(adj, _edges(adj)).balance()
+            bal = balance(adj, sorted(multigraph_edges(adj), key=attrgetter("id")))
             if not bal.balanced:
                 return _prefix(_witness_unbalanced_rest(adj, v, vx, vy, bal.witness), ops)
             if y in adj[x]:  # a single edge, the rest being balanced
@@ -358,22 +334,16 @@ def _decide2_block(adj: dict, alloc):
                 ops.append(MinorOp("delete_vertex", v))
             else:
                 ea = GainEdge(next(alloc), x, y, bal.potentials[y] - bal.potentials[x])
-                k4_host = ([v, *adj], [*vx, *vy, *_edges(adj)], list(ops))
-                _add(adj, ea)
-            piece = _multigraph((x, v), vx + [_series_edge(ea, vy[0], y, x)])
+                k4_host = ([v, *adj], [*vx, *vy, *multigraph_edges(adj)], list(ops))
+                multigraph_add(adj, ea)
+            piece = multigraph((x, v), vx + [_series_edge(ea, vy[0], y, x)])
             steps.append((y, x, v, ea.gain_from(y), vy[0].gain_from(y),
-                          Row.leaf(piece, _edges(piece))))
+                          Row.leaf(piece, multigraph_edges(piece))))
         for u in (x, y):
             if len(adj[u]) == 2:
                 heapq.heappush(degree_two, u)
 
-    if sum(len(es) >= 2 for a in adj for b, es in adj[a].items() if a < b) >= 2:
-        return _prefix(_witness_trim_to_double_double(adj), ops)
-    w = min(u for u in adj if all(len(es) == 1 for es in adj[u].values()))
-    _, _, (ea,), (eb,) = pop(w)
-    contract(w, ea, eb)
-
-    rows = [Row.leaf(adj, _edges(adj))]
+    rows = [Row.leaf(adj, multigraph_edges(adj))]
     for w, a, b, ga, gb, piece in reversed(steps):
         if piece is None:
             rows += _triangle_sum(alloc, w, a, b, ga, gb)
@@ -392,27 +362,28 @@ def _witness_k4(adj: dict) -> MinorWitness:
     """A forbidden minor of adj, whose simplified graph has a K4 minor.
 
     Deleting the simplified graph's edges (adjacent pairs) one at a time,
-    each kept only where the K4 minor needs it, leaves a K4 subdivision;
-    its six branch paths contract to a K4 on the four branch vertices.  With every triangle balanced
-    that is the balanced K4.  Otherwise two triangles are unbalanced (the
-    four triangle gains are dependent, so one alone cannot be nonzero);
-    they share a branch, and contracting it leaves a triangle with two
-    doubled pairs.
+    from one set of neighbours edited in place, each kept only where the
+    K4 minor needs it, leaves a K4 subdivision; its six branch paths
+    contract to a K4 on the four branch vertices.  With every triangle
+    balanced that is the balanced K4.  Otherwise two triangles are
+    unbalanced (the four triangle gains are dependent, so one alone cannot
+    be nonzero); they share a branch, and contracting it leaves a triangle
+    with two doubled pairs.
     """
-    pairs = sorted((a, b) for a in adj for b in adj[a] if a < b)
-    kept = set(pairs)
-    for pair in pairs:
-        kept.discard(pair)
-        if not finite_has_minor(SimpleGraph(adj, kept), "K4"):
-            kept.add(pair)
-    sub = SimpleGraph(adj, kept)
-    branch = sorted(v for v in sub.vertices if sub.degree(v) == 3)
+    sub = {v: set(adj[v]) for v in adj}
+    for a, b in sorted((a, b) for a in adj for b in adj[a] if a < b):
+        sub[a].discard(b)
+        sub[b].discard(a)
+        if not has_k4_minor(sub):
+            sub[a].add(b)
+            sub[b].add(a)
+    branch = sorted(v for v in sub if len(sub[v]) == 3)
     paths = {}  # (a, b) with a < b -> branch path from a to b
     for a in branch:
-        for u in sorted(sub.neighbors(a)):
+        for u in sorted(sub[a]):
             path = [a, u]
-            while sub.degree(path[-1]) == 2:
-                path.append(min(sub.neighbors(path[-1]) - {path[-2]}))
+            while len(sub[path[-1]]) == 2:
+                path.append(min(sub[path[-1]] - {path[-2]}))
             if a < path[-1]:
                 paths[a, path[-1]] = path
     edges = {ab: _path_edges(adj, path) for ab, path in paths.items()}
@@ -421,7 +392,8 @@ def _witness_k4(adj: dict) -> MinorWitness:
     }
 
     keep_vertices = {u for path in paths.values() for u in path}
-    ops = _keep_only(adj, _edges(adj), keep_vertices, {e.id for es in edges.values() for e in es})
+    ops = _keep_only(adj, multigraph_edges(adj), keep_vertices,
+                     {e.id for es in edges.values() for e in es})
     for (a, _), es in edges.items():
         ops += [MinorOp("contract_edge", e.id, a) for e in es[:-1]]
     unbalanced = [
@@ -437,26 +409,13 @@ def _witness_k4(adj: dict) -> MinorWitness:
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
 
-def _witness_trim_to_double_double(adj: dict) -> MinorWitness:
-    """A triangle with two or three doubled pairs: delete surplus edges."""
-    pairs = list(itertools.combinations(sorted(adj), 2))
-    doubled = [(a, b) for a, b in pairs if len(adj[a][b]) >= 2]
-    single = next((p for p in pairs if p not in doubled), None)
-    if single is None:
-        single, *doubled = doubled
-    keep = _smallest_ids(adj[single[0]][single[1]].values(), 1)
-    for a, b in doubled[:2]:
-        keep |= _smallest_ids(adj[a][b].values(), 2)
-    return MinorWitness(K3BB_PATTERN, tuple(_keep_only(adj, _edges(adj), adj, keep)))
-
-
 def _witness_both_doubled(adj: dict, v: int, vx: list, vy: list) -> MinorWitness:
     """Doubled towards both neighbors: contract an x-y path avoiding v."""
     x, y = vx[0].other(v), vy[0].other(v)
     (path,) = _disjoint_paths(adj, (x,), {y})
     path_edges = _path_edges(adj, path)
     keep = {e.id for e in path_edges} | _smallest_ids(vx, 2) | _smallest_ids(vy, 2)
-    ops = _keep_only([v, *adj], [*vx, *vy, *_edges(adj)], {v, *path}, keep)
+    ops = _keep_only([v, *adj], [*vx, *vy, *multigraph_edges(adj)], {v, *path}, keep)
     ops += [MinorOp("contract_edge", e.id, x) for e in path_edges[:-1]]
     return MinorWitness(K3BB_PATTERN, tuple(ops))
 
@@ -477,7 +436,7 @@ def _witness_unbalanced_rest(adj: dict, v: int, vx: list, vy: list, walk) -> Min
     path_edges_1, path_edges_2 = _path_edges(adj, p1), _path_edges(adj, p2)
     keep = {e.id for e in path_edges_1 + path_edges_2 + cyc_edges}
     keep |= _smallest_ids(vx, 2) | _smallest_ids(vy, 1)
-    ops = _keep_only([v, *adj], [*vx, *vy, *_edges(adj)],
+    ops = _keep_only([v, *adj], [*vx, *vy, *multigraph_edges(adj)],
                      {v, *p1, *p2, *cyc_vertices}, keep)
     ops += [MinorOp("contract_edge", e.id, x) for e in path_edges_1]
     ops += [MinorOp("contract_edge", e.id, y) for e in path_edges_2]

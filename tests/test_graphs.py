@@ -286,6 +286,17 @@ def test_loop_makes_unbalanced():
     assert not res.balanced and res.witness.gain == 3
 
 
+def test_balance_forest_takes_the_smallest_id_edge_of_each_pair():
+    # The tree edge of the pair 1-2 is edge 1, whatever the labels, so the
+    # potentials zero it and the witness closes edge 2 through it.
+    g = GainGraph([1, 2, 3], [GainEdge(2, 1, 2, 0), GainEdge(1, 2, 1, -3), GainEdge(3, 3, 2, 1)])
+    res = g.balance()
+    assert list(res.potentials.items()) == [(1, 0), (2, 3), (3, 2)]
+    e1, e2 = g.edge(1), g.edge(2)
+    assert res.witness.sequence == (1, e2, 2, e1, 1)
+    assert res.witness.gain == -3 and res.witness.verify(g)
+
+
 def test_balanced_potentials_zero_all_labels():
     rng = random.Random(7)
     for _ in range(30):

@@ -214,6 +214,34 @@ def test_deletion_case_unbalanced_rest():
     check_verdict(g, v)
 
 
+# A triangle with its pairs 1-2, 2-3 and then 1-3 doubled.
+TRIANGLE_DOUBLED_PAIRS = [(1, 2, 0), (1, 2, 1), (2, 3, 0), (2, 3, 1), (1, 3, 0), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("triples", [
+    TRIANGLE_DOUBLED_PAIRS[:5],
+    TRIANGLE_DOUBLED_PAIRS,
+    # A cycle whose reduction contracts 1, then 2, into 3, and ends at the
+    # triangle 3-4-5 with 3-5 single, or doubled by the edge 3-5.
+    [(1, 2, 0), (2, 3, 0), (1, 5, 0), (3, 4, 0), (3, 4, 1), (4, 5, 0), (4, 5, 1)],
+    [(1, 2, 0), (2, 3, 0), (1, 5, 0), (3, 4, 0), (3, 4, 1), (4, 5, 0), (4, 5, 1), (3, 5, 1)],
+    # one-summed at 3 to a balanced triangle
+    TRIANGLE_DOUBLED_PAIRS[:5] + [(3, 4, 0), (4, 5, 0), (3, 5, 0)],
+    TRIANGLE_DOUBLED_PAIRS + [(3, 4, 0), (4, 5, 0), (3, 5, 0)],
+], ids=["two-doubled", "three-doubled", "cycle-two-doubled", "cycle-three-doubled",
+        "one-sum-two-doubled", "one-sum-three-doubled"])
+def test_reduction_ending_at_a_triangle_with_doubled_pairs(triples):
+    # The block's last triangle is reduced like any other: its first
+    # vertex is doubled towards both neighbours, or towards one with the
+    # rest a doubled, so unbalanced, pair.
+    g = GainGraph.of(max(max(t[:2]) for t in triples), triples)
+    v = is_2_realizable(g)
+    assert not v.answer
+    assert v.certificate.pattern.kind == "k3-bulletbullet"
+    check_verdict(g, v)
+    assert contains_forbidden(g, 2)
+
+
 def test_unbalanced_rest_routing_that_must_reroute():
     # Vertex 1 is doubled towards x = 2 and single towards y = 3; the rest
     # is unbalanced only on the triangle 6-7-8.  y reaches the rest only
@@ -707,6 +735,10 @@ def test_d1_witness_of_20000_cycle_verifies(default_recursion_limit):
     assert v.verify(g)
 
 
+def prism():
+    return labelled(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)])
+
+
 @pytest.mark.parametrize("make", [
     long_cycle, necklace, lambda n: balanced_strip(n, random.Random(7)),
     lambda n: labelled_strip(n, random.Random(7)), lambda n: tree_with_loops(n, random.Random(7)),
@@ -714,18 +746,25 @@ def test_d1_witness_of_20000_cycle_verifies(default_recursion_limit):
     lambda n: GainGraph.of(4, [(1, 2, 0), (1, 2, 1), (1, 3, 0), (1, 3, 1), (2, 4, 0), (3, 4, 0)]),
     # doubled towards 2, single towards 3, and the rest unbalanced
     lambda n: GainGraph.of(4, [(1, 2, 0), (1, 2, 1), (1, 3, 0), (2, 4, 0), (3, 4, 1), (2, 3, 0)]),
+    # K4-subdivision witnesses
+    lambda n: k4_zero(), lambda n: wheel(5), lambda n: prism(),
+    lambda n: random_cubic(60, random.Random(17)),
+    # triangles with two and three doubled pairs
+    lambda n: GainGraph.of(3, TRIANGLE_DOUBLED_PAIRS[:5]),
+    lambda n: GainGraph.of(3, TRIANGLE_DOUBLED_PAIRS),
 ], ids=["cycle", "necklace", "strip", "labelled-strip", "tree-with-loops", "both-doubled",
-        "unbalanced-rest"])
+        "unbalanced-rest", "K4", "W5", "prism", "cubic-60", "triangle-two-doubled",
+        "triangle-three-doubled"])
 def test_deciders_build_no_simple_graph(monkeypatch, make):
-    # Both deciders split, search and build witnesses on their own
-    # multigraph; only a K4-subdivision witness and the bounds make a
-    # SimpleGraph.
+    # Both deciders split, search, check balance and build witnesses on
+    # their own multigraph; only the bounds make a SimpleGraph.
     g = make(300)
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a decider built a SimpleGraph")
+        raise AssertionError(f"a decider built a {type(self).__name__}")
 
     with monkeypatch.context() as patch:
         patch.setattr(SimpleGraph, "__init__", refuse)
+        patch.setattr(GainGraph, "__init__", refuse)
         verdicts = is_1_realizable(g), is_2_realizable(g)
     assert all(v.verify(g) for v in verdicts)
