@@ -5,16 +5,19 @@ rows in post-order.  A leaf row is a small labelled graph: its vertices
 and its edges as ``(id, tail, head, label)`` tuples.  A node row glues the
 subtrees that end just before it, as many as its child count, by
 disjoint union, one-sum (a single shared vertex) or balanced two-sum (a
-single shared edge, one summand balanced).  Replaying the rows in order
-on a stack of finished subtrees builds a supergraph of the input, in the
+single shared edge, one summand balanced).  Gluing the rows in order on
+a stack of finished subtrees gives a supergraph of the input, in the
 input's own frame, on the same vertex set; gluing of these kinds never
-raises realizable dimension beyond the leaves'.  Nothing recurses on a table,
-and its JSON is one list of flat rows, so a tree of any depth is written,
-read and replayed in linear time.
+raises realizable dimension beyond the leaves'.  Verifying a table is
+one pass over its rows that keys each leaf edge once, checks the
+leaves' family and the nodes' shapes, and builds no graph;
+``DecompositionTree.replay`` builds the glued graph from the same pass.
+Nothing recurses on a table, and its JSON is one list of flat rows, so a
+tree of any depth is written, read and verified in linear time.
 
 A *no* answer is certified, at any size, by a minor witness that replays
 against the input to a minor forbidden for the dimension (see
-:mod:`realdim.minors`).
+:mod:`realdim.minors`); it deletes a vertex together with its edges.
 """
 
 from __future__ import annotations
@@ -82,34 +85,10 @@ class DecompositionTree:
             for row in self.rows))
 
     def replay(self) -> GainGraph:
-        """Build the glued graph in one pass over the rows, checking each node's shape.
-
-        A finished subtree is kept on a stack as its vertex set, its
-        orbit-key gains by vertex pair (loops under ``(v, v)``) and a
-        balanced flag.  An edge id must name one orbit across the whole
-        table; the edges of one orbit collapse to the first.  An error
-        names the row that failed.
-        """
-        ids: dict = {}  # edge id -> orbit key
-        first: dict = {}  # orbit key -> first edge
-        done: list = []  # records of finished subtrees
-        for i, row in enumerate(self.rows):
-            try:
-                if row.kind == LEAF:
-                    done.append(_leaf_record(row, ids, first))
-                    continue
-                k = row.children
-                if not 0 < k <= len(done):
-                    raise CertificateError(f"{row.kind} glues {k} subtrees, "
-                                           f"{len(done)} are finished")
-                parts = done[-k:]
-                del done[-k:]
-                done.append(_glue(row, parts))
-            except CertificateError as exc:
-                raise CertificateError(f"row {i}: {exc}") from None
-        if len(done) != 1:
-            raise CertificateError(f"the rows leave {len(done)} trees, not one")
-        return GainGraph(done[0][0], (GainEdge(*e) for e in first.values()))
+        """The glued graph: the vertices and the first edge of each orbit of
+        one pass over the rows (see :func:`verify_decomposition`)."""
+        vertices, first = _fold(self.rows)
+        return GainGraph(vertices, (GainEdge(*e) for e in first.values()))
 
     # -- serialization -----------------------------------------------------------------
 
@@ -150,31 +129,67 @@ class DecompositionTree:
         return cls(tuple(table))
 
 
-def _leaf_record(row: Row, ids: dict, first: dict) -> tuple:
-    """A leaf's vertex set, gains by pair and balanced flag."""
+def _fold(rows, dimension: int | None = None) -> tuple:
+    """The glued vertex set and ``{orbit key: first edge}`` of one pass over
+    the rows, checking each node's shape and, given a dimension, each
+    leaf's family.  A finished subtree is kept on a stack as its vertex
+    set, its orbit-key gains by vertex pair (loops under ``(v, v)``) and a
+    balanced flag.  An edge id names one orbit across the whole table, and
+    the edges of one orbit collapse to the first.  An error names the row."""
+    ids: dict = {}  # edge id -> orbit key
+    first: dict = {}  # orbit key -> first edge
+    done: list = []  # records of finished subtrees
+    for i, row in enumerate(rows):
+        try:
+            if row.kind == LEAF:
+                done.append(_leaf_record(row, ids, first, dimension))
+                continue
+            k = row.children
+            if not 0 < k <= len(done):
+                raise CertificateError(f"{row.kind} glues {k} subtrees, "
+                                       f"{len(done)} are finished")
+            parts = done[-k:]
+            del done[-k:]
+            done.append(_glue(row, parts))
+        except CertificateError as exc:
+            raise CertificateError(f"row {i}: {exc}") from None
+    if len(done) != 1:
+        raise CertificateError(f"the rows leave {len(done)} trees, not one")
+    return done[0][0], first
+
+
+def _leaf_record(row: Row, ids: dict, first: dict, dimension: int | None) -> tuple:
+    """A leaf's vertex set, orbit-key gains by pair and balanced flag, each
+    edge keyed once; given a dimension, the leaf must be in its family."""
     vertices = set(row.vertices)
-    keys = []
+    pairs: dict = {}
     for e in row.edges:
         eid, tail, head, label = e
         if tail not in vertices or head not in vertices:
             raise CertificateError(f"edge {eid} has an end outside its leaf")
         if tail == head and label == 0:
             raise CertificateError(f"edge {eid} is a selfloop with label 0")
-        key = orbit_key(tail, head, label)
+        a, b, z = key = orbit_key(tail, head, label)
         if ids.setdefault(eid, key) != key:
             raise CertificateError(f"edge {eid} names two orbits in the tree")
         first.setdefault(key, e)
-        keys.append(key)
-    pairs = _pairs(keys)
-    return vertices, pairs, _balanced(vertices, pairs)
-
-
-def _pairs(keys) -> dict:
-    """Orbit-key gains by vertex pair, loops under ``(v, v)``."""
-    pairs: dict = {}
-    for a, b, z in keys:
         pairs.setdefault((a, b), set()).add(z)
-    return pairs
+    if dimension is None:
+        return vertices, pairs, _balanced(vertices, pairs)
+    # d=1 allows single vertices and single edges, d=2 leaves on at most
+    # two vertices and balanced triangles: no larger leaf needs a balance check.
+    n, edges = len(row.vertices), row.edges
+    balanced = n <= 3 and _balanced(vertices, pairs)
+    if dimension == 1:
+        fits = n == 1 or n == 2 and len(edges) == 1 and edges[0][1] != edges[0][2]
+    elif dimension == 2:
+        fits = n <= 2 or n == 3 and len(edges) == 3 and len(pairs) == 3 and balanced
+    else:
+        raise RealdimError("leaf families are defined for dimensions 1 and 2")
+    if not fits:
+        raise CertificateError(f"leaf outside the dimension-{dimension} family: "
+                               f"vertices {list(row.vertices)}, edges {list(edges)}")
+    return vertices, pairs, balanced
 
 
 def _balanced(vertices: set, pairs: dict) -> bool:
@@ -257,7 +272,8 @@ def _row_from_json(data: dict) -> Row:
 
 
 def _edge(e) -> tuple:
-    if type(e) is not list or len(e) != 4 or set(map(type, e)) != {int}:
+    if type(e) is not list or len(e) != 4 or not (
+            type(e[0]) is type(e[1]) is type(e[2]) is type(e[3]) is int):
         raise CertificateError(f"an edge must be four integers [id, tail, head, label], "
                                f"got {e!r}")
     return tuple(e)
@@ -294,47 +310,24 @@ def graph_from_json_dict(data: dict) -> GainGraph:
 # -- checking a decomposition tree ------------------------------------------------
 
 
-def leaf_in_family(row: Row, dimension: int) -> bool:
-    """Leaf families: d=1 allows single vertices and single edges; d=2
-    allows leaves on at most two vertices and balanced triangles."""
-    n, edges = len(row.vertices), row.edges
-    if dimension == 1:
-        return n == 1 or (n == 2 and len(edges) == 1 and edges[0][1] != edges[0][2])
-    if dimension == 2:
-        if n != 3 or len(edges) != 3:
-            return n <= 2
-        a, b, c = row.vertices
-        pairs = _pairs(orbit_key(*e[1:]) for e in edges)
-        return sorted(pairs) == [(a, b), (a, c), (b, c)] and _balanced(set(row.vertices), pairs)
-    raise RealdimError("leaf families are defined for dimensions 1 and 2")
-
-
-def covering_switch(original: GainGraph, replayed: GainGraph):
+def covering_switch(original: GainGraph, first: dict):
     """The identity switching ``{}`` when the original, in its own frame, is
-    a subgraph of the replayed graph: its vertices are among the replay's
-    and so are its orbit keys (a loop's is ``(v, v, |label|)``).  Else None."""
-    keys = {f.orbit_key() for f in replayed.edges}
-    covered = set(original.vertices) <= set(replayed.vertices) and all(
-        e.orbit_key() in keys for e in original.edges)
-    return {} if covered else None
+    covered by a replay whose first edge by orbit key is ``first``: every
+    orbit key of the original (a loop's is ``(v, v, |label|)``) is among
+    the replay's.  Else None."""
+    return {} if all(orbit_key(e.tail, e.head, e.label) in first for e in original.edges) else None
 
 
-def verify_decomposition(tree: DecompositionTree, original: GainGraph, dimension: int):
-    """Full check of a yes-certificate in its input's frame; raises
-    CertificateError on failure."""
-    for i, row in enumerate(tree.rows):
-        if row.kind == LEAF and not leaf_in_family(row, dimension):
-            raise CertificateError(f"row {i}: leaf outside the dimension-{dimension} family: "
-                                   f"vertices {list(row.vertices)}, edges {list(row.edges)}")
-    replayed = tree.replay()
-    if set(replayed.vertices) != set(original.vertices):
+def verify_decomposition(tree: DecompositionTree, original: GainGraph, dimension: int) -> None:
+    """Full check of a yes-certificate in its input's frame, in one pass over
+    its rows that builds no graph; raises CertificateError on failure."""
+    vertices, first = _fold(tree.rows, dimension)
+    if vertices != set(original.vertices):
         raise CertificateError("replayed graph is not on the same vertex set as the input")
-    if covering_switch(original, replayed) is None:
-        keys = {f.orbit_key() for f in replayed.edges}
-        eid = next(e.id for e in original.edges if e.orbit_key() not in keys)
+    if covering_switch(original, first) is None:
+        eid = next(e.id for e in original.edges if e.orbit_key() not in first)
         raise CertificateError(f"input edge {eid} has no orbit in the replay (a certificate "
                                f"is checked in its input's frame)")
-    return replayed
 
 
 # -- verdicts ------------------------------------------------------------------------

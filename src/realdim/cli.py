@@ -429,8 +429,9 @@ def cmd_selftest(args) -> int:
             verdict = decide(g)
             if verdict.answer != (not contains_forbidden(g, dim)):
                 ok = False
+            text = json.dumps(certificate_to_json_dict(verdict))
             try:
-                verdict.verify(g)
+                certificate_from_json_dict(json.loads(text)).verify(g)
             except RealdimError:
                 ok = False
     suite("oracle agreement", ok)

@@ -26,11 +26,13 @@ glued as chains in the order they are found.  Every *no*, at any size,
 comes with a minor witness whose replay reaches a forbidden shape: a
 parallel pair or balanced triangle for dimension one; the
 doubled-double-pair triangle or the balanced complete graph on four
-vertices for dimension two.  A dimension-two witness is built on the
-block's own multigraph, where the reduction loop stopped; its paths come
-from one router, ``_disjoint_paths``.  Where the simplified graph has a
-K4 minor, the witness contracts a K4 subdivision, found on neighbour
-sets with ``graphs.has_k4_minor``.
+vertices for dimension two.  A witness deletes a vertex with its edges,
+and by id only the edges it drops between vertices it keeps: O(n +
+chords among the kept vertices) ops.  A dimension-two witness is built
+on the block's own multigraph, where the reduction loop stopped; its
+paths come from one router, ``_disjoint_paths``.  Where the simplified
+graph has a K4 minor, the witness contracts a K4 subdivision, found on
+neighbour sets with ``graphs.has_k4_minor``.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ def is_1_realizable(g: GainGraph) -> RealizabilityVerdict:
 
 
 def _keep_only(vertices, edges, keep_vertices, keep_edge_ids) -> list:
-    """Deletion ops trimming a graph to a vertex/edge subset; edges first."""
-    return ([MinorOp("delete_edge", i) for i in sorted(e.id for e in edges)
+    """Deletion ops trimming a graph to a vertex/edge subset, edges first;
+    a vertex takes its edges, so only those between kept vertices go by id."""
+    return ([MinorOp("delete_edge", i) for i in sorted(
+                e.id for e in edges if e.tail in keep_vertices and e.head in keep_vertices)
              if i not in keep_edge_ids]
             + [MinorOp("delete_vertex", v) for v in sorted(vertices) if v not in keep_vertices])
 
@@ -211,19 +215,21 @@ def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
     res = _decide2_split(g, itertools.count(g.fresh_edge_id()))
     if isinstance(res, DecompositionTree):
         return RealizabilityVerdict(2, True, res)
-    witness = _prefix(res, [MinorOp("delete_edge", e.id) for e in g.edges if e.is_loop])
-    return RealizabilityVerdict(2, False, witness)
+    dropped = {op.target for op in res.ops if op.kind == "delete_vertex"}
+    loops = [MinorOp("delete_edge", e.id) for e in g.edges if e.is_loop and e.tail not in dropped]
+    return RealizabilityVerdict(2, False, _prefix(res, loops))
 
 
 def _decide2_split(g: GainGraph, alloc):
     """Decide every block, then glue blocks and selfloop leaves by one-sums.
 
-    Selfloops belong to no block; a witness starts by deleting them.  Each
-    block's multigraph shares its pair dicts with the multigraph of g, and
-    its loop adds edges to them.  An edge with both ends in a block is one
-    of its edges, so a loop touches no pair of a later block, and the
-    multigraph of g is read only for the pairs of blocks not yet decided;
-    a trim reads g itself.
+    Selfloops belong to no block; a witness starts by deleting those at
+    the vertices it keeps.  Each block's multigraph shares its pair dicts with the
+    multigraph of g, and its loop adds edges to them.  An edge with both
+    ends in a block is one of its edges, so a loop touches no pair of a
+    later block, and the multigraph of g is read only for the pairs of
+    blocks not yet decided.  A trim deletes the vertices outside the
+    block, which take their edges.
     """
     adj = multigraph(g.vertices, g.edges)
     found = blocks(adj)
@@ -236,13 +242,8 @@ def _decide2_split(g: GainGraph, alloc):
         if isinstance(res, MinorWitness):
             # Trim to the component, then to the block within it.
             comp = {u for r, us, _ in found if r == root for u in us}
-            ops = [MinorOp("delete_vertex", u) for u in g.vertices if u not in comp]
-            if sum(r == root for r, _, _ in found) > 1:
-                inside = set(vs)
-                ops += [MinorOp("delete_edge", e.id) for e in g.edges if e.tail in comp
-                        and not e.is_loop and not (e.tail in inside and e.head in inside)]
-                ops += [MinorOp("delete_vertex", u) for u in sorted(comp) if u not in inside]
-            return _prefix(res, ops)
+            trim = [u for u in g.vertices if u not in comp] + sorted(comp.difference(vs))
+            return _prefix(res, [MinorOp("delete_vertex", u) for u in trim])
         pieces.append((vs, res))
     return _glue(g.vertices, pieces + _loop_pieces(g.edges))
 

@@ -574,7 +574,7 @@ def test_certificate_errors_name_the_row(tmp_path, capsys, find, mutate, expect)
     "mutate, expect",
     [
         pytest.param(lambda c: c["ops"][1].update(target=9),
-                     "INVALID (minor witness failed to replay: op 1 (delete_edge 9): "
+                     "INVALID (minor witness failed to replay: op 1 (delete_vertex 9): "
                      "not in the graph)", id="unknown-target"),
         pytest.param(lambda c: c["ops"].pop(),
                      "INVALID (minor witness replays to a graph that is not k2-bullet)",

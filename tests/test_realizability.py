@@ -17,7 +17,7 @@ from realdim.certificates import (
     verify_decomposition,
 )
 from realdim.errors import RealdimError
-from realdim.graphs import GainGraph, SimpleGraph
+from realdim.graphs import GainEdge, GainGraph, SimpleGraph
 from realdim.minors import MinorOp, MinorWitness, contains_forbidden
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
 from realdim.realizability import (
@@ -28,6 +28,7 @@ from realdim.realizability import (
     realizable_dimension_bounds,
     realizable_dimension_complete_case,
 )
+from test_acceptance import corpus_500
 from test_graphs import (
     counterexample_a,
     counterexample_b,
@@ -179,16 +180,16 @@ def test_disconnected_mixed_components():
 def test_no_block_witness_trims_the_other_component_then_the_other_block():
     # A balanced K4 on 1-4 shares the cut vertex 4 with the triangle 4-5-6,
     # beside the component 7-8 and its selfloop 11.  The witness deletes
-    # the loop, the other component, then the triangle's edges and its
-    # other vertices, leaving the K4 as it is.
+    # the other component, whose vertices take the loop with them, then
+    # the triangle's other vertices, which take its edges, leaving the K4
+    # as it is.
     g = GainGraph.of(8, [(1, 2, 0), (1, 3, 0), (1, 4, 0), (2, 3, 0), (2, 4, 0), (3, 4, 0),
                          (4, 5, 0), (5, 6, 1), (4, 6, 0), (7, 8, 2), (8, 8, 1)])
     v = is_2_realizable(g)
     assert not v.answer
     assert v.certificate.pattern == K4_ZERO_PATTERN
     assert v.certificate.ops == (
-        MinorOp("delete_edge", 11), MinorOp("delete_vertex", 7), MinorOp("delete_vertex", 8),
-        MinorOp("delete_edge", 7), MinorOp("delete_edge", 8), MinorOp("delete_edge", 9),
+        MinorOp("delete_vertex", 7), MinorOp("delete_vertex", 8),
         MinorOp("delete_vertex", 5), MinorOp("delete_vertex", 6),
     )
     check_verdict(g, v)
@@ -510,9 +511,17 @@ def test_decomposition_rejects_wrong_leaf_family():
         verify_decomposition(tree, g, 2)
 
 
-def test_unbalanced_triangle_leaf_is_refused():
-    from realdim.certificates import leaf_in_family
+def leaf_in_family(row, dimension) -> bool:
+    """Whether a table of the one leaf verifies against the leaf's graph."""
+    g = GainGraph(row.vertices, [GainEdge(*e) for e in row.edges])
+    try:
+        verify_decomposition(DecompositionTree((row,)), g, dimension)
+    except CertificateError:
+        return False
+    return True
 
+
+def test_unbalanced_triangle_leaf_is_refused():
     balanced = GainGraph.of(3, [(1, 2, 1), (3, 2, -2), (1, 3, 3)])
     unbalanced = GainGraph.of(3, [(1, 2, 1), (2, 3, 2), (1, 3, 4)])
     assert leaf_in_family(Row.leaf(balanced.vertices, balanced.edges), 2)
@@ -522,9 +531,6 @@ def test_unbalanced_triangle_leaf_is_refused():
 
 
 def test_triangle_leaf_family_matches_balance():
-    from realdim.certificates import leaf_in_family
-    from realdim.graphs import GainEdge
-
     rng = random.Random(3)
     graphs = [random_simple_gain_graph(rng, min_vertices=3, max_vertices=3, max_edges=5)
               for _ in range(200)]
@@ -695,7 +701,8 @@ def test_d2_passes_linearly_many_edges_through_gain_graphs(edge_records, make, a
     assert sum(edge_records) <= decide_bound * g.m
     edge_records.clear()
     assert v.verify(g)
-    assert sum(edge_records) <= 4 * g.m
+    # a "yes" tree is checked in one pass over its rows, a "no" replayed once
+    assert sum(edge_records) <= (0 if answer else 4 * g.m)
 
 
 def test_d1_witness_replay_passes_linearly_many_edges_through_gain_graphs(edge_records):
@@ -768,3 +775,114 @@ def test_deciders_build_no_simple_graph(monkeypatch, make):
         patch.setattr(GainGraph, "__init__", refuse)
         verdicts = is_1_realizable(g), is_2_realizable(g)
     assert all(v.verify(g) for v in verdicts)
+
+
+# -- witness size and the cost of verifying ------------------------------------------
+
+
+@pytest.mark.parametrize("make, decide", [
+    (long_cycle, is_2_realizable),
+    (necklace, is_2_realizable),
+    (lambda n: balanced_strip(n, random.Random(11)), is_2_realizable),
+    (lambda n: tree_with_loops(n, random.Random(11)), is_1_realizable),
+], ids=["cycle", "necklace", "strip-two-tree", "tree-with-loops"])
+def test_verifying_a_yes_tree_builds_no_gain_graph(monkeypatch, make, decide):
+    # One pass over the rows checks the leaves, the nodes and the cover.
+    g = make(2000)
+    v = decide(g)
+    assert v.answer
+    data = json.loads(json.dumps(certificate_to_json_dict(v)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify built a GainGraph")
+
+    monkeypatch.setattr(GainGraph, "__init__", refuse)
+    assert v.verify(g)
+    assert certificate_from_json_dict(data).verify(g)
+
+
+def redundant_deletions(g, witness) -> list:
+    """The delete_edge ops of a witness that, dropped alone, leave the graph
+    it replays to as it is; each with the op at which its edge then goes."""
+    final = witness.replay(g)
+    found = []
+    for i, op in enumerate(witness.ops):
+        if op.kind != "delete_edge":
+            continue
+        ops = witness.ops[:i] + witness.ops[i + 1:]
+        try:
+            if MinorWitness(witness.pattern, ops).replay(g) != final:
+                continue
+        except RealdimError:
+            continue
+        gone = next(j for j in range(i, len(ops)) if op.target not in
+                    {e.id for e in MinorWitness(witness.pattern, ops[:j + 1]).replay(g).edges})
+        found.append((op, ops[gone]))
+    return found
+
+
+def test_no_witness_deletes_an_edge_its_vertex_takes():
+    # A witness drops a vertex together with its edges: dropping any one
+    # delete_edge op changes the graph the witness replays to, or makes
+    # the replay fail.  The d=2 witnesses leave two cases, both made by a
+    # contraction: a chord that it collapses onto a kept edge of its orbit
+    # with a smaller id, or turns into a zero-label loop; and a selfloop
+    # that it carries to a vertex the witness deletes later.
+    rng = random.Random(20261019)
+    graphs = list(corpus_500()) + [random_simple_gain_graph(rng, max_vertices=7, max_edges=12)
+                                   for _ in range(2000)]
+    # Vertex 2 is contracted into 4, which carries loop 6 there, and a
+    # deletion step then deletes 4 with loops 6 and 8.
+    graphs.append(GainGraph.of(6, [(6, 3, 1), (5, 4, 2), (1, 6, -1), (2, 4, -1), (6, 3, -1),
+                                   (2, 2, -2), (1, 5, -1), (4, 4, 1), (6, 5, 2), (6, 2, 2),
+                                   (1, 3, -2), (6, 4, -2)]))
+    witnesses = 0
+    for g in graphs:
+        for decide in (is_1_realizable, is_2_realizable):
+            v = decide(g)
+            if v.answer:
+                continue
+            witnesses += 1
+            for op, gone_at in redundant_deletions(g, v.certificate):
+                e = g.edge(op.target)
+                carried = (e.is_loop and gone_at.kind == "delete_vertex"
+                           and gone_at.target != e.tail)
+                assert decide is is_2_realizable, (g, op)
+                assert gone_at.kind == "contract_edge" or carried, (g, op)
+    assert witnesses > 1500
+
+
+def dense_host(n, rng):
+    """Pairs taken with probability 0.3 and random labels, and a loop at
+    every third vertex."""
+    pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.3]
+    return GainGraph.of(n, [(a, b, rng.randint(-2, 2)) for a, b in pairs]
+                        + [(v, v, 1) for v in range(1, n + 1, 3)])
+
+
+@pytest.mark.parametrize("decide", [is_1_realizable, is_2_realizable], ids=["d1", "d2"])
+def test_witness_ops_are_bounded_by_n_and_the_kept_chords(decide):
+    # Each vertex is deleted or contracted at most once, and only edges
+    # with both ends kept are deleted by id.
+    g = dense_host(60, random.Random(5))
+    v = decide(g)
+    assert not v.answer
+    ops = v.certificate.ops
+    dropped = {op.target for op in ops if op.kind == "delete_vertex"}
+    kept_edges = sum(e.tail not in dropped and e.head not in dropped for e in g.edges)
+    assert len(ops) <= g.n + kept_edges < g.m
+    assert v.verify(g)
+
+
+@pytest.mark.parametrize("edge, accepted", [
+    ([1, 1, 2, 0], True), ([1, 1, 2, -3], True), ([1, 1, 2, True], False),
+    ([False, 1, 2, 0], False), ([1, 1, 2, 0.0], False), ([1, 1, "2", 0], False),
+    ([1, 1, 2], False), ([1, 1, 2, 0, 0], False), ((1, 1, 2, 0), False), ("1120", False),
+])
+def test_leaf_edges_are_read_as_four_integers(edge, accepted):
+    data = {"rows": [{"node": LEAF, "vertices": [1, 2], "edges": [edge]}]}
+    if accepted:
+        assert DecompositionTree.from_json_dict(data).rows[0].edges == (tuple(edge),)
+    else:
+        with pytest.raises(CertificateError, match="row 0: an edge must be four integers"):
+            DecompositionTree.from_json_dict(data)
