@@ -53,9 +53,11 @@ def rational_rank(rows) -> int:
     pivots: dict = {}
     for row in rows:
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        vec = {c: _exact(x) for c, x in items if x}
-        den = _denominator(vec.values())
-        vec = {c: _times(x, den) for c, x in vec.items() if x}
+        vec = {c: x for c, x in items if x}
+        if not all(type(x) is int for x in vec.values()):
+            vec = {c: _exact(x) for c, x in vec.items()}
+            den = _denominator(vec.values())
+            vec = {c: _times(x, den) for c, x in vec.items()}
         while vec:
             col = min(vec)
             pivot = pivots.get(col)

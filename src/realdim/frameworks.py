@@ -8,7 +8,9 @@ vertex i at position(i) + s * lattice.
 The edge set is always extended by a lattice pseudo-edge: a loop on an
 extra node with label +1, whose edge vector is the lattice vector itself.
 Rigidity matrices, equilibrium stresses, and stress matrices all live on
-this extended edge set.
+this extended edge set.  Per-edge work reads the edge arrays (tail index,
+head index, label) with numpy indexing, each entry computed by the same
+float operations, in the same order, as a loop over the edges would.
 
 Tolerances are relative: an input ``tol`` (default 1e-8) is scaled by the
 largest singular value of the matrix at hand, floored at 1.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Integral
 from typing import Mapping
 
@@ -64,7 +67,8 @@ def null_space(matrix: np.ndarray, tol=None) -> np.ndarray:
     if m.size == 0:
         cols = m.shape[1] if m.ndim == 2 else 0
         return np.eye(cols)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    # A tall matrix's thin vt is already square; only a wide one needs the full vt.
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = int((s > _scaled_tol(tol, s[0])).sum())
     return vt[rank:].T
 
@@ -169,11 +173,17 @@ class QuotientFramework:
         e = self.graph.edge(edge) if isinstance(edge, int) else edge
         return self.position(e.head) + e.label * self.lattice - self.position(e.tail)
 
+    @cached_property
+    def _edges(self) -> tuple:
+        """Tail indices, head indices and float labels of the edges."""
+        tails, heads, labels = _edge_index(self.graph)
+        return tails, heads, np.array(labels, dtype=float)
+
     def edge_vectors(self) -> np.ndarray:
         """Edge vectors for the extended edge set; lattice row last."""
-        rows = [self.edge_vector(e) for e in self.graph.edges]
-        rows.append(self.lattice)
-        return np.array(rows)
+        tails, heads, labels = self._edges
+        P = self.positions
+        return np.vstack([P[heads] + labels[:, None] * self.lattice - P[tails], self.lattice])
 
     def squared_lengths(self) -> np.ndarray:
         vs = self.edge_vectors()
@@ -197,6 +207,14 @@ class QuotientFramework:
         return QuotientFramework(self.graph.switch(v, gamma), pos, self.lattice)
 
 
+def _edge_index(graph: GainGraph) -> tuple:
+    """Tail and head positions in the vertex tuple, as arrays, and the labels
+    as Python ints, of the edges in order."""
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    ends = np.array([(index[e.tail], index[e.head]) for e in graph.edges], dtype=np.intp)
+    return *ends.reshape(-1, 2).T, [e.label for e in graph.edges]
+
+
 def indicator_vector(graph: GainGraph, edge) -> np.ndarray:
     """The R^{n+1} vector e_head - e_tail stacked with the label."""
     e = graph.edge(edge) if isinstance(edge, int) else edge
@@ -210,11 +228,14 @@ def indicator_vector(graph: GainGraph, edge) -> np.ndarray:
 
 def incidence_matrix(graph: GainGraph) -> np.ndarray:
     """Rows are indicator vectors of the extended edge set, lattice last."""
-    rows = [indicator_vector(graph, e) for e in graph.edges]
-    lattice_row = np.zeros(graph.n + 1)
-    lattice_row[graph.n] = 1.0
-    rows.append(lattice_row)
-    return np.array(rows)
+    tails, heads, labels = _edge_index(graph)
+    n, rows = graph.n, np.arange(graph.m)
+    inc = np.zeros((graph.m + 1, n + 1))
+    inc[rows, heads] += 1
+    inc[rows, tails] -= 1
+    inc[rows, n] = labels
+    inc[graph.m, n] = 1.0
+    return inc
 
 
 def affine_dimension(fw: QuotientFramework, tol=None) -> int:
@@ -230,17 +251,15 @@ def rigidity_matrix(fw: QuotientFramework) -> np.ndarray:
     vertex contributions cancel, leaving only the lattice block.  The
     lattice row carries the lattice vector in the lattice block.
     """
-    g, d, n = fw.graph, fw.dim, fw.n
-    index = {v: k for k, v in enumerate(g.vertices)}
-    R = np.zeros((g.m + 1, d * (n + 1)))
-    for row, e in enumerate(g.edges):
-        v = fw.edge_vector(e)
-        i, j = index[e.tail], index[e.head]
-        R[row, i * d : (i + 1) * d] -= v
-        R[row, j * d : (j + 1) * d] += v
-        R[row, n * d : (n + 1) * d] += e.label * v
-    R[g.m, n * d : (n + 1) * d] = fw.lattice
-    return R
+    m, n = fw.graph.m, fw.n
+    tails, heads, labels = fw._edges
+    V, rows = fw.edge_vectors()[:m], np.arange(m)
+    R = np.zeros((m + 1, n + 1, fw.dim))  # row, vertex block (lattice last), coordinate
+    R[rows, tails] -= V
+    R[rows, heads] += V
+    R[rows, n] += labels[:, None] * V
+    R[m, n] = fw.lattice
+    return R.reshape(m + 1, -1)
 
 
 def stress_kernel(fw: QuotientFramework, tol=None) -> np.ndarray:
@@ -275,34 +294,28 @@ def stress_matrix(graph: GainGraph, stress: StressVector) -> np.ndarray:
     if exact:  # numpy integer weights would wrap around in int64 products
         values = [x if isinstance(x, Fraction) else int(x) for x in values]
     n = graph.n
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    size = n + 1
-    L = [[0 if exact else 0.0 for _ in range(size)] for _ in range(size)]
-
-    def add_outer(coords, w):
-        for a, xa in coords:
-            for b, xb in coords:
-                L[a][b] += w * xa * xb
-
-    for e, w in zip(graph.edges, values):
-        if w == 0:
-            continue
-        if e.is_loop:
-            coords = [(n, e.label)]
-        else:
-            coords = [(index[e.tail], -1), (index[e.head], 1), (n, e.label)]
-        add_outer(coords, w)
-    L[n][n] += values[-1]
-
-    if exact:
-        if all(isinstance(x, Integral) for x in values):
-            if all(_INT64_MIN <= x <= _INT64_MAX for row in L for x in row):
-                return np.array(L, dtype=np.int64)
-            return np.array(L, dtype=object)
-        return np.array(
-            [[Fraction(x) for x in row] for row in L], dtype=object
-        )
-    return np.array(L, dtype=float)
+    tails, heads, labels = _edge_index(graph)
+    w = np.array(values[:-1], dtype=object)
+    keep = w != 0
+    z = np.array(labels, dtype=object)[keep]
+    ends = np.stack([tails[keep], heads[keep], np.full(len(z), n)], axis=1)
+    coords = np.stack([np.full_like(z, -1), np.full_like(z, 1), z], axis=1)
+    # w*xa*xb at (a, b) for the coords (tail, -1), (head, 1), (n, label) of an
+    # edge; a selfloop has only (n, label).  On object arrays each product is
+    # the one Python makes, and np.add.at adds the terms edge after edge, so
+    # every float entry sums them in edge order.
+    with np.errstate(all="ignore"):  # Python's float products never warn
+        terms = w[keep][:, None, None] * coords[:, :, None] * coords[:, None, :]
+    loop = ends[:, 0] == ends[:, 1]
+    terms[loop, :2] = terms[loop, :, :2] = 0
+    integral = exact and all(isinstance(x, Integral) for x in values)
+    L = np.full((n + 1, n + 1), 0 if integral else Fraction(0) if exact else 0.0,
+                dtype=object if exact else float)
+    np.add.at(L, (ends[:, :, None], ends[:, None, :]), terms if exact else terms.astype(float))
+    L[n, n] += values[-1] if exact else float(values[-1])
+    if integral and all(_INT64_MIN <= x <= _INT64_MAX for x in L.flat):
+        return L.astype(np.int64)
+    return L
 
 
 def signature(L: np.ndarray, tol=None) -> StressSignature:
@@ -316,12 +329,10 @@ def signature(L: np.ndarray, tol=None) -> StressSignature:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise RealdimError("stress matrix must be square")
     if L.dtype == object or np.issubdtype(L.dtype, np.integer):
-        rows = L.tolist()
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if rows[i][j] != rows[j][i]:
-                    raise RealdimError("stress matrix must be symmetric")
-        np_, nm, nz = rational_inertia(rows)
+        try:
+            np_, nm, nz = rational_inertia(L.tolist())
+        except ValueError:
+            raise RealdimError("stress matrix must be symmetric") from None
         return StressSignature(np_, nm, nz, 0.0)
     Lf = _finite(L)
     if not np.allclose(Lf, Lf.T, atol=1e-12, rtol=0):
@@ -339,12 +350,10 @@ def _sym_basis_indices(d: int) -> list:
 
 
 def _conic_matrix(fw: QuotientFramework) -> np.ndarray:
-    idx = _sym_basis_indices(fw.dim)
-    rows = []
+    V = fw.edge_vectors()
     with np.errstate(over="ignore"):  # null_space refuses an entry that overflowed
-        for v in fw.edge_vectors():
-            rows.append([v[a] * v[b] if a == b else 2 * v[a] * v[b] for a, b in idx])
-    return np.array(rows)
+        return np.column_stack([V[:, a] * V[:, b] if a == b else 2 * V[:, a] * V[:, b]
+                                for a, b in _sym_basis_indices(fw.dim)])
 
 
 @dataclass(frozen=True)
@@ -534,15 +543,15 @@ def span_check(graph: GainGraph) -> SpanCheck:
     """
     n = graph.n
     has_loop = any(e.is_loop for e in graph.edges)
-    mult_ok = all(c <= 2 for c in graph.pair_multiplicities().values())
+    mult = graph.pair_multiplicities()  # keyed by the underlying simple graph's edges
     mg = graph.multiplicity_graph()
-    independent = (not has_loop) and mult_ok and mg.is_forest()
-    si = graph.underlying_simple_graph()
-    spanning = si.is_complete() and mg.is_spanning_connected(graph.vertices)
+    independent = (not has_loop) and all(c <= 2 for c in mult.values()) and mg.is_forest()
+    spanning = len(mult) == n * (n - 1) // 2 and mg.is_spanning_connected(graph.vertices)
 
-    # Each indicator outer product has at most six nonzero entries in the
-    # basis of _sym_basis_indices(n + 1); (a, b) with a <= b sits in column
-    # a*(n+1) - a*(a-1)/2 + b - a.
+    # Each indicator outer product has at most six nonzero entries (a, b),
+    # a <= b.  The columns of vertex pairs sort first, so the first edge of
+    # each pair is a pivot at once and elimination meets only parallel
+    # edges, selfloops and the lattice.
     index = {v: k for k, v in enumerate(graph.vertices)}
     rows = []
     for e in graph.edges:
@@ -553,9 +562,9 @@ def span_check(graph: GainGraph) -> SpanCheck:
         row = {}
         for i, (a, xa) in enumerate(coords):
             for b, xb in coords[i:]:
-                row[a * (n + 1) - a * (a - 1) // 2 + b - a] = xa * xb
+                row[a == b or b == n, a, b] = xa * xb
         rows.append(row)
-    rows.append({(n + 1) * (n + 2) // 2 - 1: 1})  # the lattice: (n, n)
+    rows.append({(True, n, n): 1})  # the lattice
     rank = rational_rank(rows)
     return SpanCheck(
         size=graph.m + 1,

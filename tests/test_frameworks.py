@@ -9,6 +9,7 @@ from realdim.exactlinalg import rational_rank
 from realdim.frameworks import (
     QuotientFramework,
     StressVector,
+    _conic_matrix,
     affine_dimension,
     conic_condition,
     construct_psd_stress,
@@ -445,6 +446,158 @@ def test_span_check_sparse_rank_equals_dense_rank():
                for _ in range(200)]
     for g in graphs:
         assert span_check(g).rank == dense_span_rank(g), g
+
+
+# -- array forms against per-edge loops -------------------------------------------
+# The numerics build per-edge rows from edge-index arrays.  These loops build
+# them one edge at a time, with the same float operations in the same order,
+# so the results must agree to the bit.
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def loop_edge_vectors(fw):
+    rows = [fw.position(e.head) + e.label * fw.lattice - fw.position(e.tail)
+            for e in fw.graph.edges]
+    return np.array(rows + [fw.lattice])
+
+
+def loop_rigidity_matrix(fw):
+    g, d, n = fw.graph, fw.dim, fw.n
+    index = {v: k for k, v in enumerate(g.vertices)}
+    R = np.zeros((g.m + 1, d * (n + 1)))
+    for row, (e, v) in enumerate(zip(g.edges, loop_edge_vectors(fw))):
+        i, j = index[e.tail], index[e.head]
+        R[row, i * d : (i + 1) * d] -= v
+        R[row, j * d : (j + 1) * d] += v
+        R[row, n * d :] += e.label * v
+    R[g.m, n * d :] = fw.lattice
+    return R
+
+
+def loop_incidence_matrix(g):
+    index = {v: k for k, v in enumerate(g.vertices)}
+    rows = []
+    for e in g.edges:
+        vec = np.zeros(g.n + 1)
+        vec[index[e.head]] += 1
+        vec[index[e.tail]] -= 1
+        vec[g.n] = e.label
+        rows.append(vec)
+    rows.append(np.eye(g.n + 1)[g.n])
+    return np.array(rows)
+
+
+def loop_conic_matrix(fw):
+    pairs = [(a, b) for a in range(fw.dim) for b in range(a, fw.dim)]
+    with np.errstate(over="ignore"):
+        return np.array([[v[a] * v[b] if a == b else 2 * v[a] * v[b] for a, b in pairs]
+                         for v in loop_edge_vectors(fw)])
+
+
+def loop_stress_matrix(g, values, zero):
+    """Entry by entry, edge after edge, the lattice weight last."""
+    n = g.n
+    index = {v: k for k, v in enumerate(g.vertices)}
+    L = [[zero] * (n + 1) for _ in range(n + 1)]
+    for e, w in zip(g.edges, values):
+        if w == 0:
+            continue
+        coords = [(n, e.label)]
+        if not e.is_loop:
+            coords = [(index[e.tail], -1), (index[e.head], 1)] + coords
+        for a, xa in coords:
+            for b, xb in coords:
+                L[a][b] += w * xa * xb
+    L[n][n] += values[-1]
+    return L
+
+
+def complete_type_graph(rng, n):
+    """Complete simplified graph plus a doubled spanning path: PSD stresses exist."""
+    triples = [(a, b, 0) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return GainGraph.of(n, triples + [(i, i + 1, rng.choice((-2, -1, 1, 2)))
+                                      for i in range(1, n)])
+
+
+def random_weight(rng):
+    kind = rng.choice(("float", "float", "zero", "int", "fraction", "big"))
+    return {"float": lambda: rng.uniform(-3, 3) * 10.0 ** rng.randint(-3, 3),
+            "zero": lambda: rng.choice((0, 0.0, -0.0)),
+            "int": lambda: rng.randint(-9, 9),
+            "fraction": lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 13)),
+            "big": lambda: rng.choice((-1, 1)) * rng.randint(2**53, 2**70)}[kind]()
+
+
+def array_form_corpus():
+    """Seeded frameworks with selfloops, parallel pairs, labels past 2**53,
+    dimensions 1 to 3 and edgeless graphs, each with weight lists: floats,
+    mixed kinds (a float path with int, Fraction and big-int weights), exact
+    ints, and the PSD stress where one is constructed."""
+    rng = random.Random(SEED + 19)
+    graphs = [GainGraph((1, 2, 3), ()), GainGraph((1,), ()), ladder_graph(), k3_bullets()]
+    graphs += [complete_type_graph(rng, n) for n in range(2, 7)]
+    for _ in range(150):
+        span = rng.choice((2, 3, 2**60))
+        graphs.append(random_simple_gain_graph(rng, max_vertices=6, max_edges=12,
+                                               label_min=-span, label_max=span))
+    for g in graphs:
+        fw = random_framework(rng, g, rng.randint(1, 3), integer=rng.random() < 0.2)
+        weights = [[rng.uniform(-3, 3) for _ in range(g.m + 1)],
+                   [random_weight(rng) for _ in range(g.m + 1)],
+                   [rng.randint(-5, 5) for _ in range(g.m + 1)]]
+        psd = construct_psd_stress(fw)
+        if psd is not None:
+            weights.append(psd.as_list(g))
+        yield fw, weights
+
+
+def test_array_forms_equal_the_per_edge_loops():
+    corpus = list(array_form_corpus())
+    assert sum(len(w) == 4 for _, w in corpus) >= 5  # PSD stresses constructed
+    assert any(any(e.is_loop for e in fw.graph.edges) for fw, _ in corpus)
+    assert any(fw.graph.m == 0 for fw, _ in corpus)
+    assert any(fw.dim == 1 for fw, _ in corpus)
+    assert any(max(fw.graph.pair_multiplicities().values(), default=0) > 1
+               for fw, _ in corpus)
+    for fw, weight_lists in corpus:
+        g = fw.graph
+        assert same_bits(fw.edge_vectors(), loop_edge_vectors(fw)), g
+        assert same_bits(rigidity_matrix(fw), loop_rigidity_matrix(fw)), g
+        assert same_bits(incidence_matrix(g), loop_incidence_matrix(g)), g
+        assert same_bits(_conic_matrix(fw), loop_conic_matrix(fw)), g
+        for values in weight_lists:
+            got = stress_matrix(g, StressVector.from_sequence(g, values))
+            if got.dtype == float:
+                assert same_bits(got, np.array(loop_stress_matrix(g, values, 0.0))), g
+            else:
+                assert got.tolist() == loop_stress_matrix(g, values, 0), g
+
+
+def test_null_space_of_tall_matrices_equals_the_full_svd_basis():
+    rng = np.random.default_rng(SEED)
+    matrices = [_conic_matrix(fw) for fw, _ in array_form_corpus()]
+    for k in range(100):
+        cols = int(rng.integers(1, 9))
+        m = rng.standard_normal((int(rng.integers(cols, 60)), cols))
+        if k % 3 == 0 and cols > 1:
+            m[:, -1] = 2.0 * m[:, 0]
+        matrices.append(m)
+    assert sum(m.shape[0] > m.shape[1] for m in matrices) >= 100
+    for m in matrices:
+        _, s, vt = np.linalg.svd(m, full_matrices=True)
+        rank = int((s > 1e-8 * max(1.0, s[0])).sum())
+        assert same_bits(null_space(m), vt[rank:].T)
+
+
+def test_conic_condition_returns_on_a_20000_vertex_cycle_in_r3():
+    n = 20000
+    g = GainGraph.of(n, [(i, i % n + 1, int(i == n)) for i in range(1, n + 1)])
+    positions = np.random.default_rng(SEED).standard_normal((n, 3))
+    assert conic_condition(QuotientFramework(g, positions, (1.0, 0.2, 0.1))).holds
 
 
 # -- misc framework validation ----------------------------------------------------
