@@ -70,7 +70,6 @@ _FRAMEWORK_NAMES = (
     "construct_psd_stress",
     "flatten",
     "incidence_matrix",
-    "indicator_vector",
     "is_equilibrium_stress",
     "restrict_to_affine_span",
     "rigidity_matrix",

@@ -148,9 +148,11 @@ def cmd_classify(args) -> int:
     if args.batch:
         results = []
         worst = 0
-        files = sorted(
-            p for p in Path(args.graph).iterdir() if p.suffix in (".graph", ".json", ".txt")
-        )
+        try:  # a missing path or a plain file cannot be listed
+            paths = list(Path(args.graph).iterdir())
+        except OSError as exc:
+            raise DocumentError(f"cannot list {args.graph}: {exc.strerror}") from None
+        files = sorted(p for p in paths if p.suffix in (".graph", ".json", ".txt"))
         if not files:
             raise DocumentError(f"no graph documents found in {args.graph}")
         for p in files:

@@ -11,6 +11,7 @@ Rigidity matrices, equilibrium stresses, and stress matrices all live on
 this extended edge set.  Per-edge work reads the edge arrays (tail index,
 head index, label) with numpy indexing, each entry computed by the same
 float operations, in the same order, as a loop over the edges would.
+The combinatorial side of :func:`span_check` is ``graphs.pair_profile``.
 
 Tolerances are relative: an input ``tol`` (default 1e-8) is scaled by the
 largest singular value of the matrix at hand, floored at 1.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateLatticeError, RealdimError
 from .exactlinalg import rational_inertia, rational_rank
-from .graphs import GainGraph
+from .graphs import GainGraph, multigraph, pair_profile
 
 DEFAULT_TOL = 1e-8
 
@@ -213,17 +214,6 @@ def _edge_index(graph: GainGraph) -> tuple:
     index = {v: k for k, v in enumerate(graph.vertices)}
     ends = np.array([(index[e.tail], index[e.head]) for e in graph.edges], dtype=np.intp)
     return *ends.reshape(-1, 2).T, [e.label for e in graph.edges]
-
-
-def indicator_vector(graph: GainGraph, edge) -> np.ndarray:
-    """The R^{n+1} vector e_head - e_tail stacked with the label."""
-    e = graph.edge(edge) if isinstance(edge, int) else edge
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    vec = np.zeros(graph.n + 1)
-    vec[index[e.head]] += 1
-    vec[index[e.tail]] -= 1
-    vec[graph.n] = e.label
-    return vec
 
 
 def incidence_matrix(graph: GainGraph) -> np.ndarray:
@@ -440,8 +430,8 @@ def construct_psd_stress(fw: QuotientFramework, tol=None) -> StressVector | None
     """Constructive PSD equilibrium stress for complete-type quotients.
 
     Applicable exactly when the indicator outer products span the whole
-    centered symmetric space: the underlying simple graph is complete and
-    the multiplicity graph is spanning.  Returns None otherwise.
+    centered symmetric space, as :func:`span_check` reads it off the
+    multigraph.  Returns None otherwise.
 
     Centers positions at their centroid, takes the kernel basis a_1..a_k
     of the bordered matrix, and solves sum w_e F_e = sum a_i a_i^T; the
@@ -535,18 +525,16 @@ class SpanCheck:
 def span_check(graph: GainGraph) -> SpanCheck:
     """Independence and spanning of the indicator outer products.
 
-    Combinatorially: independent iff the graph is loopless, every
-    multiplicity is at most two, and the multiplicity graph is a forest;
-    spanning iff the underlying simple graph is complete and the
-    multiplicity graph is connected over all vertices.  The rank is
-    computed exactly (labels are integers) for comparison.
+    Combinatorially, from ``graphs.pair_profile``: independent iff the
+    graph is loopless, every multiplicity is at most two, and the doubled
+    pairs form a forest; spanning iff every pair is adjacent and the
+    doubled pairs connect every vertex.  The rank is computed exactly
+    (labels are integers) for comparison.
     """
     n = graph.n
-    has_loop = any(e.is_loop for e in graph.edges)
-    mult = graph.pair_multiplicities()  # keyed by the underlying simple graph's edges
-    mg = graph.multiplicity_graph()
-    independent = (not has_loop) and all(c <= 2 for c in mult.values()) and mg.is_forest()
-    spanning = len(mult) == n * (n - 1) // 2 and mg.is_spanning_connected(graph.vertices)
+    pairs, top, forest, connected = pair_profile(multigraph(graph.vertices, graph.edges))
+    independent = not any(e.is_loop for e in graph.edges) and top <= 2 and forest
+    spanning = pairs == n * (n - 1) // 2 and connected
 
     # Each indicator outer product has at most six nonzero entries (a, b),
     # a <= b.  The columns of vertex pairs sort first, so the first edge of

@@ -19,11 +19,12 @@ and vertex renaming generate the isomorphism notion implemented by
 
 The deciders hold a graph as one multigraph, ``{u: {w: {orbit key:
 edge}}}`` with selfloops left out, built by :func:`multigraph`.  The
-balance test :func:`balance` reads it.  The block split :func:`blocks`,
-the cycle search :func:`find_cycle` and the series-parallel reducer
-:func:`has_k4_minor` read any loopless ``{vertex: neighbours}`` mapping:
-that multigraph, whose neighbour values are edge dicts, as well as
-neighbour sets such as a :class:`SimpleGraph`'s adjacency.
+balance test :func:`balance` and the complete-type pass :func:`pair_profile`
+read it.  The block split :func:`blocks`, the cycle search
+:func:`find_cycle` and the series-parallel reducer :func:`has_k4_minor`
+read any loopless ``{vertex: neighbours}`` mapping: that multigraph,
+whose neighbour values are edge dicts, as well as neighbour sets such as
+a :class:`SimpleGraph`'s adjacency.
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ class GainEdge:
 
     def inverted(self) -> "GainEdge":
         return GainEdge(self.id, self.head, self.tail, -self.label)
-
-    def pair(self) -> frozenset:
-        return frozenset((self.tail, self.head))
 
     def other(self, v: int) -> int:
         if v == self.tail:
@@ -178,44 +176,6 @@ class SimpleGraph:
     def neighbors(self, v) -> set:
         return set(self._adj[v])
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
-    def adjacent(self, a, b) -> bool:
-        return b in self._adj.get(a, ())
-
-    def components(self) -> list:
-        """Connected components as frozensets, deterministically ordered."""
-        seen = set()
-        comps = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
-    def is_spanning_connected(self, vertices) -> bool:
-        """Connected and touching every vertex of the given set."""
-        return self.vertices == frozenset(vertices) and self.is_connected()
-
-    def is_forest(self) -> bool:
-        return all(
-            sum(1 for e in self.edges if e <= comp) == len(comp) - 1
-            for comp in self.components()
-        )
-
     def find_cycle(self):
         """Some cycle as a vertex list, or None; see :func:`find_cycle`."""
         return find_cycle(self._adj)
@@ -225,10 +185,6 @@ class SimpleGraph:
         :func:`blocks`."""
         return [(frozenset(vs), frozenset(map(frozenset, pairs)))
                 for _, vs, pairs in blocks(self._adj)]
-
-    def is_complete(self) -> bool:
-        n = self.n
-        return self.m == n * (n - 1) // 2
 
 
 def find_cycle(adj: Mapping):
@@ -346,6 +302,28 @@ def multigraph(vertices, edges) -> dict:
 def multigraph_edges(adj: dict):
     """The edges of a multigraph, each once."""
     return (e for a in adj for b, es in adj[a].items() if a < b for e in es.values())
+
+
+def pair_profile(adj: dict) -> tuple:
+    """(adjacent pairs, largest multiplicity, whether the pairs of
+    multiplicity at least two form a forest, whether they connect every
+    vertex) of a multigraph, in linear time with one union-find.  A simple
+    labelling gives a pair one orbit key per edge, so its multiplicity is
+    the size of its edge dict."""
+    root = {v: v for v in adj}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    sizes = {(a, b): len(es) for a in adj for b, es in adj[a].items() if a < b}
+    doubled = [pair for pair, k in sizes.items() if k >= 2]
+    for a, b in doubled:
+        root[find(a)] = find(b)
+    parts = sum(root[v] == v for v in root)  # one root per component
+    forest = len(doubled) == len(adj) - parts
+    return len(sizes), max(sizes.values(), default=0), forest, parts <= 1
 
 
 def has_k4_minor(adj: Mapping) -> bool:
@@ -636,21 +614,7 @@ class GainGraph:
 
     def underlying_simple_graph(self) -> SimpleGraph:
         """Forget loops, orientation, labels, and multiplicity."""
-        pairs = {e.pair() for e in self.edges if not e.is_loop}
-        return SimpleGraph(self.vertices, pairs)
-
-    def pair_multiplicities(self) -> dict:
-        """Number of non-loop edges joining each adjacent vertex pair."""
-        count: dict = {}
-        for e in self.edges:
-            if not e.is_loop:
-                count[e.pair()] = count.get(e.pair(), 0) + 1
-        return count
-
-    def multiplicity_graph(self) -> SimpleGraph:
-        """Vertices joined by at least two parallel edges become adjacent."""
-        pairs = {pair for pair, c in self.pair_multiplicities().items() if c >= 2}
-        return SimpleGraph(self.vertices, pairs)
+        return SimpleGraph(self.vertices, [(e.tail, e.head) for e in self.edges if not e.is_loop])
 
     def lift_window(self, shift_min: int, shift_max: int) -> SimpleGraph:
         """Finite induced slice of the periodic lift over a shift range.

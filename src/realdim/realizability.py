@@ -55,6 +55,7 @@ from .graphs import (
     multigraph,
     multigraph_add,
     multigraph_edges,
+    pair_profile,
 )
 from .minors import (
     FINITE_MINOR_BOUND,
@@ -515,15 +516,16 @@ def _disjoint_paths(adj: dict, sources, targets: set) -> list:
 def realizable_dimension_complete_case(g: GainGraph) -> int:
     """Exact realizable dimension when the simplified graph is complete.
 
-    Equals the vertex count when the multiplicity graph is connected and
-    spanning (every periodic realization is then universally rigid), and
-    one less otherwise.
+    Equals the vertex count when the doubled pairs connect every vertex
+    (every periodic realization is then universally rigid), and one less
+    otherwise; ``graphs.pair_profile`` reads both facts in one pass.
     """
     _require_nonempty(g)
-    if not g.underlying_simple_graph().is_complete():
+    n = g.n
+    pairs, _, _, connected = pair_profile(multigraph(g.vertices, g.edges))
+    if pairs < n * (n - 1) // 2:
         raise RealdimError("underlying simple graph must be complete")
-    mg = g.multiplicity_graph()
-    return g.n if mg.is_spanning_connected(g.vertices) else g.n - 1
+    return n if connected else n - 1
 
 
 @dataclass(frozen=True)
@@ -561,17 +563,19 @@ def realizable_dimension_bounds(
         if verdict is not None and verdict.dimension_bound != dim:
             raise RealdimError(f"d{dim} must be a dimension-{dim} verdict")
     n = g.n
-    # Fewer edges than pairs leave the simplified graph incomplete.
-    complete = g.m >= n * (n - 1) // 2 and g.underlying_simple_graph().is_complete()
-    if complete and realizable_dimension_complete_case(g) == n:
+    try:  # fewer edges than pairs leave the simplified graph incomplete
+        complete_rd = realizable_dimension_complete_case(g) if g.m >= n * (n - 1) // 2 else None
+    except RealdimError:  # so do missing pairs
+        complete_rd = None
+    if complete_rd == n:
         return RdBounds(n, n)
     if (d1 if d1 is not None else is_1_realizable(g)).answer:
         return RdBounds(1, 1)
     if (d2 if d2 is not None else is_2_realizable(g)).answer:
         return RdBounds(2, 2)
     lower = 3
-    if complete:
-        lower = max(lower, n - 1)
+    if complete_rd is not None:
+        lower = max(lower, complete_rd)
     elif n <= FINITE_MINOR_BOUND:
         f = finite_rd_upper3(g.underlying_simple_graph())
         lower = max(lower, 4 if f == ">=4" else f)

@@ -129,6 +129,15 @@ def test_classify_batch(tmp_path, capsys):
     assert len(data["results"]) == 2
 
 
+@pytest.mark.parametrize("name", ["absent", "plain.graph"])
+def test_classify_batch_needs_a_directory(tmp_path, capsys, name):
+    (tmp_path / "plain.graph").write_text(K2)
+    path = tmp_path / name
+    assert main(["classify", str(path), "--batch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and str(path) in err
+
+
 def test_stress_exact_output(ladder_file, capsys):
     code, out_text = run(capsys, "stress", ladder_file)
     assert code == 0

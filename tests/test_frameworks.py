@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,9 @@ from realdim.frameworks import (
     stress_matrix,
     verify_super_stable,
 )
-from realdim.graphs import GainGraph
+from realdim.graphs import GainGraph, multigraph, pair_profile
 from realdim.randgen import random_framework, random_simple_gain_graph
+from realdim.realizability import realizable_dimension_complete_case
 from test_acceptance import SEED
 from test_graphs import k2_zero, k3_bullets, k3_zero, ladder_graph
 
@@ -428,6 +430,26 @@ def test_span_check_random_agreement():
         assert span_check(g).agrees(), g
 
 
+def test_span_check_is_linear_on_disjoint_doubled_pairs():
+    # One pass over the multigraph: counting the edges of each doubled pair's
+    # component by scanning every edge took 1.0-1.9 s on 4,000 pairs.
+    g = GainGraph.of(8000, [t for a in range(1, 8000, 2) for t in ((a, a + 1, 0), (a, a + 1, 1))])
+    start = time.perf_counter()
+    sc = span_check(g)
+    assert time.perf_counter() - start < 0.5
+    assert sc.independent_combinatorial and not sc.spanning_combinatorial and sc.agrees()
+    # A complete type of moderate size whose doubled pairs are a perfect matching.
+    n = 80
+    g = GainGraph.of(n, [(a, b, 0) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+                     + [(a, a + 1, 1) for a in range(1, n, 2)])
+    start = time.perf_counter()
+    sc = span_check(g)
+    rd = realizable_dimension_complete_case(g)
+    assert time.perf_counter() - start < 0.5
+    assert sc.independent_combinatorial and not sc.spanning_combinatorial and sc.agrees()
+    assert rd == n - 1
+
+
 def dense_span_rank(g):
     """Rank of the indicator outer products written densely, upper triangle row-major."""
     upper = np.triu_indices(g.n + 1)
@@ -561,7 +583,7 @@ def test_array_forms_equal_the_per_edge_loops():
     assert any(any(e.is_loop for e in fw.graph.edges) for fw, _ in corpus)
     assert any(fw.graph.m == 0 for fw, _ in corpus)
     assert any(fw.dim == 1 for fw, _ in corpus)
-    assert any(max(fw.graph.pair_multiplicities().values(), default=0) > 1
+    assert any(pair_profile(multigraph(fw.graph.vertices, fw.graph.edges))[1] > 1
                for fw, _ in corpus)
     for fw, weight_lists in corpus:
         g = fw.graph

@@ -6,9 +6,48 @@ import pytest
 
 from realdim.certificates import LEAF, CertificateError, DecompositionTree, Row
 from realdim.errors import BoundExceededError, RealdimError, SimplicityError
-from realdim.graphs import LIFT_WINDOW_BOUND, GainEdge, GainGraph, SimpleGraph, blocks
+from realdim.graphs import (
+    LIFT_WINDOW_BOUND,
+    GainEdge,
+    GainGraph,
+    SimpleGraph,
+    blocks,
+    multigraph,
+    pair_profile,
+)
 from realdim.minors import MinorOp
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
+
+
+def is_complete(sg):
+    return sg.m == sg.n * (sg.n - 1) // 2
+
+
+def components(vertices, pairs):
+    """Connected components as frozensets, by BFS."""
+    adj = {v: set() for v in vertices}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    comps, seen = [], set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        for u in queue:
+            for w in adj[u] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def doubled_pairs(g):
+    """How many pairs of g carry at least two edges, and g's pair profile."""
+    adj = multigraph(g.vertices, g.edges)
+    doubled = sum(len(es) >= 2 for a in adj for b, es in adj[a].items() if a < b)
+    return doubled, pair_profile(adj)
 
 
 def k2_zero():
@@ -183,7 +222,7 @@ def test_contract_k4_gives_k3_balanced():
     assert g.n == 3
     assert g.is_balanced()
     si = g.underlying_simple_graph()
-    assert si.is_complete() and si.n == 3
+    assert is_complete(si) and si.n == 3
 
 
 def test_contract_bridge_of_k3_bullets_gives_k2_bullet():
@@ -215,7 +254,7 @@ def test_contract_duplicate_retention_isomorphic():
     g = GainGraph.of(3, [(1, 2, 0), (1, 3, 0), (2, 3, 0)])
     h = g.contract_edge(1)
     kept = h.edge(2)
-    assert kept.pair() == frozenset((1, 3))
+    assert {kept.tail, kept.head} == {1, 3}
 
 
 # -- derived simple graphs ----------------------------------------------------
@@ -223,7 +262,7 @@ def test_contract_duplicate_retention_isomorphic():
 
 def test_si_graph_of_k3_bullets_is_k3():
     si = k3_bullets().underlying_simple_graph()
-    assert si.n == 3 and si.is_complete()
+    assert si.n == 3 and is_complete(si)
 
 
 def test_si_graph_drops_loops():
@@ -238,25 +277,28 @@ def test_si_graph_of_k2_bullet():
 
 
 def test_multiplicity_graph_of_k3_bullets_is_spanning_path():
-    mg = k3_bullets().multiplicity_graph()
-    assert mg.m == 2
-    assert mg.is_spanning_connected(mg.vertices)
+    doubled, (pairs, top, forest, connected) = doubled_pairs(k3_bullets())
+    assert doubled == 2
+    assert connected
+    assert (pairs, top, forest) == (3, 2, True)
 
 
 def test_multiplicity_graph_of_k3_zero_empty():
-    mg = k3_zero().multiplicity_graph()
-    assert mg.m == 0
-    assert not mg.is_spanning_connected(mg.vertices)
+    doubled, (pairs, top, forest, connected) = doubled_pairs(k3_zero())
+    assert doubled == 0
+    assert not connected
+    assert (pairs, top, forest) == (3, 1, True)
 
 
 def test_multiplicity_graph_of_k2_bullet_spanning():
-    mg = k2_bullet().multiplicity_graph()
-    assert mg.m == 1 and mg.is_spanning_connected(mg.vertices)
+    doubled, (_, _, _, connected) = doubled_pairs(k2_bullet())
+    assert doubled == 1 and connected
 
 
 def test_loops_do_not_count_for_multiplicity():
     g = GainGraph.of(2, [(1, 2, 0), (1, 1, 1), (1, 1, 2)])
-    assert g.multiplicity_graph().m == 0
+    doubled, profile = doubled_pairs(g)
+    assert doubled == 0 and profile == (1, 1, True, False)
 
 
 # -- balance -------------------------------------------------------------------
@@ -519,7 +561,7 @@ def test_lift_window_ladder_matches_enumeration():
 def test_lift_window_k2_three_cells_disjoint_edges():
     w = k2_zero().lift_window(0, 2)
     assert w.n == 6 and w.m == 3
-    assert all(w.degree(v) <= 1 for v in w.vertices)
+    assert all(len(w.neighbors(v)) <= 1 for v in w.vertices)
 
 
 def test_lift_window_bound_is_checked_before_building():
@@ -587,15 +629,16 @@ def test_blocks_equal_the_brute_force_cycle_relation():
             if not e.is_loop:
                 adj[e.tail].setdefault(e.head, []).append(e)
                 adj[e.head].setdefault(e.tail, []).append(e)
-        components = SimpleGraph(adj, [e.pair() for e in g.edges if not e.is_loop]).components()
+        pair_set = {frozenset((e.tail, e.head)) for e in g.edges if not e.is_loop}
+        comps = components(adj, map(tuple, pair_set))
         block_of = {}
         for k, (root, vs, pairs) in enumerate(blocks(adj)):
             assert vs == tuple(sorted({v for p in pairs for v in p}))
-            assert root == min(next(c for c in components if vs[0] in c))
+            assert root == min(next(c for c in comps if vs[0] in c))
             for p in pairs:
                 assert frozenset(p) not in block_of
                 block_of[frozenset(p)] = k
-        assert set(block_of) == {e.pair() for e in g.edges if not e.is_loop}
+        assert set(block_of) == pair_set
         cycles = cycle_pair_sets(adj)
         for p, q in itertools.combinations(block_of, 2):
             assert (block_of[p] == block_of[q]) == any(p in c and q in c for c in cycles)
@@ -607,4 +650,4 @@ def test_simplegraph_find_cycle():
     assert cyc is not None and len(set(cyc)) == len(cyc) >= 3
     tree = SimpleGraph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
     assert tree.find_cycle() is None
-    assert tree.is_forest()
+    assert tree.m == tree.n - len(components(tree.vertices, map(tuple, tree.edges)))

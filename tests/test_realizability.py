@@ -543,7 +543,8 @@ def test_triangle_leaf_family_matches_balance():
     answers = set()
     for g in graphs:
         loopless = not any(e.is_loop for e in g.edges)
-        triangle = g.m == 3 and loopless and g.underlying_simple_graph().is_complete()
+        si = g.underlying_simple_graph()
+        triangle = g.m == 3 and loopless and si.m == si.n * (si.n - 1) // 2
         in_family = leaf_in_family(Row.leaf(g.vertices, g.edges), 2)
         answers.add((triangle, in_family))
         assert in_family == (triangle and g.is_balanced())
@@ -775,6 +776,39 @@ def test_deciders_build_no_simple_graph(monkeypatch, make):
         patch.setattr(GainGraph, "__init__", refuse)
         verdicts = is_1_realizable(g), is_2_realizable(g)
     assert all(v.verify(g) for v in verdicts)
+
+
+@pytest.mark.parametrize("make, bounds", [
+    (k4_zero, (3, 4)), (k3_bullets, (3, 3)), (k2_bullet, (2, 2)),
+    (lambda: GainGraph.of(3, TRIANGLE_DOUBLED_PAIRS[:5]), (3, 3)),
+    (lambda: GainGraph.of(3, TRIANGLE_DOUBLED_PAIRS), (3, 3)),
+    (lambda: long_cycle(300), (2, 2)), (lambda: necklace(300), (2, 2)),
+    (lambda: tree_with_loops(300, random.Random(7)), (1, 1)),
+], ids=["K4", "K3-bullets", "K2-bullet", "triangle-two-doubled", "triangle-three-doubled",
+        "cycle", "necklace", "tree-with-loops"])
+def test_complete_type_path_builds_no_simple_graph(monkeypatch, make, bounds):
+    # The span check, the PSD stress and the complete-case dimension read
+    # graphs.pair_profile of the multigraph; the bounds reach a SimpleGraph
+    # only for the finite-minor bound of an incomplete graph both deciders refuse.
+    from realdim.frameworks import construct_psd_stress, span_check
+    from realdim.randgen import random_framework
+
+    g = make()
+    fw = random_framework(random.Random(3), g, 2)
+    complete = g.underlying_simple_graph().m == g.n * (g.n - 1) // 2
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a SimpleGraph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimpleGraph, "__init__", refuse)
+        sc = span_check(g)
+        psd = construct_psd_stress(fw)
+        rd = realizable_dimension_complete_case(g) if complete else None
+        assert realizable_dimension_bounds(g).as_tuple() == bounds
+    assert sc.agrees()
+    assert (psd is not None) == sc.spanning_combinatorial
+    assert rd in (None, bounds[0])
 
 
 # -- witness size and the cost of verifying ------------------------------------------
