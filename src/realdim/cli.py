@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -478,6 +479,19 @@ def cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _finite_positive(kind):
+    """An argparse ``type`` that reads a ``kind`` number and refuses it
+    unless it is finite and positive; argparse's error names it by its
+    ``__name__``."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"finite positive {kind.__name__}"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -488,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_finite_positive(float), default=None,
                         help="relative numeric tolerance (default 1e-8, scale-aware)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -538,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="seeded randomized property sweep")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=40)
+    p.add_argument("--count", type=_finite_positive(int), default=40)
     p.set_defaults(func=cmd_selftest)
 
     return parser

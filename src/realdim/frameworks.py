@@ -165,15 +165,6 @@ class QuotientFramework:
     def position(self, v: int) -> np.ndarray:
         return self.positions[self._index[v]]
 
-    def with_graph(self, graph: GainGraph) -> "QuotientFramework":
-        if graph.vertices != self.graph.vertices:
-            raise RealdimError("vertex set must be unchanged")
-        return QuotientFramework(graph, self.positions, self.lattice)
-
-    def edge_vector(self, edge) -> np.ndarray:
-        e = self.graph.edge(edge) if isinstance(edge, int) else edge
-        return self.position(e.head) + e.label * self.lattice - self.position(e.tail)
-
     @cached_property
     def _edges(self) -> tuple:
         """Tail indices, head indices and float labels of the edges."""
@@ -195,17 +186,6 @@ class QuotientFramework:
         top = np.column_stack([self.positions.T, self.lattice])
         bottom = np.append(np.ones(self.n), 0.0)
         return np.vstack([top, bottom])
-
-    def reselect_representative(self, v: int, gamma: int) -> "QuotientFramework":
-        """Move one orbit representative by gamma shifts.
-
-        Switches the quotient graph at v by gamma and translates v's
-        position by gamma times the lattice vector; the underlying
-        periodic framework is unchanged.
-        """
-        pos = self.positions.copy()
-        pos[self._index[v]] = pos[self._index[v]] + gamma * self.lattice
-        return QuotientFramework(self.graph.switch(v, gamma), pos, self.lattice)
 
 
 def _edge_index(graph: GainGraph) -> tuple:

@@ -23,8 +23,8 @@ balance test :func:`balance` and the complete-type pass :func:`pair_profile`
 read it.  The block split :func:`blocks`, the cycle search
 :func:`find_cycle` and the series-parallel reducer :func:`has_k4_minor`
 read any loopless ``{vertex: neighbours}`` mapping: that multigraph,
-whose neighbour values are edge dicts, as well as neighbour sets such as
-a :class:`SimpleGraph`'s adjacency.
+whose neighbour values are edge dicts, or plain neighbour sets.  So do
+the finite-graph minor checks of :mod:`realdim.minors`.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def _simplicity_violations(edges) -> list:
 
 
 class SimpleGraph:
-    """Loopless undirected graph without multiplicities.
+    """Loopless undirected graph without multiplicities: the type of a
+    lift window (:meth:`GainGraph.lift_window`).
 
     Vertex ids may be any hashable values (lift windows use pairs).
     Treated as immutable.
@@ -148,22 +149,6 @@ class SimpleGraph:
                 raise RealdimError(f"edge {sorted(pair)} uses unknown vertices")
             es.add(pair)
         self.edges = frozenset(es)
-        self._adj: dict = {v: set() for v in self.vertices}
-        for pair in self.edges:
-            a, b = tuple(pair)
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimpleGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"SimpleGraph({sorted(self.vertices)}, {sorted(map(sorted, self.edges))})"
 
     @property
     def n(self) -> int:
@@ -173,18 +158,15 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v) -> set:
-        return set(self._adj[v])
-
-    def find_cycle(self):
-        """Some cycle as a vertex list, or None; see :func:`find_cycle`."""
-        return find_cycle(self._adj)
-
     def blocks(self) -> list:
         """Biconnected components as (vertex frozenset, edge frozenset); see
         :func:`blocks`."""
+        adj: dict = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
         return [(frozenset(vs), frozenset(map(frozenset, pairs)))
-                for _, vs, pairs in blocks(self._adj)]
+                for _, vs, pairs in blocks(adj)]
 
 
 def find_cycle(adj: Mapping):
@@ -611,10 +593,6 @@ class GainGraph:
         return GainGraph(inc, edges.values())
 
     # -- derived graphs ----------------------------------------------------------
-
-    def underlying_simple_graph(self) -> SimpleGraph:
-        """Forget loops, orientation, labels, and multiplicity."""
-        return SimpleGraph(self.vertices, [(e.tail, e.head) for e in self.edges if not e.is_loop])
 
     def lift_window(self, shift_min: int, shift_max: int) -> SimpleGraph:
         """Finite induced slice of the periodic lift over a shift range.

@@ -35,9 +35,9 @@ shape for every simple labelling: two vertices joined by a parallel pair,
 or three vertices with one single and two doubled pairs.  Families are
 matched by shape predicates because they are closed under isomorphism.
 
-Finite-graph checks (for the underlying simple graph) use a cycle test
-for a K3 minor, series-parallel reduction (:func:`graphs.has_k4_minor`)
-for K4, and a branch-set search for K5 and K222.
+Finite-graph checks read a neighbour map, a loopless ``{vertex:
+neighbours}`` mapping: a cycle test for a K3 minor, series-parallel
+reduction (:func:`graphs.has_k4_minor`) for K4, and branch sets for K5, K222.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ import itertools
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import BoundExceededError, RealdimError
-from .graphs import GainGraph, SimpleGraph, canonical_state, has_k4_minor
+from .graphs import GainGraph, canonical_state, find_cycle, has_k4_minor
 
 K2_BULLET = "k2-bullet"
 K3_BULLETBULLET = "k3-bulletbullet"
@@ -334,8 +334,8 @@ def contains_forbidden(host: GainGraph, dimension: int,
 
 # -- finite simple-graph checks ---------------------------------------------------
 
-def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
-    """Branch-set search for K5 / K222 minors.
+def _has_simple_minor_branch_sets(adj: Mapping, pattern: str) -> bool:
+    """Branch-set search for K5 / K222 minors of a neighbour map.
 
     Vertices are assigned to pattern classes (or left unused) with classes
     introduced in first-use order; a final check asks each class to be
@@ -344,7 +344,7 @@ def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
     to form a matching.
     """
     k = 5 if pattern == "K5" else 6
-    verts = sorted(host.vertices)
+    verts = sorted(adj)
     n = len(verts)
     if n < k:
         return False
@@ -371,7 +371,7 @@ def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
             stack = [members[0]]
             while stack:
                 u = stack.pop()
-                for w in host.neighbors(u):
+                for w in adj[u]:
                     if assign.get(w) == c and w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -388,7 +388,7 @@ def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
                 return False
             return class_graph_ok(class_adj, used) and classes_connected(assign, used)
         v = verts[idx]
-        nbr_classes = {assign[w] for w in host.neighbors(v) if w in assign}
+        nbr_classes = {assign[w] for w in adj[v] if w in assign}
         choices = list(range(used)) + ([used] if used < k else [])
         for c in choices:
             assign[v] = c
@@ -415,39 +415,39 @@ def _has_simple_minor_branch_sets(host: SimpleGraph, pattern: str) -> bool:
     return extend(0, {}, 0, [])
 
 
-def finite_has_minor(host: SimpleGraph, pattern: str) -> bool:
-    """Minor test against one of K3, K4, K5, K222.
+def finite_has_minor(adj: Mapping, pattern: str) -> bool:
+    """Minor test of a neighbour map against one of K3, K4, K5, K222.
 
     K3 and K4 run at any size (cycle test, series-parallel reduction);
     K5 and K222 brute-force branch sets, on at most ``FINITE_MINOR_BOUND``
     vertices.
     """
     if pattern == "K3":
-        return host.find_cycle() is not None
+        return find_cycle(adj) is not None
     if pattern == "K4":
-        return has_k4_minor(host._adj)
+        return has_k4_minor(adj)
     if pattern in ("K5", "K222"):
-        if host.n > FINITE_MINOR_BOUND:
+        if len(adj) > FINITE_MINOR_BOUND:
             raise BoundExceededError(
                 f"brute-force minor bound is {FINITE_MINOR_BOUND} vertices"
             )
-        return _has_simple_minor_branch_sets(host, pattern)
+        return _has_simple_minor_branch_sets(adj, pattern)
     raise RealdimError(f"unknown finite pattern {pattern!r}")
 
 
-def finite_rd_upper3(host: SimpleGraph):
-    """Realizable dimension of a finite simple graph when it is at most 3.
+def finite_rd_upper3(adj: Mapping):
+    """Realizable dimension of a neighbour map when it is at most 3.
 
     Returns 0..3, or the string ">=4" when a K5 or K222 minor is present.
     The forbidden lists are {K3} for dimension 1, {K4} for 2, and
     {K5, K222} for 3.
     """
-    if host.m == 0:
+    if not any(adj.values()):
         return 0
-    if not finite_has_minor(host, "K3"):
+    if not finite_has_minor(adj, "K3"):
         return 1
-    if not finite_has_minor(host, "K4"):
+    if not finite_has_minor(adj, "K4"):
         return 2
-    if not finite_has_minor(host, "K5") and not finite_has_minor(host, "K222"):
+    if not finite_has_minor(adj, "K5") and not finite_has_minor(adj, "K222"):
         return 3
     return ">=4"

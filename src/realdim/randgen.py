@@ -20,7 +20,6 @@ def random_simple_gain_graph(
     label_min: int = -2,
     label_max: int = 2,
     min_vertices: int = 1,
-    allow_loops: bool = True,
 ) -> GainGraph:
     """Random simple labelled graph, dense-ish but rejection-free.
 
@@ -39,7 +38,7 @@ def random_simple_gain_graph(
         h = rng.randint(1, n)
         z = rng.randint(label_min, label_max)
         if t == h:
-            if not allow_loops or z == 0 or (t, abs(z)) in seen_loops:
+            if z == 0 or (t, abs(z)) in seen_loops:
                 continue
             seen_loops.add((t, abs(z)))
         else:
@@ -69,18 +68,6 @@ def random_isomorphic_copy(rng: random.Random, g: GainGraph) -> GainGraph:
     mapping = dict(zip(h.vertices, perm))
     edges = [GainEdge(e.id, mapping[e.tail], mapping[e.head], e.label) for e in h.edges]
     return GainGraph(h.vertices, edges)
-
-
-def random_minor_operation(rng: random.Random, g: GainGraph) -> GainGraph | None:
-    """Apply one random deletion or contraction; None if nothing applies."""
-    ops = []
-    for e in g.edges:
-        ops.append(("delete_edge", e.id, None))
-        if not e.is_loop:
-            ops.append(("contract_edge", e.id, None))
-    if g.n > 1:
-        ops += [("delete_vertex", v, None) for v in g.vertices]
-    return g.minor([rng.choice(ops)]) if ops else None
 
 
 def random_framework(

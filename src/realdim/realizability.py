@@ -4,7 +4,7 @@ Each decider holds its input as one multigraph, ``{u: {w: {orbit key:
 edge}}}`` with selfloops left out, built once per call by
 ``graphs.multigraph``; ``graphs.blocks``, ``graphs.find_cycle``,
 ``graphs.balance`` and ``graphs.has_k4_minor`` read it, and neither
-decider builds a ``GainGraph`` or a ``SimpleGraph``.
+decider builds a ``GainGraph``.
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
 is the absence of any cycle other than selfloops, read off the
@@ -577,6 +577,6 @@ def realizable_dimension_bounds(
     if complete_rd is not None:
         lower = max(lower, complete_rd)
     elif n <= FINITE_MINOR_BOUND:
-        f = finite_rd_upper3(g.underlying_simple_graph())
+        f = finite_rd_upper3(multigraph(g.vertices, g.edges))
         lower = max(lower, 4 if f == ">=4" else f)
     return RdBounds(lower, n)

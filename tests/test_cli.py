@@ -757,6 +757,25 @@ def test_selftest_deterministic(capsys):
     assert out_text == out_text2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(ladder_file, capsys, tol):
+    # A tolerance that is not finite and positive cannot tell a residual from zero.
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", tol, "stress", str(ladder_file)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selftest_count_must_be_positive(capsys, count):
+    # A count below one would run no checks and still report every suite as ok.
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--count", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err and "ok" not in captured.out
+
+
 FUZZ_VALUES = (0, 1, 2, 3, -1, True, None, "yes", "no", "leaf", "one_sum", "balanced_two_sum",
                "disjoint_union", "exact", "k2-bullet", "k3-bulletbullet", "delete_edge",
                "contract_edge", [], [1], [1, 2], {})

@@ -30,7 +30,7 @@ from realdim.frameworks import (
 from realdim.graphs import GainGraph, multigraph, pair_profile
 from realdim.randgen import random_framework, random_simple_gain_graph
 from realdim.realizability import realizable_dimension_complete_case
-from test_acceptance import SEED
+from test_acceptance import SEED, reselect_representative
 from test_graphs import k2_zero, k3_bullets, k3_zero, ladder_graph
 
 LADDER_L = np.array(
@@ -130,7 +130,7 @@ def test_ladder_representative_change_preserves_kernel_membership():
     fw = ladder_framework()
     omega = ladder_stress()
     for v, gamma in [(1, 1), (2, -2), (3, 3)]:
-        moved = fw.reselect_representative(v, gamma)
+        moved = reselect_representative(fw, v, gamma)
         assert is_equilibrium_stress(moved, omega)
 
 
@@ -149,7 +149,7 @@ def test_rigidity_matrix_invariant_under_inversion():
     fw = ladder_framework()
     R = rigidity_matrix(fw)
     for e in fw.graph.edges:
-        fw2 = fw.with_graph(fw.graph.invert_edge(e.id))
+        fw2 = QuotientFramework(fw.graph.invert_edge(e.id), fw.positions, fw.lattice)
         assert np.allclose(rigidity_matrix(fw2), R)
 
 
@@ -159,7 +159,7 @@ def test_selfloop_row_hits_lattice_block_only():
     R = rigidity_matrix(fw)
     assert R.shape == (2, 4)
     assert np.allclose(R[0, :2], 0)
-    assert np.allclose(R[0, 2:], 2 * fw.edge_vector(1))
+    assert np.allclose(R[0, 2:], 2 * fw.edge_vectors()[0])
 
 
 def test_k2_framework_trivial_kernel():

@@ -17,7 +17,7 @@ from realdim.certificates import (
     verify_decomposition,
 )
 from realdim.errors import RealdimError
-from realdim.graphs import GainEdge, GainGraph, SimpleGraph
+from realdim.graphs import GainEdge, GainGraph, SimpleGraph, multigraph, pair_profile
 from realdim.minors import MinorOp, MinorWitness, contains_forbidden
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
 from realdim.realizability import (
@@ -543,8 +543,8 @@ def test_triangle_leaf_family_matches_balance():
     answers = set()
     for g in graphs:
         loopless = not any(e.is_loop for e in g.edges)
-        si = g.underlying_simple_graph()
-        triangle = g.m == 3 and loopless and si.m == si.n * (si.n - 1) // 2
+        pairs = pair_profile(multigraph(g.vertices, g.edges))[0]
+        triangle = g.m == 3 and loopless and pairs == g.n * (g.n - 1) // 2
         in_family = leaf_in_family(Row.leaf(g.vertices, g.edges), 2)
         answers.add((triangle, in_family))
         assert in_family == (triangle and g.is_balanced())
@@ -765,7 +765,7 @@ def prism():
         "triangle-three-doubled"])
 def test_deciders_build_no_simple_graph(monkeypatch, make):
     # Both deciders split, search, check balance and build witnesses on
-    # their own multigraph; only the bounds make a SimpleGraph.
+    # their own multigraph; only a lift window makes a SimpleGraph.
     g = make(300)
 
     def refuse(self, *args, **kwargs):
@@ -784,18 +784,20 @@ def test_deciders_build_no_simple_graph(monkeypatch, make):
     (lambda: GainGraph.of(3, TRIANGLE_DOUBLED_PAIRS), (3, 3)),
     (lambda: long_cycle(300), (2, 2)), (lambda: necklace(300), (2, 2)),
     (lambda: tree_with_loops(300, random.Random(7)), (1, 1)),
+    # incomplete graphs both deciders refuse: the finite-minor bound decides
+    (lambda: wheel(5), (3, 6)), (prism, (3, 6)),
 ], ids=["K4", "K3-bullets", "K2-bullet", "triangle-two-doubled", "triangle-three-doubled",
-        "cycle", "necklace", "tree-with-loops"])
+        "cycle", "necklace", "tree-with-loops", "W5", "prism"])
 def test_complete_type_path_builds_no_simple_graph(monkeypatch, make, bounds):
     # The span check, the PSD stress and the complete-case dimension read
-    # graphs.pair_profile of the multigraph; the bounds reach a SimpleGraph
-    # only for the finite-minor bound of an incomplete graph both deciders refuse.
+    # graphs.pair_profile of the multigraph, and the finite-minor checks of
+    # the bounds read the multigraph as a neighbour map: none builds a SimpleGraph.
     from realdim.frameworks import construct_psd_stress, span_check
     from realdim.randgen import random_framework
 
     g = make()
     fw = random_framework(random.Random(3), g, 2)
-    complete = g.underlying_simple_graph().m == g.n * (g.n - 1) // 2
+    complete = pair_profile(multigraph(g.vertices, g.edges))[0] == g.n * (g.n - 1) // 2
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("built a SimpleGraph")
