@@ -5,13 +5,16 @@ rows in post-order.  A leaf row is a small labelled graph: its vertices
 and its edges as ``(id, tail, head, label)`` tuples.  A node row glues the
 subtrees that end just before it, as many as its child count, by
 disjoint union, one-sum (a single shared vertex) or balanced two-sum (a
-single shared edge, one summand balanced).  Gluing the rows in order on
-a stack of finished subtrees gives a supergraph of the input, in the
-input's own frame, on the same vertex set; gluing of these kinds never
-raises realizable dimension beyond the leaves'.  Verifying a table is
-one pass over its rows that keys each leaf edge once, checks the
-leaves' family and the nodes' shapes, and builds no graph;
-``DecompositionTree.replay`` builds the glued graph from the same pass.
+single shared edge, one summand balanced).  A series row ``(w, a, b, ga,
+gb)``, one step of the plane decider, stands for the balanced triangle
+w-a (gain ga read from w), w-b (gb), a-b (gb - ga) two-summed along a-b
+onto the subtree before it.  Gluing the rows in order on a stack of
+finished subtrees gives a supergraph of the input, in the input's own
+frame, on the same vertex set; gluing of these kinds never raises
+realizable dimension beyond the leaves'.  Verifying a table is one pass
+over its rows that keys each leaf edge once, checks the leaves' family,
+the nodes' shapes and the series rows' five integers, and builds no
+graph; ``DecompositionTree.replay`` builds the glued graph from it.
 Nothing recurses on a table, and its JSON is one list of flat rows, so a
 tree of any depth is written, read and verified in linear time.
 
@@ -33,6 +36,7 @@ LEAF = "leaf"
 DISJOINT_UNION = "disjoint_union"
 ONE_SUM = "one_sum"
 BALANCED_TWO_SUM = "balanced_two_sum"
+SERIES = "series"
 
 
 class CertificateError(RealdimError):
@@ -50,6 +54,7 @@ class Row(NamedTuple):
     shared_vertex: int | None = None
     shared_pair: tuple | None = None
     zero_child: int | None = None  # index of the balanced summand of a two-sum
+    step: tuple = ()  # a series row's (w, a, b, gain w->a, gain w->b)
 
     @classmethod
     def leaf(cls, vertices, edges) -> "Row":
@@ -66,6 +71,10 @@ class Row(NamedTuple):
         return cls(BALANCED_TWO_SUM, children=2, shared_pair=tuple(sorted(shared_pair)),
                    zero_child=zero_child)
 
+    @classmethod
+    def series(cls, w: int, a: int, b: int, ga: int, gb: int) -> "Row":
+        return cls(SERIES, children=1, step=(w, a, b, ga, gb))
+
 
 @dataclass(frozen=True)
 class DecompositionTree:
@@ -74,21 +83,32 @@ class DecompositionTree:
     rows: tuple
 
     def switched(self, potentials) -> "DecompositionTree":
-        """Apply a switching to every leaf edge; selfloops keep their labels."""
+        """Apply a switching to every leaf edge and series step; selfloops
+        keep their labels."""
 
-        def shift(e):
-            i, t, h, z = e
-            return e if t == h else (i, t, h, z + potentials.get(t, 0) - potentials.get(h, 0))
+        def gain(t, h, z):
+            return z if t == h else z + potentials.get(t, 0) - potentials.get(h, 0)
 
-        return DecompositionTree(tuple(
-            row._replace(edges=tuple(map(shift, row.edges))) if row.kind == LEAF else row
-            for row in self.rows))
+        def move(row):
+            if row.kind == SERIES:
+                w, a, b, ga, gb = row.step
+                return row._replace(step=(w, a, b, gain(w, a, ga), gain(w, b, gb)))
+            if row.kind != LEAF:
+                return row
+            return row._replace(edges=tuple((i, t, h, gain(t, h, z)) for i, t, h, z in row.edges))
+
+        return DecompositionTree(tuple(map(move, self.rows)))
 
     def replay(self) -> GainGraph:
         """The glued graph: the vertices and the first edge of each orbit of
-        one pass over the rows (see :func:`verify_decomposition`)."""
+        one pass over the rows (see :func:`verify_decomposition`).  A series
+        row's new edge numbered j (see :func:`_fold`) takes the id top + 1 + j
+        above every leaf edge id, and runs from the lesser end of its orbit."""
+        top = max((e[0] for row in self.rows if row.kind == LEAF for e in row.edges), default=0)
         vertices, first = _fold(self.rows)
-        return GainGraph(vertices, (GainEdge(*e) for e in first.values()))
+        edges = (GainEdge(*e) if type(e) is tuple else GainEdge(top + 1 + e, *key)
+                 for key, e in first.items())
+        return GainGraph(vertices, edges)
 
     # -- serialization -----------------------------------------------------------------
 
@@ -98,6 +118,9 @@ class DecompositionTree:
             if row.kind == LEAF:
                 rows.append({"node": LEAF, "vertices": list(row.vertices),
                              "edges": [list(e) for e in row.edges]})
+                continue
+            if row.kind == SERIES:
+                rows.append({"node": SERIES, "step": list(row.step)})
                 continue
             out = {"node": row.kind, "children": row.children}
             if row.kind == ONE_SUM:
@@ -135,7 +158,8 @@ def _fold(rows, dimension: int | None = None) -> tuple:
     leaf's family.  A finished subtree is kept on a stack as its vertex
     set, its orbit-key gains by vertex pair (loops under ``(v, v)``) and a
     balanced flag.  An edge id names one orbit across the whole table, and
-    the edges of one orbit collapse to the first.  An error names the row."""
+    the edges of one orbit collapse to the first, or to the number 2i (w-a)
+    or 2i + 1 (w-b) of the series row i that adds it.  An error names the row."""
     ids: dict = {}  # edge id -> orbit key
     first: dict = {}  # orbit key -> first edge
     done: list = []  # records of finished subtrees
@@ -143,6 +167,11 @@ def _fold(rows, dimension: int | None = None) -> tuple:
         try:
             if row.kind == LEAF:
                 done.append(_leaf_record(row, ids, first, dimension))
+                continue
+            if row.kind == SERIES:
+                if not done:
+                    raise CertificateError("series row has no finished subtree")
+                _series(i, row.step, done[-1], first, dimension)
                 continue
             k = row.children
             if not 0 < k <= len(done):
@@ -190,6 +219,31 @@ def _leaf_record(row: Row, ids: dict, first: dict, dimension: int | None) -> tup
         raise CertificateError(f"leaf outside the dimension-{dimension} family: "
                                f"vertices {list(row.vertices)}, edges {list(edges)}")
     return vertices, pairs, balanced
+
+
+def _series(i: int, step: tuple, record: tuple, first: dict, dimension: int | None) -> None:
+    """Glue a series step onto the record of the subtree before it, in place,
+    with the checks of its triangle leaf (balanced by construction) and its
+    two-sum, whose sides share the one a-b orbit of gain gb - ga."""
+    if dimension == 1:
+        raise CertificateError("a series row's triangle is outside the dimension-1 family")
+    w, a, b, ga, gb = step
+    vertices, pairs, _ = record
+    if w == a or w == b or a == b:
+        raise CertificateError(f"series step {list(step)} repeats a vertex")
+    for v in (a, b):
+        if v not in vertices:
+            raise CertificateError(f"series vertex {v} is not in the subtree before it")
+    if w in vertices:
+        raise CertificateError(f"series vertex {w} is already in the subtree before it")
+    p, q, z = orbit_key(a, b, gb - ga)
+    if z not in pairs.get((p, q), ()):
+        raise CertificateError(f"the subtree before it has no {a}-{b} edge of gain {gb - ga}")
+    vertices.add(w)
+    for v, gain, number in ((a, ga, 2 * i), (b, gb, 2 * i + 1)):
+        p, q, z = key = orbit_key(w, v, gain)
+        pairs[p, q] = {z}
+        first.setdefault(key, number)
 
 
 def _balanced(vertices: set, pairs: dict) -> bool:
@@ -253,6 +307,12 @@ def _row_from_json(data: dict) -> Row:
     kind = data["node"]
     if kind == LEAF:
         return Row(LEAF, _vertices(data["vertices"], "vertex"), tuple(map(_edge, data["edges"])))
+    if kind == SERIES:
+        step = data["step"]
+        if type(step) is not list or len(step) != 5 or {*map(type, step)} != {int}:
+            raise CertificateError(f"a series step must be five integers [w, a, b, ga, gb], "
+                                   f"got {step!r}")
+        return Row.series(*step)
     children = _int(data["children"], "children")
     if kind == DISJOINT_UNION:
         return Row(kind, children=children)

@@ -75,7 +75,6 @@ def random_framework(
     g: GainGraph,
     dim: int,
     integer: bool = False,
-    spread: float = 3.0,
 ):
     """Random positions and a nonzero lattice vector for a graph."""
     from .frameworks import QuotientFramework
@@ -88,10 +87,8 @@ def random_framework(
         while not lattice.any():
             lattice = np.array([rng.randint(-3, 3) for _ in range(dim)], dtype=float)
     else:
-        pos = np.array(
-            [[rng.uniform(-spread, spread) for _ in range(dim)] for _ in g.vertices]
-        )
-        lattice = np.array([rng.uniform(-spread, spread) for _ in range(dim)])
+        pos = np.array([[rng.uniform(-3.0, 3.0) for _ in range(dim)] for _ in g.vertices])
+        lattice = np.array([rng.uniform(-3.0, 3.0) for _ in range(dim)])
         while np.linalg.norm(lattice) < 1e-3:
-            lattice = np.array([rng.uniform(-spread, spread) for _ in range(dim)])
+            lattice = np.array([rng.uniform(-3.0, 3.0) for _ in range(dim)])
     return QuotientFramework(g, pos, lattice)

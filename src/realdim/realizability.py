@@ -19,20 +19,21 @@ of the path it replaces onto the surviving edge, so no step switches or
 rebuilds the graph, nothing recurses, and the work is near-linear.
 
 Every *yes* comes with a decomposition tree whose leaves are single
-edges/vertices (dimension one) or balanced triangles and two-vertex
-graphs (dimension two), written as a table of rows in post-order: a
-block appends one triangle two-sum per reduction, and one-sum layers are
-glued as chains in the order they are found.  Every *no*, at any size,
-comes with a minor witness whose replay reaches a forbidden shape: a
-parallel pair or balanced triangle for dimension one; the
-doubled-double-pair triangle or the balanced complete graph on four
-vertices for dimension two.  A witness deletes a vertex with its edges,
-and by id only the edges it drops between vertices it keeps: O(n +
-chords among the kept vertices) ops.  A dimension-two witness is built
-on the block's own multigraph, where the reduction loop stopped; its
-paths come from one router, ``_disjoint_paths``.  Where the simplified
-graph has a K4 minor, the witness contracts a K4 subdivision, found on
-neighbour sets with ``graphs.has_k4_minor``.
+edges/vertices (dimension one) or two-vertex graphs and balanced
+triangles (dimension two), written as a table of rows in post-order: a
+block appends one series row per reduction, which stands for a balanced
+triangle and its two-sum, and one-sum layers are glued as chains in the
+order they are found.  Every *no*, at any size, comes with a minor
+witness whose replay reaches a forbidden shape: a parallel pair or
+balanced triangle for dimension one; the doubled-double-pair triangle or
+the balanced complete graph on four vertices for dimension two.  A
+witness deletes a vertex with its edges, and by id only the edges it
+drops between vertices it keeps: O(n + chords among the kept vertices)
+ops.  A dimension-two witness is built on the block's own multigraph,
+where the reduction loop stopped; its paths come from one router,
+``_disjoint_paths``.  Where the simplified graph has a K4 minor, the
+witness contracts a K4 subdivision, found on neighbour sets with
+``graphs.has_k4_minor``.
 """
 
 from __future__ import annotations
@@ -261,19 +262,6 @@ def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:
     return GainEdge(eb.id, eb.tail, a, -gain)
 
 
-def _triangle_sum(alloc, w: int, a: int, b: int, ga: int, gb: int) -> list:
-    """Rows that two-sum a balanced triangle on {w, a, b} along a-b onto the
-    rows before them.
-
-    The triangle reads gain ga towards a and gb towards b from w; its
-    edges get fresh ids, since a real id may sit on other endpoints
-    elsewhere in the tree.
-    """
-    i, j, k = next(alloc), next(alloc), next(alloc)
-    triangle = ((i, w, a, ga), (j, w, b, gb), (k, a, b, gb - ga))
-    return [Row(LEAF, tuple(sorted((w, a, b))), triangle), Row.two_sum((a, b), zero_child=1)]
-
-
 def _decide2_block(adj: dict, alloc):
     """Decide one two-connected block, held as the multigraph adj, by series
     reductions, without recursion.
@@ -286,8 +274,9 @@ def _decide2_block(adj: dict, alloc):
     ends at a pair; on a triangle every vertex has degree two, and a
     triangle with two doubled pairs fails at its first step.  After a
     deletion step the graph is balanced and only contractions follow.  The
-    rows are written from the final pair back through the list of steps,
-    each step gluing its triangle (and piece) onto the rows before it.  A
+    rows are written from the final pair back through the steps, each a
+    series row gluing its triangle onto the rows before it, after its
+    piece for a deletion step; ``alloc`` numbers the x-y edges added.  A
     "no" is read off this same multigraph, v's edges and the ops replaying
     the steps taken.
     """
@@ -296,9 +285,7 @@ def _decide2_block(adj: dict, alloc):
     # A reduction never raises a degree, so a degree-two vertex stays on the
     # heap until it is removed.
     degree_two = sorted(v for v in adj if len(adj[v]) == 2)
-    # (w, a, b, gain w->a, gain w->b, None) for a contraction of w into a,
-    # (y, x, v, gain y->x, gain y->v, piece leaf row) for a deletion of v.
-    steps = []
+    steps = []  # the rows of each step
     ops = []  # minor ops that replay the steps taken
     k4_host = None  # the vertices, edges and ops at a deletion step that added x-y
 
@@ -320,7 +307,7 @@ def _decide2_block(adj: dict, alloc):
         for u in adj.pop(v):
             del adj[u][v]
         if len(vx) == 1 and len(vy) == 1:
-            steps.append((v, x, y, vx[0].gain_from(v), vy[0].gain_from(v), None))
+            steps.append((Row.series(v, x, y, vx[0].gain_from(v), vy[0].gain_from(v)),))
             ops.append(MinorOp("contract_edge", vx[0].id, x))
             multigraph_add(adj, _series_edge(vx[0], vy[0], v, x))
         elif len(vx) >= 2 and len(vy) >= 2:
@@ -339,20 +326,14 @@ def _decide2_block(adj: dict, alloc):
                 k4_host = ([v, *adj], [*vx, *vy, *multigraph_edges(adj)], list(ops))
                 multigraph_add(adj, ea)
             piece = multigraph((x, v), vx + [_series_edge(ea, vy[0], y, x)])
-            steps.append((y, x, v, ea.gain_from(y), vy[0].gain_from(y),
-                          Row.leaf(piece, multigraph_edges(piece))))
+            steps.append((Row.leaf(piece, multigraph_edges(piece)),
+                          Row.series(y, x, v, ea.gain_from(y), vy[0].gain_from(y)),
+                          Row.two_sum((y, x), zero_child=0)))
         for u in (x, y):
             if len(adj[u]) == 2:
                 heapq.heappush(degree_two, u)
 
-    rows = [Row.leaf(adj, multigraph_edges(adj))]
-    for w, a, b, ga, gb, piece in reversed(steps):
-        if piece is None:
-            rows += _triangle_sum(alloc, w, a, b, ga, gb)
-        else:  # the balanced rest, then the piece with its triangle
-            rows += [piece, *_triangle_sum(alloc, w, a, b, ga, gb),
-                     Row.two_sum((w, a), zero_child=0)]
-    return rows
+    return [Row.leaf(adj, multigraph_edges(adj)), *itertools.chain.from_iterable(reversed(steps))]
 
 
 # -- no-witness constructions ---------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import realdim
-from realdim.certificates import certificate_to_json_dict
+from realdim.certificates import certificate_from_json_dict, certificate_to_json_dict
 from realdim.cli import main
 from realdim.documents import (
     parse_framework_document,
@@ -20,6 +20,7 @@ from realdim.errors import DocumentError
 from realdim.graphs import GainGraph
 from realdim.randgen import random_simple_gain_graph
 from realdim.realizability import is_1_realizable, is_2_realizable
+from test_replay import expand
 
 LADDER = """\
 framework v1
@@ -375,13 +376,21 @@ def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
 
 # A triangle with its 1-2 pair doubled: 2-realizable, and not 1-realizable
 # by a k2-bullet witness.  With a pendant edge at 3, its d=2 certificate
-# ends in a one-sum, after the balanced two-sum of the triangle's rows.
+# ends in a one-sum, after the balanced two-sum along 2-3 of the deletion
+# step, whose piece on 1-2 carries a series row.
 TRIANGLE_DOUBLED = "gaingraph v1\nvertices 3\nedge 1 2 0\nedge 1 2 1\nedge 2 3 0\nedge 1 3 0\n"
 PANHANDLE = TRIANGLE_DOUBLED.replace("vertices 3", "vertices 4") + "edge 3 4 0\n"
+# Its d=2 table is a leaf on 4-5 and the series rows [3, 4, 5, 0, -3],
+# [2, 3, 5, 1, -2] and [1, 2, 5, 0, -2].
+CYCLE5 = "gaingraph v1\nvertices 5\nedge 1 2 0\nedge 2 3 1\nedge 3 4 0\nedge 4 5 -1\nedge 5 1 2\n"
 
 
 def row(c, i):
     return c["root"]["rows"][i]
+
+
+def set_step(i, *step):
+    return lambda c: row(c, i).update(step=list(step))
 
 
 def two_sum(c):
@@ -441,6 +450,13 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
         pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(zero_child=2), id="zero-child-2"),
         pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(zero_child=False),
                      id="zero-child-bool"),
+        pytest.param(CYCLE5, 2, lambda c: row(c, 1).pop("step"), id="series-no-step"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0), id="series-step-four"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0, -3, 1), id="series-step-six"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0, True), id="series-step-bool"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0, -3.0), id="series-step-float"),
+        pytest.param(CYCLE5, 2, lambda c: row(c, 1).update(step="34503"),
+                     id="series-step-string"),
     ],
 )
 def test_malformed_certificate_exit_code(tmp_path, capsys, graph, dim, mutate):
@@ -542,12 +558,12 @@ def is_two_sum(r):
     return r["node"] == "balanced_two_sum"
 
 
-def is_triangle(r):
-    return r["node"] == "leaf" and len(r["vertices"]) == 3
-
-
 def is_leaf(r):
     return r["node"] == "leaf"
+
+
+def is_series(r):
+    return r["node"] == "series"
 
 
 @pytest.mark.parametrize(
@@ -556,10 +572,13 @@ def is_leaf(r):
         pytest.param(is_two_sum, lambda r: r.update(shared_pair=[1, "x"]),
                      "error: certificate row {i}: shared_pair must be an integer",
                      id="reader"),
-        pytest.param(is_two_sum, lambda r: r.update(shared_pair=[2, 3]),
-                     "INVALID (row {i}: balanced_two_sum must share exactly [2, 3], got [1, 2])",
+        pytest.param(is_series, lambda r: r["step"].__setitem__(4, True),
+                     "error: certificate row {i}: a series step must be five integers "
+                     "[w, a, b, ga, gb], got [3, 2, 1, 0, True]", id="reader-series"),
+        pytest.param(is_two_sum, lambda r: r.update(shared_pair=[1, 2]),
+                     "INVALID (row {i}: balanced_two_sum must share exactly [1, 2], got [2, 3])",
                      id="replay"),
-        pytest.param(is_triangle, lambda r: r["edges"][0].__setitem__(3, 5),
+        pytest.param(is_leaf, lambda r: r["vertices"].append(9),
                      "INVALID (row {i}: leaf outside the dimension-2 family", id="family"),
         pytest.param(is_leaf, lambda r: r["edges"][0].__setitem__(2, 9),
                      "INVALID (row {i}: edge {r[edges][0][0]} has an end outside its leaf)",
@@ -577,6 +596,66 @@ def test_certificate_errors_name_the_row(tmp_path, capsys, find, mutate, expect)
 
     _, out = verify_mutated(tmp_path, capsys, PANHANDLE, 2, mutate_found)
     assert expect.format(**found) in out.out + out.err
+
+
+@pytest.mark.parametrize(
+    "graph, dim, mutate, expect",
+    [
+        pytest.param(CYCLE5, 2, lambda c: c["root"]["rows"].insert(0, row(c, 1)),
+                     "row 0: series row has no finished subtree", id="no-subtree"),
+        pytest.param(K2, 1, lambda c: c["root"]["rows"].append(
+                         {"node": "series", "step": [3, 1, 2, 0, 0]}),
+                     "row 1: a series row's triangle is outside the dimension-1 family",
+                     id="dimension-1"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 4, 0, -3),
+                     "row 1: series step [3, 4, 4, 0, -3] repeats a vertex", id="repeated-vertex"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 9, 5, 0, -3),
+                     "row 1: series vertex 9 is not in the subtree before it", id="a-outside"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 9, 0, -3),
+                     "row 1: series vertex 9 is not in the subtree before it", id="b-outside"),
+        pytest.param(CYCLE5, 2, set_step(2, 4, 3, 5, 1, -2),
+                     "row 2: series vertex 4 is already in the subtree before it",
+                     id="w-inside"),
+        pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0, -2),
+                     "row 1: the subtree before it has no 4-5 edge of gain -2",
+                     id="no-orbit"),
+    ],
+)
+def test_series_row_refusals_name_the_row(tmp_path, capsys, graph, dim, mutate, expect):
+    """One refusal per check of a series row: each is a check of the
+    triangle leaf or the two-sum that the row stands for."""
+    code, out = verify_mutated(tmp_path, capsys, graph, dim, mutate)
+    assert code == 1
+    assert f"certificate: INVALID ({expect})" in out.out
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["cycle6", "necklace6"])
+def test_tables_of_triangle_leaves_still_verify(tmp_path, capsys, name):
+    """d=2 tables written before the series row, with a triangle leaf and a
+    two-sum per step, still verify, and stand for the rows written now."""
+    graph_path, cert_path = DATA / f"{name}.graph", DATA / f"{name}.d2.json"
+    assert main(["verify-cert", str(graph_path), str(cert_path)]) == 0
+    data = json.loads(cert_path.read_text())
+    g = parse_graph_document(graph_path.read_text()).to_graph()
+
+    def drop_fresh_ids(row):  # a triangle's ids and the added x-y edge's
+        fresh = len(row.vertices) == 3
+        edges = [(None if fresh or i > g.m else i, *rest) for i, *rest in row.edges]
+        return row._replace(edges=sorted(edges, key=lambda e: e[1:]))
+
+    old = certificate_from_json_dict(data).certificate.rows
+    new = expand(is_2_realizable(g).certificate.rows)
+    assert list(map(drop_fresh_ids, new)) == list(map(drop_fresh_ids, old))
+    triangle = next(r for r in data["root"]["rows"] if is_leaf(r) and len(r["vertices"]) == 3)
+    triangle["edges"][0][3] += 1
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify-cert", str(graph_path), str(cert_path)]) == 1
+    assert "leaf outside the dimension-2 family" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 from realdim.certificates import (
     LEAF,
+    SERIES,
     CertificateError,
     DecompositionTree,
     Row,
@@ -663,6 +664,27 @@ def balanced_strip(n, rng):
 def necklace(n):
     """A cycle whose pair 1-2 is doubled: the first step is a deletion step."""
     return GainGraph.of(n, [(1, 2, 1)] + [(i, i % n + 1, i % 3 - 1) for i in range(1, n + 1)])
+
+
+def test_d2_cycle_table_is_a_leaf_and_a_series_row_per_step():
+    g = long_cycle(1000)
+    rows = is_2_realizable(g).certificate.rows
+    assert rows[0].kind == LEAF and len(rows[0].vertices) == 2
+    assert [row.kind for row in rows[1:]] == [SERIES] * (g.n - 2)
+
+
+def test_d2_tables_have_no_triangle_leaf():
+    rng = random.Random(22)
+    graphs = list(corpus_500()) + [random_simple_gain_graph(rng, max_vertices=8, max_edges=14)
+                                   for _ in range(300)] + [necklace(50), long_cycle(50)]
+    series = 0
+    for g in graphs:
+        v = is_2_realizable(g)
+        if v.answer:
+            rows = v.certificate.rows
+            assert all(len(row.vertices) <= 2 for row in rows if row.kind == LEAF)
+            series += sum(row.kind == SERIES for row in rows)
+    assert series > 200
 
 
 @pytest.fixture

@@ -1,14 +1,17 @@
 """The certificate replay over a table of rows against a recursive reference.
 
-``reference_replay`` nests a table back into a tree, then glues each tree
-level into a new graph through a pairwise ``union`` and checks each
-node's shape on its glued children; it is kept here as the reference.
+``reference_replay`` writes each series row of a table out as its
+triangle leaf and two-sum, nests the table back into a tree, then glues
+each tree level into a new graph through a pairwise ``union`` and checks
+each node's shape on its glued children; it is kept here as the
+reference.
 The two must agree on accept/reject and on the replayed graph (vertices,
 edge ids and orbit keys), except where an edge id names two orbits in
 different leaves: the reference compares only the ids that survive each
 level's orbit collapse, the replay compares all of them.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +21,7 @@ from realdim.certificates import (
     DISJOINT_UNION,
     LEAF,
     ONE_SUM,
+    SERIES,
     CertificateError,
     DecompositionTree,
     Row,
@@ -69,8 +73,27 @@ def nest(rows):
     return done[0]
 
 
+def expand(rows):
+    """The table with each series row written out as its triangle leaf and
+    two-sum.  The edges w-a and w-b of row i take the ids top + 2i + 1 and
+    top + 2i + 2 above the largest leaf edge id, as in
+    ``DecompositionTree.replay``; the edges a-b take ids above those."""
+    top = max((e[0] for row in rows if row.kind == LEAF for e in row.edges), default=0)
+    spare = itertools.count(top + 2 * len(rows) + 1)
+    out = []
+    for i, row in enumerate(rows):
+        if row.kind != SERIES:
+            out.append(row)
+            continue
+        w, a, b, ga, gb = row.step
+        wa, wb = top + 2 * i + 1, top + 2 * i + 2
+        triangle = ((wa, w, a, ga), (wb, w, b, gb), (next(spare), a, b, gb - ga))
+        out += [Row(LEAF, tuple(sorted((w, a, b))), triangle), Row.two_sum((a, b), zero_child=1)]
+    return out
+
+
 def reference_replay(tree):
-    return _replay_node(nest(tree.rows))
+    return _replay_node(nest(expand(tree.rows)))
 
 
 def _replay_node(node):
@@ -214,8 +237,22 @@ def mutate_leaf(rng, row, rows):
     return row._replace(edges=tuple(edges))
 
 
+def mutate_series(rng, row, vertices):
+    """Move one of a series step's vertices, or shift one of its gains."""
+    step = list(row.step)
+    k = rng.randrange(5)
+    if k < 3:
+        step[k] = rng.choice(vertices)
+    else:
+        step[k] += rng.choice((-1, 1))
+    if len(set(step[:3])) < 3:
+        raise RealdimError("a series step on fewer than three vertices")
+    return row._replace(step=tuple(step))
+
+
 def mutate(rng, tree):
-    """Mutate one row: a leaf's edges, or a node with its children's subtrees."""
+    """Mutate one row: a leaf's edges, a series step, or a node with its
+    children's subtrees."""
     rows = list(tree.rows)
     first = starts(rows)
     i = rng.randrange(len(rows))
@@ -223,7 +260,11 @@ def mutate(rng, tree):
     if node.kind == LEAF:
         rows[i] = mutate_leaf(rng, node, rows)
         return DecompositionTree(tuple(rows))
-    vertices = sorted({v for row in rows if row.kind == LEAF for v in row.vertices})
+    vertices = sorted({v for row in rows if row.kind == LEAF for v in row.vertices}
+                      | {v for row in rows for v in row.step[:3]})
+    if node.kind == SERIES and rng.random() < 0.5:
+        rows[i] = mutate_series(rng, node, vertices)
+        return DecompositionTree(tuple(rows))
     ends = [i]  # each child's subtree is rows[first[end - 1]:end]
     for _ in range(node.children):
         ends.append(first[ends[-1] - 1])
@@ -233,7 +274,7 @@ def mutate(rng, tree):
         parts = parts[::-1]
     elif move == 1 and node.kind == BALANCED_TWO_SUM:
         node = node._replace(zero_child=1 - node.zero_child)
-    elif move == 2 and node.kind != DISJOINT_UNION:  # another one- or two-sum
+    elif move == 2 and node.kind in (ONE_SUM, BALANCED_TWO_SUM):  # another one- or two-sum
         if rng.random() < 0.5:
             node = Row.one_sum(rng.choice(vertices))
         else:
