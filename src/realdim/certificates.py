@@ -5,15 +5,18 @@ rows in post-order.  A leaf row is a small labelled graph: its vertices
 and its edges as ``(id, tail, head, label)`` tuples.  A node row glues the
 subtrees that end just before it, as many as its child count, by
 disjoint union, one-sum (a single shared vertex) or balanced two-sum (a
-single shared edge, one summand balanced).  A series row ``(w, a, b, ga,
-gb)``, one step of the plane decider, stands for the balanced triangle
-w-a (gain ga read from w), w-b (gb), a-b (gb - ga) two-summed along a-b
-onto the subtree before it.  Gluing the rows in order on a stack of
+single shared edge, one summand balanced).  Two rows glue onto the
+subtree just before them: a pendant row ``(id, tail, head, label)``, a
+bridge or selfloop, stands for that one-edge leaf one-summed onto it, and
+a series row ``(w, a, b, ga, gb)``, one step of the plane decider, for the
+balanced triangle w-a (gain ga read from w), w-b (gb), a-b (gb - ga)
+two-summed along a-b onto it.  Gluing the rows in order on a stack of
 finished subtrees gives a supergraph of the input, in the input's own
 frame, on the same vertex set; gluing of these kinds never raises
-realizable dimension beyond the leaves'.  Verifying a table is one pass
-over its rows that keys each leaf edge once, checks the leaves' family,
-the nodes' shapes and the series rows' five integers, and builds no
+realizable dimension beyond the leaves' (for a one-sum, Belk and
+Connelly, 2007).  Verifying a table is one pass over its rows that keys
+each leaf and pendant edge once, checks the leaves' family, the nodes'
+shapes and the pendant and series rows' integers, and builds no
 graph; ``DecompositionTree.replay`` builds the glued graph from it.
 Nothing recurses on a table, and its JSON is one list of flat rows, so a
 tree of any depth is written, read and verified in linear time.
@@ -37,6 +40,7 @@ DISJOINT_UNION = "disjoint_union"
 ONE_SUM = "one_sum"
 BALANCED_TWO_SUM = "balanced_two_sum"
 SERIES = "series"
+PENDANT = "pendant"
 
 
 class CertificateError(RealdimError):
@@ -49,7 +53,7 @@ class Row(NamedTuple):
 
     kind: str
     vertices: tuple = ()  # a leaf's
-    edges: tuple = ()  # a leaf's, as (id, tail, head, label) tuples
+    edges: tuple = ()  # a leaf's, or a pendant row's one, as (id, tail, head, label) tuples
     children: int = 0
     shared_vertex: int | None = None
     shared_pair: tuple | None = None
@@ -75,6 +79,10 @@ class Row(NamedTuple):
     def series(cls, w: int, a: int, b: int, ga: int, gb: int) -> "Row":
         return cls(SERIES, children=1, step=(w, a, b, ga, gb))
 
+    @classmethod
+    def pendant(cls, e: GainEdge) -> "Row":
+        return cls(PENDANT, edges=((e.id, e.tail, e.head, e.label),), children=1)
+
 
 @dataclass(frozen=True)
 class DecompositionTree:
@@ -83,8 +91,8 @@ class DecompositionTree:
     rows: tuple
 
     def switched(self, potentials) -> "DecompositionTree":
-        """Apply a switching to every leaf edge and series step; selfloops
-        keep their labels."""
+        """Apply a switching to every leaf and pendant edge and series step;
+        selfloops keep their labels."""
 
         def gain(t, h, z):
             return z if t == h else z + potentials.get(t, 0) - potentials.get(h, 0)
@@ -93,7 +101,7 @@ class DecompositionTree:
             if row.kind == SERIES:
                 w, a, b, ga, gb = row.step
                 return row._replace(step=(w, a, b, gain(w, a, ga), gain(w, b, gb)))
-            if row.kind != LEAF:
+            if not row.edges:
                 return row
             return row._replace(edges=tuple((i, t, h, gain(t, h, z)) for i, t, h, z in row.edges))
 
@@ -103,8 +111,9 @@ class DecompositionTree:
         """The glued graph: the vertices and the first edge of each orbit of
         one pass over the rows (see :func:`verify_decomposition`).  A series
         row's new edge numbered j (see :func:`_fold`) takes the id top + 1 + j
-        above every leaf edge id, and runs from the lesser end of its orbit."""
-        top = max((e[0] for row in self.rows if row.kind == LEAF for e in row.edges), default=0)
+        above every leaf and pendant edge id, and runs from the lesser end of
+        its orbit."""
+        top = max((e[0] for row in self.rows for e in row.edges), default=0)
         vertices, first = _fold(self.rows)
         edges = (GainEdge(*e) if type(e) is tuple else GainEdge(top + 1 + e, *key)
                  for key, e in first.items())
@@ -121,6 +130,9 @@ class DecompositionTree:
                 continue
             if row.kind == SERIES:
                 rows.append({"node": SERIES, "step": list(row.step)})
+                continue
+            if row.kind == PENDANT:
+                rows.append({"node": PENDANT, "edge": list(row.edges[0])})
                 continue
             out = {"node": row.kind, "children": row.children}
             if row.kind == ONE_SUM:
@@ -157,9 +169,10 @@ def _fold(rows, dimension: int | None = None) -> tuple:
     the rows, checking each node's shape and, given a dimension, each
     leaf's family.  A finished subtree is kept on a stack as its vertex
     set, its orbit-key gains by vertex pair (loops under ``(v, v)``) and a
-    balanced flag.  An edge id names one orbit across the whole table, and
-    the edges of one orbit collapse to the first, or to the number 2i (w-a)
-    or 2i + 1 (w-b) of the series row i that adds it.  An error names the row."""
+    balanced flag; a pendant or series row updates the top one in place.
+    An edge id names one orbit across the whole table, and the edges of one
+    orbit collapse to the first, or to the number 2i (w-a) or 2i + 1 (w-b)
+    of the series row i that adds it.  An error names the row."""
     ids: dict = {}  # edge id -> orbit key
     first: dict = {}  # orbit key -> first edge
     done: list = []  # records of finished subtrees
@@ -168,9 +181,12 @@ def _fold(rows, dimension: int | None = None) -> tuple:
             if row.kind == LEAF:
                 done.append(_leaf_record(row, ids, first, dimension))
                 continue
+            if row.kind in (PENDANT, SERIES) and not done:
+                raise CertificateError(f"{row.kind} row has no finished subtree")
+            if row.kind == PENDANT:
+                done[-1] = _pendant(row.edges[0], done[-1], ids, first)
+                continue
             if row.kind == SERIES:
-                if not done:
-                    raise CertificateError("series row has no finished subtree")
                 _series(i, row.step, done[-1], first, dimension)
                 continue
             k = row.children
@@ -219,6 +235,28 @@ def _leaf_record(row: Row, ids: dict, first: dict, dimension: int | None) -> tup
         raise CertificateError(f"leaf outside the dimension-{dimension} family: "
                                f"vertices {list(row.vertices)}, edges {list(edges)}")
     return vertices, pairs, balanced
+
+
+def _pendant(e: tuple, record: tuple, ids: dict, first: dict) -> tuple:
+    """One-sum a one-edge leaf, which is in both families, onto the record of
+    the subtree before it, in place: a selfloop of nonzero label at one of
+    its vertices, which unbalances it, or an edge with exactly one end in it."""
+    eid, tail, head, label = e
+    vertices, pairs, balanced = record
+    if tail == head and (label == 0 or tail not in vertices):
+        raise CertificateError(f"edge {eid} is a selfloop with label 0" if label == 0 else
+                               f"pendant selfloop {eid} is at vertex {tail}, outside the "
+                               f"subtree before it")
+    if tail != head and (tail in vertices) == (head in vertices):
+        ends = "both ends" if tail in vertices else "no end"
+        raise CertificateError(f"pendant edge {eid} has {ends} in the subtree before it")
+    a, b, z = key = orbit_key(tail, head, label)
+    if ids.setdefault(eid, key) != key:
+        raise CertificateError(f"edge {eid} names two orbits in the tree")
+    first.setdefault(key, e)
+    vertices.update((tail, head))
+    pairs.setdefault((a, b), set()).add(z)
+    return vertices, pairs, balanced and tail != head
 
 
 def _series(i: int, step: tuple, record: tuple, first: dict, dimension: int | None) -> None:
@@ -307,6 +345,8 @@ def _row_from_json(data: dict) -> Row:
     kind = data["node"]
     if kind == LEAF:
         return Row(LEAF, _vertices(data["vertices"], "vertex"), tuple(map(_edge, data["edges"])))
+    if kind == PENDANT:
+        return Row(PENDANT, edges=(_edge(data["edge"]),), children=1)
     if kind == SERIES:
         step = data["step"]
         if type(step) is not list or len(step) != 5 or {*map(type, step)} != {int}:

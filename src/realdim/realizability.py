@@ -23,7 +23,8 @@ edges/vertices (dimension one) or two-vertex graphs and balanced
 triangles (dimension two), written as a table of rows in post-order: a
 block appends one series row per reduction, which stands for a balanced
 triangle and its two-sum, and one-sum layers are glued as chains in the
-order they are found.  Every *no*, at any size, comes with a minor
+order they are found, with one pendant row for each bridge and selfloop
+but a component's first piece.  Every *no*, at any size, comes with a minor
 witness whose replay reaches a forbidden shape: a parallel pair or
 balanced triangle for dimension one; the doubled-double-pair triangle or
 the balanced complete graph on four vertices for dimension two.  A
@@ -143,35 +144,27 @@ def _witness_simple_cycle(g: GainGraph, adj: dict, cycle: list) -> MinorWitness:
 
 
 def _forest_tree(g: GainGraph) -> DecompositionTree:
-    pieces = [((e.tail, e.head), [Row.leaf((e.tail, e.head), (e,))])
-              for e in g.edges if not e.is_loop]
-    return _glue(g.vertices, pieces + _loop_pieces(g.edges))
+    return _glue(g.vertices, [((e.tail, e.head), e) for e in g.edges if not e.is_loop], g.edges)
 
 
 # -- one-sum layers --------------------------------------------------------------
 
 
-def _loop_pieces(edges) -> list:
-    """One leaf per vertex holding all of its selfloops."""
-    by_vertex: dict = {}
-    for e in edges:
-        if e.is_loop:
-            by_vertex.setdefault(e.tail, []).append(e)
-    return [((v,), [Row.leaf((v,), by_vertex[v])]) for v in sorted(by_vertex)]
+def _glue(vertices, pieces, edges) -> DecompositionTree:
+    """Glue pieces and the selfloops among ``edges`` into one table: one-sums
+    within each component, then one disjoint union of the components.
 
-
-def _glue(vertices, pieces) -> DecompositionTree:
-    """Glue pieces into one table: one-sums within each component, then one
-    disjoint union of the components.
-
-    ``pieces`` are (vertices, rows) pairs that pairwise share at most one
-    vertex and whose block-cut graph is a forest.  A component is walked
-    breadth-first from its first piece, and each piece reached is
+    ``pieces`` are (vertices, rows) pairs, or (ends, edge) for a bridge,
+    that pairwise share at most one vertex and whose block-cut graph is a
+    forest; a selfloop is a piece of its own.  A component is walked
+    breadth-first from its first piece, a leaf, and each piece reached is
     one-summed onto the rows before it at the vertex that reached it: it
     shares no other vertex with them, since the block-cut graph has no
-    cycle.  A vertex in no piece becomes a one-vertex leaf.  Components
-    come in order of their least vertex.
+    cycle.  A bridge or selfloop so reached is one pendant row.  A vertex
+    in no piece becomes a one-vertex leaf.  Components come in order of
+    their least vertex.
     """
+    pieces = pieces + [((e.tail,), e) for e in edges if e.is_loop]
     at: dict = {}
     for i, (vs, _) in enumerate(pieces):
         for v in vs:
@@ -190,10 +183,13 @@ def _glue(vertices, pieces) -> DecompositionTree:
         taken.add(at[v][0])
         queue = [(at[v][0], None)]
         for i, via in queue:
-            vs, piece_rows = pieces[i]
-            rows += piece_rows
-            if via is not None:
-                rows.append(Row.one_sum(via))
+            vs, piece = pieces[i]
+            if isinstance(piece, GainEdge):
+                rows.append(Row.leaf(vs, (piece,)) if via is None else Row.pendant(piece))
+            else:
+                rows += piece
+                if via is not None:
+                    rows.append(Row.one_sum(via))
             for u in vs:
                 if u not in reached:
                     reached.add(u)
@@ -223,20 +219,23 @@ def is_2_realizable(g: GainGraph) -> RealizabilityVerdict:
 
 
 def _decide2_split(g: GainGraph, alloc):
-    """Decide every block, then glue blocks and selfloop leaves by one-sums.
+    """Decide every block, then glue blocks, bridges and selfloops by one-sums.
 
-    Selfloops belong to no block; a witness starts by deleting those at
-    the vertices it keeps.  Each block's multigraph shares its pair dicts with the
-    multigraph of g, and its loop adds edges to them.  An edge with both
-    ends in a block is one of its edges, so a loop touches no pair of a
-    later block, and the multigraph of g is read only for the pairs of
-    blocks not yet decided.  A trim deletes the vertices outside the
-    block, which take their edges.
+    A bridge needs no block multigraph.  Selfloops belong to no block; a
+    witness starts by deleting those at the vertices it keeps.  Each
+    block's multigraph shares its pair dicts with the multigraph of g, and
+    its loop adds edges to them.  An edge with both ends in a block is one
+    of its edges, so a loop touches no pair of a later block, and the
+    multigraph of g is read only for the pairs of blocks not yet decided.
+    A trim deletes the vertices outside the block, which take their edges.
     """
     adj = multigraph(g.vertices, g.edges)
     found = blocks(adj)
     pieces = []
     for root, vs, pairs in found:
+        if len(pairs) == 1 and len(adj[vs[0]][vs[1]]) == 1:
+            pieces.append((vs, *adj[vs[0]][vs[1]].values()))
+            continue
         block: dict = {v: {} for v in vs}
         for a, b in pairs:
             block[a][b] = block[b][a] = adj[a][b]
@@ -247,7 +246,7 @@ def _decide2_split(g: GainGraph, alloc):
             trim = [u for u in g.vertices if u not in comp] + sorted(comp.difference(vs))
             return _prefix(res, [MinorOp("delete_vertex", u) for u in trim])
         pieces.append((vs, res))
-    return _glue(g.vertices, pieces + _loop_pieces(g.edges))
+    return _glue(g.vertices, pieces, g.edges)
 
 
 def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:

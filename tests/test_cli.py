@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import realdim
-from realdim.certificates import certificate_from_json_dict, certificate_to_json_dict
+from realdim.certificates import SERIES, certificate_from_json_dict, certificate_to_json_dict
 from realdim.cli import main
 from realdim.documents import (
     parse_framework_document,
@@ -376,10 +376,12 @@ def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
 
 # A triangle with its 1-2 pair doubled: 2-realizable, and not 1-realizable
 # by a k2-bullet witness.  With a pendant edge at 3, its d=2 certificate
-# ends in a one-sum, after the balanced two-sum along 2-3 of the deletion
-# step, whose piece on 1-2 carries a series row.
+# ends in the pendant row [5, 3, 4, 0], after the balanced two-sum along
+# 2-3 of the deletion step, whose piece on 1-2 carries a series row.
 TRIANGLE_DOUBLED = "gaingraph v1\nvertices 3\nedge 1 2 0\nedge 1 2 1\nedge 2 3 0\nedge 1 3 0\n"
 PANHANDLE = TRIANGLE_DOUBLED.replace("vertices 3", "vertices 4") + "edge 3 4 0\n"
+# Two balanced triangles sharing vertex 3: its d=2 table ends in a one-sum.
+BOWTIE = TRIANGLE.replace("vertices 3", "vertices 5") + "edge 3 4 0\nedge 4 5 0\nedge 3 5 0\n"
 # Its d=2 table is a leaf on 4-5 and the series rows [3, 4, 5, 0, -3],
 # [2, 3, 5, 1, -2] and [1, 2, 5, 0, -2].
 CYCLE5 = "gaingraph v1\nvertices 5\nedge 1 2 0\nedge 2 3 1\nedge 3 4 0\nedge 4 5 -1\nedge 5 1 2\n"
@@ -391,6 +393,10 @@ def row(c, i):
 
 def set_step(i, *step):
     return lambda c: row(c, i).update(step=list(step))
+
+
+def set_edge(i, *edge):
+    return lambda c: row(c, i).update(edge=list(edge))
 
 
 def two_sum(c):
@@ -436,10 +442,10 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
                      id="leaf-repeated-vertex"),
         pytest.param(TRIANGLE, 1, lambda c: c["pattern"]["graph"]["vertices"].append(1),
                      id="pattern-repeated-vertex"),
-        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).pop("children"), id="no-children"),
-        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(children={}),
+        pytest.param(BOWTIE, 2, lambda c: row(c, -1).pop("children"), id="no-children"),
+        pytest.param(BOWTIE, 2, lambda c: row(c, -1).update(children={}),
                      id="children-not-list"),
-        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(shared_vertex=[3]),
+        pytest.param(BOWTIE, 2, lambda c: row(c, -1).update(shared_vertex=[3]),
                      id="shared-vertex-list"),
         pytest.param(PANHANDLE, 2, lambda c: two_sum(c).update(shared_pair=[2]),
                      id="shared-pair-one"),
@@ -457,6 +463,13 @@ def verify_mutated(tmp_path, capsys, graph, dim, mutate):
         pytest.param(CYCLE5, 2, set_step(1, 3, 4, 5, 0, -3.0), id="series-step-float"),
         pytest.param(CYCLE5, 2, lambda c: row(c, 1).update(step="34503"),
                      id="series-step-string"),
+        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).pop("edge"), id="pendant-no-edge"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 3, 4), id="pendant-edge-three"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 3, 4, 0, 1), id="pendant-edge-five"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 3, 4, False), id="pendant-edge-bool"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 3, 4, 0.0), id="pendant-edge-float"),
+        pytest.param(PANHANDLE, 2, lambda c: row(c, -1).update(edge="5340"),
+                     id="pendant-edge-string"),
     ],
 )
 def test_malformed_certificate_exit_code(tmp_path, capsys, graph, dim, mutate):
@@ -629,14 +642,53 @@ def test_series_row_refusals_name_the_row(tmp_path, capsys, graph, dim, mutate, 
     assert f"certificate: INVALID ({expect})" in out.out
 
 
+@pytest.mark.parametrize(
+    "graph, dim, mutate, expect",
+    [
+        pytest.param(PANHANDLE, 2, lambda c: c["root"]["rows"].insert(0, row(c, -1)),
+                     "row 0: pendant row has no finished subtree", id="no-subtree"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 2, 3, 1),
+                     "row 4: pendant edge 5 has both ends in the subtree before it",
+                     id="both-ends-inside"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 4, 9, 0),
+                     "row 4: pendant edge 5 has no end in the subtree before it",
+                     id="no-end-inside"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 4, 4, 1),
+                     "row 4: pendant selfloop 5 is at vertex 4, outside the subtree before it",
+                     id="loop-outside"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 5, 3, 3, 0),
+                     "row 4: edge 5 is a selfloop with label 0", id="loop-label-0"),
+        pytest.param(PANHANDLE, 2, set_edge(-1, 1, 3, 4, 0),
+                     "row 4: edge 1 names two orbits in the tree", id="id-two-orbits"),
+    ],
+)
+def test_pendant_row_refusals_name_the_row(tmp_path, capsys, graph, dim, mutate, expect):
+    """One refusal per check of a pendant row: each is a check of the
+    one-edge leaf or the one-sum that the row stands for."""
+    code, out = verify_mutated(tmp_path, capsys, graph, dim, mutate)
+    assert code == 1
+    assert f"certificate: INVALID ({expect})" in out.out
+
+
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["cycle6", "necklace6"])
-def test_tables_of_triangle_leaves_still_verify(tmp_path, capsys, name):
-    """d=2 tables written before the series row, with a triangle leaf and a
-    two-sum per step, still verify, and stand for the rows written now."""
-    graph_path, cert_path = DATA / f"{name}.graph", DATA / f"{name}.d2.json"
+def orbits(g):
+    return g.vertices, sorted(e.orbit_key() for e in g.edges)
+
+
+@pytest.mark.parametrize("name, dim, refusal", [
+    pytest.param("cycle6", 2, "leaf outside the dimension-2 family", id="cycle6"),
+    pytest.param("necklace6", 2, "leaf outside the dimension-2 family", id="necklace6"),
+    pytest.param("tree6", 1, "input edge 7 has no orbit in the replay", id="tree6-d1"),
+    pytest.param("tree6", 2, "input edge 7 has no orbit in the replay", id="tree6-d2"),
+])
+def test_tables_of_triangle_leaves_still_verify(tmp_path, capsys, name, dim, refusal):
+    """Tables written before the series and pendant rows still verify: a
+    triangle leaf and a two-sum per step, a leaf and a one-sum per bridge,
+    one leaf for all the selfloops at a vertex.  They replay to the orbits
+    of the table written now, whose series rows stand for those steps."""
+    graph_path, cert_path = DATA / f"{name}.graph", DATA / f"{name}.d{dim}.json"
     assert main(["verify-cert", str(graph_path), str(cert_path)]) == 0
     data = json.loads(cert_path.read_text())
     g = parse_graph_document(graph_path.read_text()).to_graph()
@@ -646,16 +698,18 @@ def test_tables_of_triangle_leaves_still_verify(tmp_path, capsys, name):
         edges = [(None if fresh or i > g.m else i, *rest) for i, *rest in row.edges]
         return row._replace(edges=sorted(edges, key=lambda e: e[1:]))
 
-    old = certificate_from_json_dict(data).certificate.rows
-    new = expand(is_2_realizable(g).certificate.rows)
-    assert list(map(drop_fresh_ids, new)) == list(map(drop_fresh_ids, old))
-    triangle = next(r for r in data["root"]["rows"] if is_leaf(r) and len(r["vertices"]) == 3)
-    triangle["edges"][0][3] += 1
+    old = certificate_from_json_dict(data).certificate
+    new = (is_1_realizable if dim == 1 else is_2_realizable)(g).certificate
+    assert orbits(old.replay()) == orbits(new.replay())
+    if any(r.kind == SERIES for r in new.rows):
+        assert list(map(drop_fresh_ids, expand(new.rows))) == list(map(drop_fresh_ids, old.rows))
+    leaf = [r for r in data["root"]["rows"] if is_leaf(r)][-1]
+    leaf["edges"][0][3] += 1
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify-cert", str(graph_path), str(cert_path)]) == 1
-    assert "leaf outside the dimension-2 family" in capsys.readouterr().out
+    assert refusal in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -856,8 +910,8 @@ def test_selftest_count_must_be_positive(capsys, count):
 
 
 FUZZ_VALUES = (0, 1, 2, 3, -1, True, None, "yes", "no", "leaf", "one_sum", "balanced_two_sum",
-               "disjoint_union", "exact", "k2-bullet", "k3-bulletbullet", "delete_edge",
-               "contract_edge", [], [1], [1, 2], {})
+               "disjoint_union", "series", "pendant", "exact", "k2-bullet", "k3-bulletbullet",
+               "delete_edge", "contract_edge", [], [1], [1, 2], {})
 
 
 def fuzz_slots(data):

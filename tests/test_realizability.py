@@ -8,7 +8,9 @@ import time
 import pytest
 
 from realdim.certificates import (
+    DISJOINT_UNION,
     LEAF,
+    PENDANT,
     SERIES,
     CertificateError,
     DecompositionTree,
@@ -93,11 +95,38 @@ def test_unbalanced_square_gives_k2_bullet_witness():
     check_verdict(g, v)
 
 
+def forest_with_loops(n, rng):
+    """A random forest and its component count: each vertex after the first
+    hangs off an earlier one or starts a component, and a third of the
+    vertices carry one or two selfloops."""
+    edges, components = [], 1
+    for v in range(2, n + 1):
+        if rng.random() < 0.8:
+            edges.append((rng.randint(1, v - 1), v, rng.randint(-3, 3)))
+        else:
+            components += 1
+    for v in rng.sample(range(1, n + 1), n // 3):
+        edges += [(v, v, rng.choice((-z, z))) for z in range(1, rng.randint(1, 2) + 1)]
+    return GainGraph.of(n, edges), components
+
+
 def test_forest_with_loops_tree_structure():
-    g = GainGraph.of(5, [(1, 2, 3), (2, 3, -1), (4, 5, 0), (2, 2, 2)])
-    v = is_1_realizable(g)
-    assert v.answer
-    check_verdict(g, v)
+    """A forest's d=1 and d=2 tables: one leaf per component, holding at
+    most one edge, and one pendant row per other edge or selfloop."""
+    rng = random.Random(23)
+    forests = [(GainGraph.of(5, [(1, 2, 3), (2, 3, -1), (4, 5, 0), (2, 2, 2)]), 2)]
+    forests += [forest_with_loops(rng.randint(1, 12), rng) for _ in range(40)]
+    for g, components in forests:
+        for v in (is_1_realizable(g), is_2_realizable(g)):
+            assert v.answer
+            check_verdict(g, v)
+            rows = v.certificate.rows
+            leaves = [row for row in rows if row.kind == LEAF]
+            assert len(leaves) == components and all(len(row.edges) <= 1 for row in leaves)
+            pendants = sum(row.kind == PENDANT for row in rows)
+            assert pendants + sum(len(row.edges) for row in leaves) == g.m
+            assert len(rows) == components + pendants + (components > 1)
+            assert components == 1 or rows[-1].kind == DISJOINT_UNION
 
 
 def test_empty_graph_rejected():

@@ -1,7 +1,8 @@
 """The certificate replay over a table of rows against a recursive reference.
 
 ``reference_replay`` writes each series row of a table out as its
-triangle leaf and two-sum, nests the table back into a tree, then glues
+triangle leaf and two-sum, and each pendant row as its one-edge leaf and
+one-sum, nests the table back into a tree, then glues
 each tree level into a new graph through a pairwise ``union`` and checks
 each node's shape on its glued children; it is kept here as the
 reference.
@@ -21,6 +22,7 @@ from realdim.certificates import (
     DISJOINT_UNION,
     LEAF,
     ONE_SUM,
+    PENDANT,
     SERIES,
     CertificateError,
     DecompositionTree,
@@ -75,20 +77,33 @@ def nest(rows):
 
 def expand(rows):
     """The table with each series row written out as its triangle leaf and
-    two-sum.  The edges w-a and w-b of row i take the ids top + 2i + 1 and
-    top + 2i + 2 above the largest leaf edge id, as in
+    two-sum, and each pendant row as its one-edge leaf and a one-sum at an
+    end in the subtree before it (any end where none or both are).  The
+    edges w-a and w-b of series row i take the ids top + 2i + 1 and
+    top + 2i + 2 above the largest leaf or pendant edge id, as in
     ``DecompositionTree.replay``; the edges a-b take ids above those."""
-    top = max((e[0] for row in rows if row.kind == LEAF for e in row.edges), default=0)
+    top = max((e[0] for row in rows for e in row.edges), default=0)
     spare = itertools.count(top + 2 * len(rows) + 1)
     out = []
+    done = []  # the vertex sets of the finished subtrees, as far as they go
     for i, row in enumerate(rows):
-        if row.kind != SERIES:
+        if row.kind == SERIES:
+            w, a, b, ga, gb = row.step
+            wa, wb = top + 2 * i + 1, top + 2 * i + 2
+            triangle = ((wa, w, a, ga), (wb, w, b, gb), (next(spare), a, b, gb - ga))
+            out += [Row(LEAF, tuple(sorted((w, a, b))), triangle),
+                    Row.two_sum((a, b), zero_child=1)]
+            vertices = {w}
+        elif row.kind == PENDANT:
+            (e,) = row.edges
+            vertices = {e[1], e[2]}
+            via = min(vertices & done[-1] if done else (), default=e[1])
+            out += [Row(LEAF, tuple(sorted(vertices)), row.edges), Row.one_sum(via)]
+        else:
             out.append(row)
-            continue
-        w, a, b, ga, gb = row.step
-        wa, wb = top + 2 * i + 1, top + 2 * i + 2
-        triangle = ((wa, w, a, ga), (wb, w, b, gb), (next(spare), a, b, gb - ga))
-        out += [Row(LEAF, tuple(sorted((w, a, b))), triangle), Row.two_sum((a, b), zero_child=1)]
+            vertices = set(row.vertices)
+        k = 0 if row.kind == LEAF else row.children
+        done[len(done) - k:] = [vertices.union(*done[len(done) - k:])]
     return out
 
 
@@ -163,11 +178,12 @@ def outcome(replay, tree):
 
 
 def leaf_edges(rows):
-    return [e for row in rows if row.kind == LEAF for e in row.edges]
+    """The edges of the leaves and pendant rows."""
+    return [e for row in rows for e in row.edges]
 
 
 def names_two_orbits(tree) -> bool:
-    """Whether some edge id names two orbits in different leaves."""
+    """Whether some edge id names two orbits in different leaves or pendant rows."""
     ids: dict = {}
     return any(ids.setdefault(e[0], orbit_key(*e[1:])) != orbit_key(*e[1:])
                for e in leaf_edges(tree.rows))
@@ -250,9 +266,26 @@ def mutate_series(rng, row, vertices):
     return row._replace(step=tuple(step))
 
 
+def mutate_pendant(rng, row, rows, vertices):
+    """Move one end of a pendant edge, shift its label, or give it an id used
+    elsewhere in the tree."""
+    (e,) = row.edges
+    eid, tail, head, label = e
+    move = rng.randrange(4)
+    if move < 2:
+        tail, head = (rng.choice(vertices), head) if move == 0 else (tail, rng.choice(vertices))
+    elif move == 2:
+        label += rng.choice((-1, 1))
+    else:
+        eid = rng.choice(leaf_edges(rows))[0]
+    if tail == head and label == 0:
+        raise RealdimError("a pendant selfloop with label 0")
+    return row._replace(edges=((eid, tail, head, label),))
+
+
 def mutate(rng, tree):
-    """Mutate one row: a leaf's edges, a series step, or a node with its
-    children's subtrees."""
+    """Mutate one row: a leaf's edges, a pendant edge, a series step, or a
+    node with its children's subtrees."""
     rows = list(tree.rows)
     first = starts(rows)
     i = rng.randrange(len(rows))
@@ -260,10 +293,14 @@ def mutate(rng, tree):
     if node.kind == LEAF:
         rows[i] = mutate_leaf(rng, node, rows)
         return DecompositionTree(tuple(rows))
-    vertices = sorted({v for row in rows if row.kind == LEAF for v in row.vertices}
+    vertices = sorted({v for row in rows for v in row.vertices}
+                      | {v for row in rows for e in row.edges for v in e[1:3]}
                       | {v for row in rows for v in row.step[:3]})
     if node.kind == SERIES and rng.random() < 0.5:
         rows[i] = mutate_series(rng, node, vertices)
+        return DecompositionTree(tuple(rows))
+    if node.kind == PENDANT and rng.random() < 0.5:
+        rows[i] = mutate_pendant(rng, node, rows, vertices)
         return DecompositionTree(tuple(rows))
     ends = [i]  # each child's subtree is rows[first[end - 1]:end]
     for _ in range(node.children):
@@ -319,3 +356,13 @@ def test_id_naming_two_orbits_is_refused_though_the_reference_dropped_it():
     assert outcome(reference_replay, tree) == ((1, 2, 3), [(3, (1, 2, 0)), (5, (2, 3, 0))])
     with pytest.raises(CertificateError, match="row 3: edge 5 names two orbits"):
         tree.replay()
+
+
+def test_a_pendant_selfloop_unbalances_its_subtree():
+    looped = DecompositionTree(leaf((1, 2), (1, 1, 2, 0)).rows
+                               + (Row.pendant(GainEdge(2, 1, 1, 1)),))
+    balanced = leaf((1, 2), (1, 1, 2, 0))
+    assert assert_replays_agree(two_sum(looped, balanced, (1, 2), zero_child=1))
+    assert not assert_replays_agree(two_sum(looped, balanced, (1, 2), zero_child=0))
+    with pytest.raises(CertificateError, match="row 3: the designated two-sum summand"):
+        two_sum(looped, balanced, (1, 2), zero_child=0).replay()
