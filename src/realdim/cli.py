@@ -4,7 +4,7 @@ Subcommands: classify, minor, balance, stress, superstable, flatten,
 lift, verify-cert, selftest.  Exit codes: 0 for a positive/decided
 outcome, 1 for a negative verdict or failed verification (still a
 successful run; the JSON output carries the distinction), 2 for input
-errors, 3 for exceeded size bounds.
+errors, 3 for exceeded size bounds or running out of memory.
 
 The graph commands (classify, minor, balance, verify-cert, lift without
 --framework) never import numpy: the framework commands import the
@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .certificates import (
     CertificateError,
+    RealizabilityVerdict,
     certificate_from_json_dict,
     certificate_to_json_dict,
     witness_to_json_dict,
@@ -94,8 +95,13 @@ def _read_graph(path: str) -> GainGraph:
     return parse_graph_document(_read_text(path)).to_graph()
 
 
-def _read_framework(path: str):
-    return parse_framework_document(_read_text(path)).to_framework()
+def _read_framework(path: str, weights: str | None = None) -> tuple:
+    """The framework and its stress: the weights document's if one is given,
+    else the framework's own (None if it has none)."""
+    fw, stress = parse_framework_document(_read_text(path)).to_framework()
+    if weights:
+        stress = parse_weights_document(_read_text(weights), fw.graph)
+    return fw, stress
 
 
 def _matrix_lines(L) -> list:
@@ -111,7 +117,8 @@ def _matrix_lines(L) -> list:
 def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
     g = _read_graph(path)
     v1 = is_1_realizable(g)
-    v2 = is_2_realizable(g)
+    # A d=1 table is a d=2 table: its leaves have at most two vertices.
+    v2 = RealizabilityVerdict(2, True, v1.certificate) if v1.answer else is_2_realizable(g)
     bounds = realizable_dimension_bounds(g, d1=v1, d2=v2)
     out.say(f"graph: {path}")
     out.say(f"1-realizable: {'yes' if v1.answer else 'no'}")
@@ -215,10 +222,7 @@ def cmd_stress(args) -> int:
     from .frameworks import is_equilibrium_stress, signature, stress_kernel, stress_matrix
 
     out = _Output(args.json)
-    fw, embedded = _read_framework(args.framework)
-    stress = embedded
-    if args.weights:
-        stress = parse_weights_document(_read_text(args.weights), fw.graph)
+    fw, stress = _read_framework(args.framework, args.weights)
     if stress is None:
         kernel = stress_kernel(fw, args.tol)
         out.say(f"equilibrium stress space dimension: {kernel.shape[0]}",
@@ -244,10 +248,7 @@ def cmd_superstable(args) -> int:
     from .frameworks import verify_super_stable
 
     out = _Output(args.json)
-    fw, embedded = _read_framework(args.framework)
-    stress = embedded
-    if args.weights:
-        stress = parse_weights_document(_read_text(args.weights), fw.graph)
+    fw, stress = _read_framework(args.framework, args.weights)
     if stress is None:
         raise DocumentError("superstable needs stress weights (--weights or a stress block)")
     report = verify_super_stable(fw, stress, args.tol)
@@ -451,7 +452,7 @@ def cmd_selftest(args) -> int:
 
     ok = True
     for _ in range(args.count):
-        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8, min_vertices=1)
+        g = random_simple_gain_graph(rng, max_vertices=5, max_edges=8)
         if not span_check(g).agrees():
             ok = False
     suite("span rank agreement", ok)
@@ -567,6 +568,9 @@ def main(argv=None) -> int:
         return 2
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("bound exceeded: out of memory for this input", file=sys.stderr)
         return 3
     except OSError as exc:  # _read_text reports input files, so a file being written
         print(f"output error: {exc}", file=sys.stderr)

@@ -166,7 +166,7 @@ class SimpleGraph:
             adj[a].add(b)
             adj[b].add(a)
         return [(frozenset(vs), frozenset(map(frozenset, pairs)))
-                for _, vs, pairs in blocks(adj)]
+                for _, _, vs, pairs in blocks(adj)]
 
 
 def find_cycle(adj: Mapping):
@@ -211,22 +211,24 @@ def find_cycle(adj: Mapping):
 
 def blocks(adj: Mapping) -> list:
     """Biconnected components of a loopless ``{vertex: neighbours}`` graph
-    as (root, sorted vertex tuple, list of vertex pairs).
+    as (root, cut, sorted vertex tuple, list of vertex pairs).
 
-    The root is the DFS start of the block's component, its least vertex.
-    Bridges are blocks of one pair.  Isolated vertices yield no block.
+    The root is the DFS start of the block's component, its least vertex,
+    and the cut the parent of the block's DFS subtree.  Bridges are blocks
+    of one pair; isolated vertices yield no block.  A component's blocks
+    come together, and read backwards its first block holds the root and
+    each later one shares only its cut vertex with the blocks before it.
     Iterative Hopcroft-Tarjan with an edge stack; each DFS frame keeps the
     stack position of the tree edge into its vertex, where a block hanging
     off that edge starts.
     """
     found = []
-    visited = set()
+    discovery: dict = {}
+    low: dict = {}
     for start in sorted(adj):
-        if start in visited:
+        if start in discovery:
             continue
-        discovery = {start: 0}
-        low = {start: 0}
-        visited.add(start)
+        low[start] = discovery[start] = len(discovery)
         edge_stack = []
         stack = [(start, start, iter(sorted(adj[start])), 0)]
         while stack:
@@ -235,13 +237,12 @@ def blocks(adj: Mapping) -> list:
             if child is not None:
                 if grandparent == child:
                     continue
-                if child in visited:
+                if child in discovery:
                     if discovery[child] <= discovery[parent]:
                         low[parent] = min(low[parent], discovery[child])
                         edge_stack.append((parent, child))
                 else:
                     low[child] = discovery[child] = len(discovery)
-                    visited.add(child)
                     stack.append((parent, child, iter(sorted(adj[child])), len(edge_stack)))
                     edge_stack.append((parent, child))
             else:
@@ -250,7 +251,8 @@ def blocks(adj: Mapping) -> list:
                     if low[parent] >= discovery[grandparent]:
                         pairs = edge_stack[ind:]
                         del edge_stack[ind:]
-                        found.append((start, tuple(sorted({v for p in pairs for v in p})), pairs))
+                        vs = pairs[0] if len(pairs) == 1 else {v for p in pairs for v in p}
+                        found.append((start, grandparent, tuple(sorted(vs)), pairs))
                     low[grandparent] = min(low[parent], low[grandparent])
     return found
 

@@ -8,7 +8,8 @@ decider builds a ``GainGraph``.
 ``is_1_realizable`` answers whether the periodic lift of a labelled
 quotient graph always admits equivalent line realizations; the criterion
 is the absence of any cycle other than selfloops, read off the
-multigraph as a parallel pair or a cycle of ``graphs.find_cycle``.
+multigraph as a parallel pair or a cycle of ``graphs.find_cycle``, and a
+forest's blocks, all bridges, come from ``graphs.blocks``.
 ``is_2_realizable`` splits the multigraph into blocks once, with
 ``graphs.blocks``, and runs one loop of series reductions per block on
 the block's multigraph, which shares its pair dicts, removing a
@@ -23,8 +24,9 @@ edges/vertices (dimension one) or two-vertex graphs and balanced
 triangles (dimension two), written as a table of rows in post-order: a
 block appends one series row per reduction, which stands for a balanced
 triangle and its two-sum, and one-sum layers are glued as chains in the
-order they are found, with one pendant row for each bridge and selfloop
-but a component's first piece.  Every *no*, at any size, comes with a minor
+order of the block split read backwards, with one pendant row for each
+bridge and selfloop but a component's first piece, so a forest's table
+is the same for both dimensions.  Every *no*, at any size, comes with a minor
 witness whose replay reaches a forbidden shape: a parallel pair or
 balanced triangle for dimension one; the doubled-double-pair triangle or
 the balanced complete graph on four vertices for dimension two.  A
@@ -98,10 +100,13 @@ def is_1_realizable(g: GainGraph) -> RealizabilityVerdict:
                default=None)
     if pair is not None:
         return RealizabilityVerdict(1, False, _witness_parallel_pair(g, *pair))
-    cycle = find_cycle(adj)
-    if cycle is not None:
-        return RealizabilityVerdict(1, False, _witness_simple_cycle(g, adj, cycle))
-    return RealizabilityVerdict(1, True, _forest_tree(g))
+    # A forest has fewer pairs than vertices, and every block a single pair.
+    pairs = sum(map(len, adj.values())) // 2
+    found = blocks(adj) if pairs < len(adj) else []
+    if len(found) < pairs:
+        return RealizabilityVerdict(1, False, _witness_simple_cycle(g, adj, find_cycle(adj)))
+    bridges = [next(iter(adj[a][b].values())) for _, _, (a, b), _ in found]
+    return RealizabilityVerdict(1, True, _glue(adj, g.edges, found, bridges))
 
 
 def _keep_only(vertices, edges, keep_vertices, keep_edge_ids) -> list:
@@ -143,60 +148,47 @@ def _witness_simple_cycle(g: GainGraph, adj: dict, cycle: list) -> MinorWitness:
     return MinorWitness(pattern, tuple(ops))
 
 
-def _forest_tree(g: GainGraph) -> DecompositionTree:
-    return _glue(g.vertices, [((e.tail, e.head), e) for e in g.edges if not e.is_loop], g.edges)
-
-
 # -- one-sum layers --------------------------------------------------------------
 
 
-def _glue(vertices, pieces, edges) -> DecompositionTree:
-    """Glue pieces and the selfloops among ``edges`` into one table: one-sums
-    within each component, then one disjoint union of the components.
+def _glue(adj: dict, edges, found: list, pieces: list) -> DecompositionTree:
+    """Glue the blocks of ``found``, the block split of the multigraph adj,
+    and the selfloops among ``edges`` into one table: one-sums within each
+    component, then one disjoint union of the components.
 
-    ``pieces`` are (vertices, rows) pairs, or (ends, edge) for a bridge,
-    that pairwise share at most one vertex and whose block-cut graph is a
-    forest; a selfloop is a piece of its own.  A component is walked
-    breadth-first from its first piece, a leaf, and each piece reached is
-    one-summed onto the rows before it at the vertex that reached it: it
-    shares no other vertex with them, since the block-cut graph has no
-    cycle.  A bridge or selfloop so reached is one pendant row.  A vertex
-    in no piece becomes a one-vertex leaf.  Components come in order of
-    their least vertex.
+    ``pieces`` holds each block's rows, or a bridge's edge.  Read backwards,
+    the first block of a component is its leaf or rows, and each later one
+    shares only its cut vertex with the blocks before it: its rows and a
+    one-sum at the cut, or a pendant row for a bridge.  The selfloops at the
+    vertices a block brings in follow it as pendant rows.  A vertex of no
+    block is a one-vertex leaf, followed by its selfloops, after the
+    components of blocks.
     """
-    pieces = pieces + [((e.tail,), e) for e in edges if e.is_loop]
-    at: dict = {}
-    for i, (vs, _) in enumerate(pieces):
-        for v in vs:
-            at.setdefault(v, []).append(i)
+    loops: dict = {}
+    for e in edges:
+        if e.is_loop:
+            loops.setdefault(e.tail, []).append(e)
     rows: list = []
     components = 0
-    reached: set = set()
-    taken: set = set()
-    for v in sorted(vertices):
-        if v in reached:
-            continue
-        components += 1
-        if v not in at:
+    last = None
+    for (root, cut, vs, _), piece in zip(reversed(found), reversed(pieces)):
+        first = root != last
+        last = root
+        components += first
+        if isinstance(piece, GainEdge):
+            rows.append(Row.leaf(vs, (piece,)) if first else Row.pendant(piece))
+        else:
+            rows += piece
+            if not first:
+                rows.append(Row.one_sum(cut))
+        for v in vs:
+            if v in loops and (first or v != cut):
+                rows += map(Row.pendant, loops[v])
+    for v in adj:
+        if not adj[v]:
+            components += 1
             rows.append(Row(LEAF, (v,)))
-            continue
-        taken.add(at[v][0])
-        queue = [(at[v][0], None)]
-        for i, via in queue:
-            vs, piece = pieces[i]
-            if isinstance(piece, GainEdge):
-                rows.append(Row.leaf(vs, (piece,)) if via is None else Row.pendant(piece))
-            else:
-                rows += piece
-                if via is not None:
-                    rows.append(Row.one_sum(via))
-            for u in vs:
-                if u not in reached:
-                    reached.add(u)
-                    for j in at[u]:
-                        if j not in taken:
-                            taken.add(j)
-                            queue.append((j, u))
+            rows += map(Row.pendant, loops.get(v, ()))
     if components > 1:
         rows.append(Row(DISJOINT_UNION, children=components))
     return DecompositionTree(tuple(rows))
@@ -232,9 +224,9 @@ def _decide2_split(g: GainGraph, alloc):
     adj = multigraph(g.vertices, g.edges)
     found = blocks(adj)
     pieces = []
-    for root, vs, pairs in found:
+    for root, _, vs, pairs in found:
         if len(pairs) == 1 and len(adj[vs[0]][vs[1]]) == 1:
-            pieces.append((vs, *adj[vs[0]][vs[1]].values()))
+            pieces += adj[vs[0]][vs[1]].values()
             continue
         block: dict = {v: {} for v in vs}
         for a, b in pairs:
@@ -242,11 +234,11 @@ def _decide2_split(g: GainGraph, alloc):
         res = _decide2_block(block, alloc)
         if isinstance(res, MinorWitness):
             # Trim to the component, then to the block within it.
-            comp = {u for r, us, _ in found if r == root for u in us}
+            comp = {u for r, _, us, _ in found if r == root for u in us}
             trim = [u for u in g.vertices if u not in comp] + sorted(comp.difference(vs))
             return _prefix(res, [MinorOp("delete_vertex", u) for u in trim])
-        pieces.append((vs, res))
-    return _glue(g.vertices, pieces, g.edges)
+        pieces.append(res)
+    return _glue(adj, g.edges, found, pieces)
 
 
 def _series_edge(ea: GainEdge, eb: GainEdge, w: int, a: int) -> GainEdge:

@@ -121,6 +121,28 @@ def test_classify_decides_once(cx_file, capsys, monkeypatch):
     assert calls == {"is_1_realizable": 1, "is_2_realizable": 1}
 
 
+def test_forest_certificates_differ_only_in_dimension(tmp_path, capsys, monkeypatch):
+    # A forest's d=1 table is its d=2 table: classify decides it once.
+    import realdim.cli
+
+    def refuse(g):
+        raise AssertionError("is_2_realizable ran on a forest")
+
+    monkeypatch.setattr(realdim.cli, "is_2_realizable", refuse)
+    p = tmp_path / "forest.graph"
+    p.write_text("gaingraph v1\nvertices 7\nedge 1 2 3\nedge 2 3 -1\nedge 2 4 0\n"
+                 "edge 5 6 1\nedge 2 2 2\nedge 4 4 1\nedge 7 7 -3\n")
+    prefix = tmp_path / "cert"
+    code, out_text = run(capsys, "classify", p, "--cert-out", prefix)
+    assert code == 0 and "[1, 1]" in out_text
+    certs = [json.loads((tmp_path / f"cert.d{dim}.json").read_text()) for dim in (1, 2)]
+    assert [cert.pop("dimension") for cert in certs] == [1, 2]
+    assert certs[0] == certs[1]
+    for dim in (1, 2):
+        code, out_text = run(capsys, "verify-cert", p, tmp_path / f"cert.d{dim}.json")
+        assert code == 0 and "valid" in out_text
+
+
 def test_classify_batch(tmp_path, capsys):
     (tmp_path / "a.graph").write_text(K2)
     (tmp_path / "b.graph").write_text(COUNTEREXAMPLE_C)
@@ -801,6 +823,26 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     p = tmp_path / "big.graph"
     p.write_text("\n".join(lines) + "\n")
     assert main(["minor", str(p), "--pattern", "k2-bullet"]) == 3
+
+
+def test_out_of_memory_exits_three(tmp_path):
+    # 10^8 vertices do not fit in 512 MiB of address space: running out of
+    # memory is an exceeded bound, not a negative verdict.
+    resource = pytest.importorskip("resource")
+    g = tmp_path / "huge.graph"
+    g.write_text("gaingraph v1\nvertices 100000000\nedge 1 2 0\n")
+    src = str(Path(realdim.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "realdim.cli", "classify", str(g)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, preexec_fn=limit,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("bound exceeded: out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_cert_with_large_exact_pattern_exceeds_bound(tmp_path, capsys):

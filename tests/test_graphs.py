@@ -621,7 +621,9 @@ def cycle_pair_sets(adj):
 def test_blocks_equal_the_brute_force_cycle_relation():
     # Two pairs share a block iff they are equal or lie on a common cycle;
     # a multigraph's neighbour values may be edge lists, and its loops are
-    # left out of the mapping.
+    # left out of the mapping.  Read backwards, a component's first block
+    # holds its root, and each later one shares only its cut vertex with the
+    # blocks before it, the order the one-sum layer of a table is glued in.
     rng = random.Random(41)
     for _ in range(300):
         g = random_simple_gain_graph(rng, max_vertices=8, max_edges=12)
@@ -633,13 +635,24 @@ def test_blocks_equal_the_brute_force_cycle_relation():
         pair_set = {frozenset((e.tail, e.head)) for e in g.edges if not e.is_loop}
         comps = components(adj, map(tuple, pair_set))
         block_of = {}
-        for k, (root, vs, pairs) in enumerate(blocks(adj)):
+        found = blocks(adj)
+        assert [r for r, *_ in found] == sorted(r for r, *_ in found)
+        for k, (root, cut, vs, pairs) in enumerate(found):
             assert vs == tuple(sorted({v for p in pairs for v in p}))
             assert root == min(next(c for c in comps if vs[0] in c))
+            assert cut in vs and (root not in vs or cut == root)
             for p in pairs:
                 assert frozenset(p) not in block_of
                 block_of[frozenset(p)] = k
         assert set(block_of) == pair_set
+        before: dict = {}  # root -> vertices of the blocks read so far
+        for root, cut, vs, _ in reversed(found):
+            if root not in before:
+                assert root in vs
+                before[root] = set(vs)
+            else:
+                assert before[root].intersection(vs) == {cut}
+                before[root].update(vs)
         cycles = cycle_pair_sets(adj)
         for p, q in itertools.combinations(block_of, 2):
             assert (block_of[p] == block_of[q]) == any(p in c and q in c for c in cycles)

@@ -127,6 +127,7 @@ def test_forest_with_loops_tree_structure():
             assert pendants + sum(len(row.edges) for row in leaves) == g.m
             assert len(rows) == components + pendants + (components > 1)
             assert components == 1 or rows[-1].kind == DISJOINT_UNION
+        assert is_1_realizable(g).certificate == is_2_realizable(g).certificate
 
 
 def test_empty_graph_rejected():
