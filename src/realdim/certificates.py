@@ -17,7 +17,9 @@ realizable dimension beyond the leaves' (for a one-sum, Belk and
 Connelly, 2007).  Verifying a table is one pass over its rows that keys
 each leaf and pendant edge once, checks the leaves' family, the nodes'
 shapes and the pendant and series rows' integers, and builds no
-graph; ``DecompositionTree.replay`` builds the glued graph from it.
+graph; ``DecompositionTree.replay`` builds the glued graph from it with
+the same checks but the family's.  Either way a leaf on four or more
+vertices, which is in no family, is never a balanced summand.
 Nothing recurses on a table, and its JSON is one list of flat rows, so a
 tree of any depth is written, read and verified in linear time.
 
@@ -219,13 +221,14 @@ def _leaf_record(row: Row, ids: dict, first: dict, dimension: int | None) -> tup
             raise CertificateError(f"edge {eid} names two orbits in the tree")
         first.setdefault(key, e)
         pairs.setdefault((a, b), set()).add(z)
-    if dimension is None:
-        return vertices, pairs, _balanced(vertices, pairs)
     # d=1 allows single vertices and single edges, d=2 leaves on at most
-    # two vertices and balanced triangles: no larger leaf needs a balance check.
+    # two vertices and balanced triangles: no larger leaf needs a balance
+    # check, in replay (no dimension) as in verification.
     n, edges = len(row.vertices), row.edges
-    balanced = n <= 3 and _balanced(vertices, pairs)
-    if dimension == 1:
+    balanced = n <= 3 and _balanced(pairs)
+    if dimension is None:
+        fits = True
+    elif dimension == 1:
         fits = n == 1 or n == 2 and len(edges) == 1 and edges[0][1] != edges[0][2]
     elif dimension == 2:
         fits = n <= 2 or n == 3 and len(edges) == 3 and len(pairs) == 3 and balanced
@@ -284,13 +287,11 @@ def _series(i: int, step: tuple, record: tuple, first: dict, dimension: int | No
         first.setdefault(key, number)
 
 
-def _balanced(vertices: set, pairs: dict) -> bool:
-    """Whether every cycle of a leaf has gain 0, read off its orbit keys: one
-    gain per pair, no selfloop, and on three vertices a triangle of gain 0.
-    A leaf on more vertices is in no family, and is checked as a graph."""
-    if len(vertices) > 3:
-        keys = [pair + (z,) for pair, zs in pairs.items() for z in zs]
-        return GainGraph(vertices, [GainEdge(i, *k) for i, k in enumerate(keys)]).is_balanced()
+def _balanced(pairs: dict) -> bool:
+    """Whether every cycle of a leaf on at most three vertices has gain 0,
+    read off its orbit keys: one gain per pair, no selfloop, and on three
+    vertices a triangle of gain 0.  A leaf on more vertices is in no family
+    and never a balanced summand, so it is not asked."""
     for (a, b), zs in pairs.items():
         if a == b or len(zs) > 1:
             return False

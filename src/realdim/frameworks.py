@@ -244,9 +244,10 @@ def stress_kernel(fw: QuotientFramework, tol=None) -> np.ndarray:
 def is_equilibrium_stress(fw: QuotientFramework, stress: StressVector, tol=None) -> bool:
     R = _finite(rigidity_matrix(fw))
     omega = stress.as_array(fw.graph)
-    scale = _finite((np.linalg.svd(R, compute_uv=False)[0] if R.size else 0.0) * max(
-        1.0, float(np.linalg.norm(omega))
-    ))
+    with np.errstate(over="ignore"):  # _finite refuses a scale that overflowed
+        scale = _finite((np.linalg.svd(R, compute_uv=False)[0] if R.size else 0.0) * max(
+            1.0, float(np.linalg.norm(omega))
+        ))
     return float(np.abs(omega @ R).max(initial=0.0)) <= _scaled_tol(tol, scale)
 
 

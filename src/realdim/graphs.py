@@ -9,7 +9,8 @@ edges are orientation-ambivalent objects with a stored convention.
 A labelling is *simple* when selfloops carry nonzero labels and no two
 parallel edges describe the same orbit (same direction with the same
 label, or opposite directions with opposite labels).  Every operation in
-this module keeps graphs simple.
+this module keeps graphs simple; a contraction makes no zero-label loop,
+since an edge parallel to the contracted one lies in another orbit.
 
 Switching a vertex by an integer re-selects the representative of that
 vertex orbit; it adds the integer to outgoing labels and subtracts it
@@ -151,10 +152,6 @@ class SimpleGraph:
         self.edges = frozenset(es)
 
     @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
     def m(self) -> int:
         return len(self.edges)
 
@@ -186,26 +183,22 @@ def find_cycle(adj: Mapping):
                     parent[w] = u
                     order[w] = order[u] + 1
                     stack.append(w)
-                elif w != parent[u] and order.get(w) is not None:
-                    # back or cross edge in the DFS forest: walk both
-                    # endpoints up to their meeting point.
-                    pu = [u]
-                    pw = [w]
+                elif w != parent[u]:
+                    # The first non-tree edge met is met at its deeper end
+                    # u: climb u to w's depth, then both to their meeting
+                    # point.  A cycle of the search tree and one edge has
+                    # at least three vertices.
+                    pu, pw = [u], [w]
                     a, b = u, w
                     while order[a] > order[b]:
                         a = parent[a]
                         pu.append(a)
-                    while order[b] > order[a]:
-                        b = parent[b]
-                        pw.append(b)
                     while a != b:
                         a = parent[a]
                         b = parent[b]
                         pu.append(a)
                         pw.append(b)
-                    cycle = pu + pw[-2::-1]
-                    if len(cycle) >= 3:
-                        return cycle
+                    return pu + pw[-2::-1]
     return None
 
 
@@ -320,9 +313,7 @@ def has_k4_minor(adj: Mapping) -> bool:
     adj = {v: set(ns) for v, ns in adj.items()}
     queue = set(adj)
     while queue:
-        v = queue.pop()
-        if v not in adj:
-            continue
+        v = queue.pop()  # only live vertices are ever queued
         deg = len(adj[v])
         if deg <= 1:
             for u in adj[v]:
@@ -348,33 +339,11 @@ class WalkWitness:
     ``sequence`` alternates vertices and edges, starting and ending at the
     same vertex: (v0, e1, v1, ..., ek, v0).  A selfloop step is direction-
     ambiguous (the sequence cannot say which way it was traversed), so its
-    contribution is accepted with either sign.
+    label counts with either sign.
     """
 
     sequence: tuple
     gain: int
-
-    def verify(self, graph: "GainGraph") -> bool:
-        seq = self.sequence
-        if len(seq) < 3 or len(seq) % 2 == 0 or seq[0] != seq[-1]:
-            return False
-        totals = {0}
-        for k in range(1, len(seq), 2):
-            u, e, w = seq[k - 1], seq[k], seq[k + 1]
-            edge = graph.edge(e.id if isinstance(e, GainEdge) else e)
-            if edge.is_loop:
-                if not (u == w == edge.tail):
-                    return False
-                totals = {t + edge.label for t in totals} | {
-                    t - edge.label for t in totals
-                }
-            elif edge.tail == u and edge.head == w:
-                totals = {t + edge.label for t in totals}
-            elif edge.head == u and edge.tail == w:
-                totals = {t - edge.label for t in totals}
-            else:
-                return False
-        return self.gain != 0 and self.gain in totals
 
 
 @dataclass(frozen=True)
@@ -558,9 +527,10 @@ class GainGraph:
 
     def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
         """Contract a non-loop: switch its head by its label, merge the other
-        end into ``survivor`` (the smaller end by default), drop zero-label
-        loops, and keep the smallest id of each orbit (deterministic; any
-        choice gives an isomorphic graph)."""
+        end into ``survivor`` (the smaller end by default), and keep the
+        smallest id of each orbit (deterministic; any choice gives an
+        isomorphic graph).  No edge becomes a zero-label loop: one parallel
+        to the contracted edge lies in another orbit, so keeps a nonzero gain."""
         return self.minor([("contract_edge", eid, survivor)])
 
     def minor(self, ops) -> "GainGraph":
@@ -677,8 +647,6 @@ def _contract(edges: dict, inc: dict, eid: int, survivor) -> None:
         if t != h:  # switch the head, which leaves loops alone
             z += e.label if t == e.head else -e.label if h == e.head else 0
         t, h = survivor if t == gone else t, survivor if h == gone else h
-        if t == h and z == 0:
-            continue
         if (t, h, z) != (f.tail, f.head, f.label):
             f = GainEdge(fid, t, h, z)
         key = orbit_key(t, h, z)

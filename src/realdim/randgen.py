@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from .graphs import GainEdge, GainGraph
+from .graphs import GainEdge, GainGraph, orbit_key
 
 
 def random_simple_gain_graph(
@@ -29,24 +29,17 @@ def random_simple_gain_graph(
     n = rng.randint(min_vertices, max_vertices)
     m_target = rng.randint(0, max_edges)
     edges = []
-    seen_pairs = set()
-    seen_loops = set()
+    seen = set()  # orbit keys
     for _ in range(m_target * 3):
         if len(edges) >= m_target:
             break
         t = rng.randint(1, n)
         h = rng.randint(1, n)
         z = rng.randint(label_min, label_max)
-        if t == h:
-            if z == 0 or (t, abs(z)) in seen_loops:
-                continue
-            seen_loops.add((t, abs(z)))
-        else:
-            a, b = min(t, h), max(t, h)
-            gain = z if t == a else -z
-            if (a, b, gain) in seen_pairs:
-                continue
-            seen_pairs.add((a, b, gain))
+        key = orbit_key(t, h, z)
+        if t == h and z == 0 or key in seen:
+            continue
+        seen.add(key)
         edges.append(GainEdge(len(edges) + 1, t, h, z))
     return GainGraph(range(1, n + 1), edges)
 

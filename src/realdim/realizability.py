@@ -505,10 +505,6 @@ class RdBounds:
     lower: int
     upper: int
 
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
     def as_tuple(self) -> tuple:
         return (self.lower, self.upper)
 

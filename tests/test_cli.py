@@ -618,6 +618,12 @@ def is_series(r):
         pytest.param(is_leaf, lambda r: r["edges"][0].__setitem__(2, 9),
                      "INVALID (row {i}: edge {r[edges][0][0]} has an end outside its leaf)",
                      id="leaf-vertices"),
+        pytest.param(is_leaf, lambda r: r["edges"].append([99, r["vertices"][0], r["vertices"][0], 0]),
+                     "INVALID (row {i}: edge 99 is a selfloop with label 0)",
+                     id="leaf-loop-label-0"),
+        pytest.param(is_two_sum, lambda r: (r.clear(), r.update(node="disjoint_union", children=1)),
+                     "INVALID (row {i}: disjoint union needs at least two children)",
+                     id="union-of-one"),
     ],
 )
 def test_certificate_errors_name_the_row(tmp_path, capsys, find, mutate, expect):

@@ -25,6 +25,30 @@ def is_complete(g):
     return pair_profile(multigraph(g.vertices, g.edges))[0] == g.n * (g.n - 1) // 2
 
 
+def walk_verifies(witness, graph) -> bool:
+    """Whether an unbalanced-walk witness is a closed walk of graph with its
+    claimed nonzero gain.  Its sequence cannot say which way a selfloop
+    step went, so the step's label counts with either sign."""
+    seq = witness.sequence
+    if len(seq) < 3 or len(seq) % 2 == 0 or seq[0] != seq[-1]:
+        return False
+    totals = {0}
+    for k in range(1, len(seq), 2):
+        u, e, w = seq[k - 1], seq[k], seq[k + 1]
+        edge = graph.edge(e.id if isinstance(e, GainEdge) else e)
+        if edge.is_loop:
+            if not (u == w == edge.tail):
+                return False
+            totals = {t + edge.label for t in totals} | {t - edge.label for t in totals}
+        elif edge.tail == u and edge.head == w:
+            totals = {t + edge.label for t in totals}
+        elif edge.head == u and edge.tail == w:
+            totals = {t - edge.label for t in totals}
+        else:
+            return False
+    return witness.gain != 0 and witness.gain in totals
+
+
 def components(vertices, pairs):
     """Connected components as frozensets, by BFS."""
     adj = {v: set() for v in vertices}
@@ -156,6 +180,11 @@ def test_constructor_rejects_unsimple():
         GainGraph.of(2, [(1, 2, 0), (1, 2, 0)])
 
 
+def test_constructor_rejects_an_edge_on_an_unknown_vertex():
+    with pytest.raises(RealdimError, match="edge 1 uses unknown vertices"):
+        GainGraph([1, 2], [GainEdge(1, 1, 3, 0)])
+
+
 # -- switching and inversion ------------------------------------------------
 
 
@@ -249,6 +278,11 @@ def test_contract_refuses_loop():
         g.contract_edge(1)
 
 
+def test_contract_refuses_a_survivor_off_the_edge():
+    with pytest.raises(RealdimError, match=r"op 0 \(contract_edge 1\): survivor must be an end"):
+        k3_zero().minor([MinorOp("contract_edge", 1, 3)])
+
+
 def test_contract_duplicate_retention_isomorphic():
     # All duplicate-retention choices are isomorphic; ours keeps the
     # smallest edge id.  Compare against manually keeping the other copy.
@@ -312,7 +346,7 @@ def test_k4_zero_balanced():
 def test_k2_bullet_unbalanced_with_witness():
     res = k2_bullet(0, 1).balance()
     assert not res.balanced
-    assert res.witness.verify(k2_bullet(0, 1))
+    assert walk_verifies(res.witness, k2_bullet(0, 1))
     assert res.witness.gain != 0
 
 
@@ -320,13 +354,14 @@ def test_ladder_graph_unbalanced():
     g = ladder_graph()
     res = g.balance()
     assert not res.balanced
-    assert res.witness.verify(g)
+    assert walk_verifies(res.witness, g)
 
 
 def test_loop_makes_unbalanced():
     g = GainGraph.of(1, [(1, 1, 3)])
     res = g.balance()
     assert not res.balanced and res.witness.gain == 3
+    assert walk_verifies(res.witness, g)
 
 
 def test_balance_forest_takes_the_smallest_id_edge_of_each_pair():
@@ -337,7 +372,7 @@ def test_balance_forest_takes_the_smallest_id_edge_of_each_pair():
     assert list(res.potentials.items()) == [(1, 0), (2, 3), (3, 2)]
     e1, e2 = g.edge(1), g.edge(2)
     assert res.witness.sequence == (1, e2, 2, e1, 1)
-    assert res.witness.gain == -3 and res.witness.verify(g)
+    assert res.witness.gain == -3 and walk_verifies(res.witness, g)
 
 
 def test_balanced_potentials_zero_all_labels():
@@ -534,13 +569,13 @@ def test_replay_collapses_an_orbit_carried_under_two_ids():
 
 def test_lift_window_k2_single_cell():
     w = k2_zero().lift_window(0, 0)
-    assert w.n == 2 and w.m == 1
+    assert len(w.vertices) == 2 and w.m == 1
 
 
 def test_lift_window_loop_gives_path():
     g = GainGraph.of(1, [(1, 1, 1)])
     w = g.lift_window(0, 2)
-    assert w.n == 3
+    assert len(w.vertices) == 3
     assert w.edges == frozenset(
         {frozenset({(1, 0), (1, 1)}), frozenset({(1, 1), (1, 2)})}
     )
@@ -556,19 +591,19 @@ def test_lift_window_ladder_matches_enumeration():
             if 0 <= t <= 1:
                 expected.add(frozenset({(e.tail, s), (e.head, t)}))
     assert w.edges == frozenset(expected)
-    assert w.n == 6 and w.m == 8
+    assert len(w.vertices) == 6 and w.m == 8
 
 
 def test_lift_window_k2_three_cells_disjoint_edges():
     w = k2_zero().lift_window(0, 2)
-    assert w.n == 6 and w.m == 3
+    assert len(w.vertices) == 6 and w.m == 3
     assert len({v for e in w.edges for v in e}) == 2 * w.m  # no two edges share an end
 
 
 def test_lift_window_bound_is_checked_before_building():
     g = k2_zero()  # 2 vertices and 1 edge: 3 lift vertices and edges per shift
     width = LIFT_WINDOW_BOUND // 3
-    assert g.lift_window(1, 10).n == 20
+    assert len(g.lift_window(1, 10).vertices) == 20
     with pytest.raises(BoundExceededError, match="exceeds the bound"):
         g.lift_window(0, width)  # one shift over
     with pytest.raises(BoundExceededError):

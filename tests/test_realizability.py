@@ -45,6 +45,7 @@ from test_graphs import (
     leaf,
     leaf_of,
     one_sum,
+    two_sum,
 )
 
 
@@ -540,6 +541,21 @@ def test_decomposition_rejects_wrong_leaf_family():
     tree = leaf_of(g)  # a 4-vertex leaf is in no family
     with pytest.raises(CertificateError):
         verify_decomposition(tree, g, 2)
+
+
+@pytest.mark.parametrize("tree, expect", [
+    pytest.param(two_sum(leaf((1, 2), (1, 1, 2, 0), (2, 1, 1, 1)),
+                         leaf((1, 2), (1, 1, 2, 0), (3, 1, 1, -1)), (1, 2), zero_child=1),
+                 "row 2: two-sum sides share a selfloop", id="shared-selfloop"),
+    pytest.param(two_sum(leaf((1, 2), (1, 1, 2, 0)), leaf((1, 2), (1, 1, 2, 0)), (1, 2),
+                         zero_child=2),
+                 "row 2: two-sum must name its balanced summand", id="zero-child-2"),
+])
+def test_two_sum_refusals_of_hand_made_tables(tree, expect):
+    # The JSON reader refuses a zero_child outside {0, 1}; a table built in
+    # memory reaches the verifier with one.
+    with pytest.raises(CertificateError, match=expect):
+        verify_decomposition(tree, GainGraph.of(2, [(1, 2, 0)]), 2)
 
 
 def leaf_in_family(row, dimension) -> bool:

@@ -366,3 +366,14 @@ def test_a_pendant_selfloop_unbalances_its_subtree():
     assert not assert_replays_agree(two_sum(looped, balanced, (1, 2), zero_child=0))
     with pytest.raises(CertificateError, match="row 3: the designated two-sum summand"):
         two_sum(looped, balanced, (1, 2), zero_child=0).replay()
+
+
+def test_a_leaf_on_four_vertices_is_never_a_balanced_summand():
+    # A leaf on four or more vertices is in no family, so the replay does
+    # not ask whether it is balanced; the reference does, and accepts.
+    k4 = leaf((1, 2, 3, 4), *((i, a, b, 0) for i, (a, b)
+                              in enumerate(itertools.combinations((1, 2, 3, 4), 2), start=1)))
+    tree = two_sum(k4, leaf((1, 2), (1, 1, 2, 0), (7, 1, 2, 1)), (1, 2), zero_child=0)
+    assert outcome(reference_replay, tree) is not None
+    with pytest.raises(CertificateError, match="row 2: the designated two-sum summand"):
+        tree.replay()
