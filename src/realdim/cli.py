@@ -6,9 +6,13 @@ outcome, 1 for a negative verdict or failed verification (still a
 successful run; the JSON output carries the distinction), 2 for input
 errors, 3 for exceeded size bounds or running out of memory.
 
-The graph commands (classify, minor, balance, verify-cert, lift without
---framework) never import numpy: the framework commands import the
-numeric layer when they run.
+Each ``cmd_*`` imports the modules it runs when it runs, so a process
+compiles no more of the package than its command needs: ``balance`` and
+``lift`` load the document reader and the graphs; ``minor`` and
+``verify-cert`` add the certificates and minors; ``classify`` adds the
+deciders.  The framework commands (stress, superstable, flatten, lift
+--framework) add only the numeric layer, and with it numpy, which no
+graph command imports.
 """
 
 from __future__ import annotations
@@ -21,37 +25,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import (
-    CertificateError,
-    RealizabilityVerdict,
-    certificate_from_json_dict,
-    certificate_to_json_dict,
-    witness_to_json_dict,
-)
-from .documents import (
-    FrameworkDocument,
-    GraphDocument,
-    parse_framework_document,
-    parse_graph_document,
-    parse_weights_document,
-    serialize_framework_document,
-    serialize_graph_document,
-)
 from .errors import BoundExceededError, DocumentError, RealdimError
-from .graphs import GainGraph
-from .minors import MinorPattern, balanced_complete_pattern, contains_forbidden, has_minor
-from .realizability import (
-    is_1_realizable,
-    is_2_realizable,
-    realizable_dimension_bounds,
-)
 
-PATTERN_NAMES = {
-    "k3-balanced": lambda: balanced_complete_pattern(3),
-    "k4-balanced": lambda: balanced_complete_pattern(4),
-    "k2-bullet": lambda: MinorPattern.family("k2-bullet"),
-    "k3-bulletbullet": lambda: MinorPattern.family("k3-bulletbullet"),
-}
+PATTERN_NAMES = ("k2-bullet", "k3-balanced", "k3-bulletbullet", "k4-balanced")
 
 
 class _Output:
@@ -91,6 +67,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str) -> GainGraph:
+    from .documents import parse_graph_document
+
     # graph commands also accept framework documents, using their graph part
     return parse_graph_document(_read_text(path)).to_graph()
 
@@ -98,6 +76,8 @@ def _read_graph(path: str) -> GainGraph:
 def _read_framework(path: str, weights: str | None = None) -> tuple:
     """The framework and its stress: the weights document's if one is given,
     else the framework's own (None if it has none)."""
+    from .documents import parse_framework_document, parse_weights_document
+
     fw, stress = parse_framework_document(_read_text(path)).to_framework()
     if weights:
         stress = parse_weights_document(_read_text(weights), fw.graph)
@@ -115,6 +95,9 @@ def _matrix_lines(L) -> list:
 
 
 def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
+    from .certificates import RealizabilityVerdict, certificate_to_json_dict
+    from .realizability import is_1_realizable, is_2_realizable, realizable_dimension_bounds
+
     g = _read_graph(path)
     v1 = is_1_realizable(g)
     # A d=1 table is a d=2 table: its leaves have at most two vertices.
@@ -131,24 +114,32 @@ def _classify_one(path: str, out: _Output, cert_prefix: str | None) -> int:
         bounds=[bounds.lower, bounds.upper],
     )
     if out.as_json or cert_prefix:
-        certs = [certificate_to_json_dict(v) for v in (v1, v2)]
+        if v1.answer:  # one table serves both dimensions; its copies differ only in "dimension"
+            certs = [certificate_to_json_dict(v1)]
+            certs.append({**certs[0], "dimension": 2})
+        else:
+            certs = [certificate_to_json_dict(v) for v in (v1, v2)]
         out.put(certificate_d1=certs[0], certificate_d2=certs[1])
     if cert_prefix:
-        texts = [_certificate_text(cert) for cert in certs]
-        for dim, text in enumerate(texts, start=1):
+        tables: dict = {}
+        for dim, cert in enumerate(certs, start=1):
             cert_path = Path(f"{cert_prefix}.d{dim}.json")
-            cert_path.write_text(text, encoding="utf-8")
+            cert_path.write_text(_certificate_text(cert, tables), encoding="utf-8")
             out.say(f"certificate (d={dim}): {cert_path}")
     return 0 if v2.answer else 1
 
 
-def _certificate_text(cert: dict) -> str:
-    """A certificate as JSON, a tree's table written one row per line."""
+def _certificate_text(cert: dict, tables: dict) -> str:
+    """A certificate as JSON, a tree's table written one row per line.
+    ``tables`` keeps each table's text by its root's id, so that a table
+    two certificates share is written once."""
     if cert["kind"] != "decomposition-tree":
         return json.dumps(cert, indent=2) + "\n"
     head = json.dumps({k: v for k, v in cert.items() if k != "root"})[:-1]
-    rows = ",\n".join(map(json.dumps, cert["root"]["rows"]))
-    return f'{head}, "root": {{"rows": [\n{rows}\n]}}}}\n'
+    root = cert["root"]
+    if id(root) not in tables:
+        tables[id(root)] = ",\n".join(map(json.dumps, root["rows"]))
+    return f'{head}, "root": {{"rows": [\n{tables[id(root)]}\n]}}}}\n'
 
 
 def cmd_classify(args) -> int:
@@ -180,12 +171,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_minor(args) -> int:
+    from .certificates import witness_to_json_dict
+    from .minors import MinorPattern, balanced_complete_pattern, has_minor
+
     out = _Output(args.json)
     g = _read_graph(args.graph)
     if args.pattern.startswith("file:"):
         pattern = MinorPattern.exact(_read_graph(args.pattern[5:]))
-    elif args.pattern in PATTERN_NAMES:
-        pattern = PATTERN_NAMES[args.pattern]()
+    elif args.pattern in PATTERN_NAMES:  # k<n>-balanced, or a family
+        pattern = (balanced_complete_pattern(int(args.pattern[1]))
+                   if args.pattern.endswith("-balanced") else MinorPattern.family(args.pattern))
     else:
         raise DocumentError(
             f"unknown pattern {args.pattern!r}; use one of {sorted(PATTERN_NAMES)} or file:<path>"
@@ -267,6 +262,7 @@ def cmd_superstable(args) -> int:
 
 
 def cmd_flatten(args) -> int:
+    from .documents import FrameworkDocument, serialize_framework_document
     from .frameworks import affine_dimension, conic_condition, flatten
 
     out = _Output(args.json)
@@ -292,6 +288,13 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .documents import (
+        FrameworkDocument,
+        GraphDocument,
+        serialize_framework_document,
+        serialize_graph_document,
+    )
+
     out = _Output(args.json)
     fw = None
     if args.framework:
@@ -380,6 +383,8 @@ def _svg_window(window, fw, index) -> str:
 
 
 def cmd_verify_cert(args) -> int:
+    from .certificates import CertificateError, certificate_from_json_dict
+
     out = _Output(args.json)
     g = _read_graph(args.graph)
     try:
@@ -408,12 +413,16 @@ def cmd_selftest(args) -> int:
 
     import numpy as np
 
+    from .certificates import certificate_from_json_dict, certificate_to_json_dict
     from .frameworks import affine_dimension, conic_condition, flatten, span_check
+    from .graphs import GainGraph
+    from .minors import contains_forbidden
     from .randgen import (
         random_framework,
         random_isomorphic_copy,
         random_simple_gain_graph,
     )
+    from .realizability import is_1_realizable, is_2_realizable
 
     out = _Output(args.json)
     rng = random.Random(args.seed)

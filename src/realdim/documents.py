@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DocumentError, SimplicityError
 from .graphs import GainGraph
@@ -61,13 +60,22 @@ _DIRECTIVES = {
 _DIRECTIVE_OF = {spec[0]: word for word, spec in _DIRECTIVES.items()}
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class _GraphFields(NamedTuple):
     vertex_count: int
     edges: tuple  # of (tail, head, label)
     name: str | None = None
     version: str = VERSION
-    edge_lines: tuple = field(default=(), compare=False)
+
+
+class GraphDocument(_GraphFields):
+    """The tuple ``(vertex_count, edges, name, version)``.  A subclass of the
+    NamedTuple, so that ``edge_lines``, the line of each edge in a text
+    document, can be an attribute outside the tuple and out of equality."""
+
+    def __new__(cls, vertex_count, edges, name=None, version=VERSION, edge_lines=()):
+        doc = super().__new__(cls, vertex_count, edges, name, version)
+        doc.edge_lines = edge_lines
+        return doc
 
     def to_graph(self) -> GainGraph:
         try:
@@ -85,8 +93,7 @@ class GraphDocument:
         return cls(g.n, tuple((index[e.tail], index[e.head], e.label) for e in g.edges), name)
 
 
-@dataclass(frozen=True)
-class FrameworkDocument:
+class FrameworkDocument(NamedTuple):
     graph: GraphDocument
     dimension: int
     positions: tuple  # of (vertex, coordinates tuple)

@@ -19,11 +19,10 @@ largest singular value of the matrix at hand, floored at 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -78,8 +77,7 @@ def _is_exact(x) -> bool:
     return isinstance(x, (Integral, Fraction)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class StressVector:
+class StressVector(NamedTuple):
     """Edge weights on the extended edge set: real edges plus the lattice."""
 
     weights: dict
@@ -104,8 +102,7 @@ class StressVector:
         return np.array([float(x) for x in self.as_list(graph)])
 
 
-@dataclass(frozen=True)
-class StressSignature:
+class StressSignature(NamedTuple):
     """Eigenvalue counts (positive, negative, zero) of a stress matrix."""
 
     n_plus: int
@@ -327,8 +324,7 @@ def _conic_matrix(fw: QuotientFramework) -> np.ndarray:
                                 for a, b in _sym_basis_indices(fw.dim)])
 
 
-@dataclass(frozen=True)
-class ConicResult:
+class ConicResult(NamedTuple):
     holds: bool
     witness: np.ndarray | None  # nonzero symmetric matrix when violated
 
@@ -441,8 +437,7 @@ def construct_psd_stress(fw: QuotientFramework, tol=None) -> StressVector | None
     return StressVector.from_sequence(g, [float(x) for x in w])
 
 
-@dataclass(frozen=True)
-class SuperStabilityReport:
+class SuperStabilityReport(NamedTuple):
     verified: bool
     equilibrium_ok: bool
     signature_ok: bool
@@ -478,8 +473,7 @@ def verify_super_stable(fw: QuotientFramework, stress: StressVector, tol=None) -
     return SuperStabilityReport(verified, eq_ok, sig_ok, conic_ok, sig, note)
 
 
-@dataclass(frozen=True)
-class SpanCheck:
+class SpanCheck(NamedTuple):
     """Combinatorial and rational-rank views of the indicator span."""
 
     size: int  # number of extended edges

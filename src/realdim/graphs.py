@@ -31,8 +31,7 @@ the finite-graph minor checks of :mod:`realdim.minors`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceededError, RealdimError, SimplicityError
 
@@ -47,9 +46,8 @@ CANONICAL_FORM_BOUND = 8
 OP_KINDS = ("delete_edge", "delete_vertex", "contract_edge")
 
 
-@dataclass(frozen=True)
-class GainEdge:
-    """A directed edge with an integer label."""
+class GainEdge(NamedTuple):
+    """A directed edge with an integer label, the tuple ``(id, tail, head, label)``."""
 
     id: int
     tail: int
@@ -96,8 +94,7 @@ def orbit_key(tail: int, head: int, label: int) -> tuple:
     return (tail, tail, abs(label))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One simplicity violation: a bad loop or a duplicate parallel pair."""
 
     kind: str  # "zero-loop" | "duplicate-parallel" | "duplicate-loop"
@@ -109,13 +106,13 @@ def _simplicity_violations(edges) -> list:
     """Zero-loops in edge order, then duplicate parallel edges, then
     duplicate selfloops, each group in orbit-key order."""
     violations = [
-        Violation("zero-loop", (e.id,), f"selfloop {e.id} at {e.tail} has label 0")
-        for e in edges
-        if e.label == 0 and e.tail == e.head
+        Violation("zero-loop", (eid,), f"selfloop {eid} at {tail} has label 0")
+        for eid, tail, head, label in edges
+        if label == 0 and tail == head
     ]
     groups: dict = {}
-    for e in edges:
-        groups.setdefault(e.orbit_key(), []).append(e.id)
+    for eid, tail, head, label in edges:
+        groups.setdefault(orbit_key(tail, head, label), []).append(eid)
     duplicates = sorted((key, sorted(ids)) for key, ids in groups.items() if len(ids) > 1)
     for (a, b, _), ids in duplicates:
         if a != b:
@@ -258,12 +255,13 @@ def multigraph_add(adj: dict, e: GainEdge) -> None:
     already present keeps the smaller id, as ``GainGraph.contract_edge``
     does.
     """
-    by_orbit = adj[e.tail].get(e.head)
+    eid, tail, head, label = e  # one unpacking: NamedTuple field reads are slow
+    by_orbit = adj[tail].get(head)
     if by_orbit is None:
-        by_orbit = adj[e.tail][e.head] = adj[e.head][e.tail] = {}
-    key = e.orbit_key()
+        by_orbit = adj[tail][head] = adj[head][tail] = {}
+    key = orbit_key(tail, head, label)
     old = by_orbit.get(key)
-    if old is None or e.id < old.id:
+    if old is None or eid < old.id:
         by_orbit[key] = e
 
 
@@ -271,7 +269,7 @@ def multigraph(vertices, edges) -> dict:
     """The multigraph of a vertex and an edge list, selfloops left out."""
     adj: dict = {v: {} for v in vertices}
     for e in edges:
-        if not e.is_loop:
+        if e.tail != e.head:
             multigraph_add(adj, e)
     return adj
 
@@ -332,8 +330,7 @@ def has_k4_minor(adj: Mapping) -> bool:
     return bool(adj)
 
 
-@dataclass(frozen=True)
-class WalkWitness:
+class WalkWitness(NamedTuple):
     """A closed walk with nonzero gain, certifying unbalancedness.
 
     ``sequence`` alternates vertices and edges, starting and ending at the
@@ -346,8 +343,7 @@ class WalkWitness:
     gain: int
 
 
-@dataclass(frozen=True)
-class BalanceResult:
+class BalanceResult(NamedTuple):
     """Outcome of the balance test.
 
     ``potentials`` is the switching computed from a spanning forest; for a
@@ -438,18 +434,19 @@ class GainGraph:
     def __init__(self, vertices: Iterable[int], edges: Iterable[GainEdge] = ()):
         self.vertices = tuple(sorted(set(vertices)))
         vset = set(self.vertices)
-        edges = tuple(sorted(edges, key=lambda e: e.id))
-        ids = [e.id for e in edges]
-        if len(set(ids)) != len(ids):
+        # Each edge is unpacked, not read field by field: a NamedTuple's
+        # field reads are the slow part of a pass over many edges.
+        edges = tuple(sorted(edges))  # by id, the first field
+        self._by_id = {e.id: e for e in edges}
+        if len(self._by_id) != len(edges):
             raise RealdimError("duplicate edge ids")
-        for e in edges:
-            if e.tail not in vset or e.head not in vset:
-                raise RealdimError(f"edge {e.id} uses unknown vertices")
+        for eid, tail, head, _ in edges:
+            if tail not in vset or head not in vset:
+                raise RealdimError(f"edge {eid} uses unknown vertices")
         self.edges = edges
         violations = _simplicity_violations(edges)
         if violations:
             raise SimplicityError(violations)
-        self._by_id = {e.id: e for e in edges}
         self._vset = vset
 
     # -- construction helpers -------------------------------------------------
@@ -542,10 +539,10 @@ class GainGraph:
         naming it, as in ``op 3 (contract_edge 17): unknown edge id 17``."""
         edges = dict(self._by_id)
         inc: dict = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.tail].append(e.id)
-            if e.head != e.tail:
-                inc[e.head].append(e.id)
+        for eid, tail, head, _ in self.edges:
+            inc[tail].append(eid)
+            if head != tail:
+                inc[head].append(eid)
         for i, (kind, target, survivor) in enumerate(ops):
             try:
                 if kind == "delete_edge":
@@ -631,23 +628,24 @@ def _contract(edges: dict, inc: dict, eid: int, survivor) -> None:
     e = edges.pop(eid, None)  # an error drops the whole pass
     if e is None:
         raise RealdimError(f"unknown edge id {eid}")
-    if e.is_loop:
+    _, tail, head, label = e
+    if tail == head:
         raise RealdimError(f"cannot contract selfloop {eid}")
     if survivor is None:
-        survivor = min(e.tail, e.head)
-    elif survivor not in (e.tail, e.head):
+        survivor = min(tail, head)
+    elif survivor not in (tail, head):
         raise RealdimError("survivor must be an endpoint of the contracted edge")
-    gone = e.head if survivor == e.tail else e.tail
+    gone = head if survivor == tail else tail
     kept: dict = {}  # orbit key -> edge with the smallest id
     for fid in inc[survivor] + inc.pop(gone):
         f = edges.pop(fid, None)
         if f is None:
             continue
-        t, h, z = f.tail, f.head, f.label
+        _, t, h, z = f
         if t != h:  # switch the head, which leaves loops alone
-            z += e.label if t == e.head else -e.label if h == e.head else 0
+            z += label if t == head else -label if h == head else 0
         t, h = survivor if t == gone else t, survivor if h == gone else h
-        if (t, h, z) != (f.tail, f.head, f.label):
+        if (fid, t, h, z) != f:
             f = GainEdge(fid, t, h, z)
         key = orbit_key(t, h, z)
         if key not in kept or fid < kept[key].id:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -60,12 +59,15 @@ DEFAULT_EDGE_BOUND = 16
 FINITE_MINOR_BOUND = 10
 
 
-@dataclass(frozen=True)
-class MinorPattern:
-    """Either an exact labelled graph or a labelling-free family."""
-
+class _Pattern(NamedTuple):
     kind: str  # "exact" | K2_BULLET | K3_BULLETBULLET
     graph: GainGraph | None = None
+
+
+class MinorPattern(_Pattern):
+    """Either an exact labelled graph or a labelling-free family: the tuple
+    ``(kind, graph)``.  A subclass of the NamedTuple, so that an instance
+    has a dict to cache its canonical forms in."""
 
     @classmethod
     def exact(cls, graph: GainGraph) -> "MinorPattern":
@@ -144,8 +146,7 @@ class MinorOp(NamedTuple):
     survivor: int | None = None
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """A reduction from a host to a forbidden pattern."""
 
     pattern: MinorPattern

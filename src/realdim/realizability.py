@@ -44,8 +44,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .certificates import DISJOINT_UNION, LEAF, DecompositionTree, RealizabilityVerdict, Row
 from .errors import RealdimError
@@ -500,8 +500,7 @@ def realizable_dimension_complete_case(g: GainGraph) -> int:
     return n if connected else n - 1
 
 
-@dataclass(frozen=True)
-class RdBounds:
+class RdBounds(NamedTuple):
     lower: int
     upper: int
 

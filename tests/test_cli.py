@@ -103,7 +103,6 @@ def test_classify_yes_graph(tmp_path, capsys):
 
 
 def test_classify_decides_once(cx_file, capsys, monkeypatch):
-    import realdim.cli
     import realdim.realizability
 
     calls = {"is_1_realizable": 0, "is_2_realizable": 0}
@@ -115,7 +114,6 @@ def test_classify_decides_once(cx_file, capsys, monkeypatch):
             return _decide(g)
 
         monkeypatch.setattr(realdim.realizability, name, counted)
-        monkeypatch.setattr(realdim.cli, name, counted)
     code, out_text = run(capsys, "classify", cx_file)
     assert code == 1 and "[3, 4]" in out_text
     assert calls == {"is_1_realizable": 1, "is_2_realizable": 1}
@@ -123,12 +121,12 @@ def test_classify_decides_once(cx_file, capsys, monkeypatch):
 
 def test_forest_certificates_differ_only_in_dimension(tmp_path, capsys, monkeypatch):
     # A forest's d=1 table is its d=2 table: classify decides it once.
-    import realdim.cli
+    import realdim.realizability
 
     def refuse(g):
         raise AssertionError("is_2_realizable ran on a forest")
 
-    monkeypatch.setattr(realdim.cli, "is_2_realizable", refuse)
+    monkeypatch.setattr(realdim.realizability, "is_2_realizable", refuse)
     p = tmp_path / "forest.graph"
     p.write_text("gaingraph v1\nvertices 7\nedge 1 2 3\nedge 2 3 -1\nedge 2 4 0\n"
                  "edge 5 6 1\nedge 2 2 2\nedge 4 4 1\nedge 7 7 -3\n")
@@ -870,47 +868,48 @@ def test_verify_cert_with_large_exact_pattern_exceeds_bound(tmp_path, capsys):
 
 IMPORT_PROBE = """\
 import contextlib, io, json, sys
-import realdim, realdim.cli
-
-graph, framework, prefix = sys.argv[1:]
-seen = {}
-for name, argv in (
-    ("classify", ["classify", graph, "--cert-out", prefix]),
-    ("balance", ["balance", graph]),
-    ("minor", ["minor", graph, "--pattern", "k3-bulletbullet"]),
-    ("verify-cert d1", ["verify-cert", graph, prefix + ".d1.json"]),
-    ("verify-cert d2", ["verify-cert", graph, prefix + ".d2.json"]),
-    ("lift", ["lift", graph, "--from", "0", "--to", "1"]),
-    ("stress", ["stress", framework]),
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = realdim.cli.main(argv)
-    seen[name] = [code, "numpy" in sys.modules, "realdim.frameworks" in sys.modules]
-print(json.dumps(seen))
+import realdim
+bare = [m for m in sys.modules if m.startswith("realdim.")]
+import realdim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = realdim.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, bare, sorted(m[8:] for m in sys.modules if m.startswith("realdim.")),
+                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]]))
 """
+
+GRAPH_PATH = ["cli", "documents", "errors", "graphs"]
+CERTIFICATE_PATH = sorted(GRAPH_PATH + ["certificates", "minors"])
+FRAMEWORK_PATH = sorted(GRAPH_PATH + ["exactlinalg", "frameworks"])
 
 
 def test_graph_commands_do_not_import_numpy(ladder_file, tmp_path):
+    # Each command in a fresh interpreter: its exit code, the realdim
+    # submodules a bare ``import realdim`` loaded, the realdim submodules
+    # loaded after the command, and which of numpy, dataclasses and inspect
+    # were (numpy itself imports inspect).
     graph = tmp_path / "ladder.graph"
     graph.write_text(serialize_graph_document(parse_graph_document(LADDER)))
+    cert = str(tmp_path / "cert")
     src = str(Path(realdim.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(graph), str(ladder_file),
-         str(tmp_path / "cert")],
-        capture_output=True, text=True, env={"PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    # [exit code, numpy loaded, realdim.frameworks loaded] after each command, in order
-    assert seen == {
-        "classify": [1, False, False],
-        "balance": [1, False, False],
-        "minor": [1, False, False],
-        "verify-cert d1": [0, False, False],
-        "verify-cert d2": [0, False, False],
-        "lift": [0, False, False],
-        "stress": [0, True, True],
+    expected = {
+        ("classify", str(graph), "--cert-out", cert):
+            [1, [], sorted(CERTIFICATE_PATH + ["realizability"]), []],
+        ("balance", str(graph)): [1, [], GRAPH_PATH, []],
+        ("minor", str(graph), "--pattern", "k3-bulletbullet"): [1, [], CERTIFICATE_PATH, []],
+        ("verify-cert", str(graph), cert + ".d1.json"): [0, [], CERTIFICATE_PATH, []],
+        ("verify-cert", str(graph), cert + ".d2.json"): [0, [], CERTIFICATE_PATH, []],
+        ("lift", str(graph), "--from", "0", "--to", "1"): [0, [], GRAPH_PATH, []],
+        ("stress", str(ladder_file)): [0, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
+        ("superstable", str(ladder_file)): [0, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
+        ("flatten", str(ladder_file)): [1, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
     }
+    seen = {}
+    for argv in expected:  # in order: classify writes the certificates
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        seen[argv] = json.loads(proc.stdout)
+    assert seen == expected
 
 
 def test_star_import_binds_every_public_name():

@@ -512,6 +512,18 @@ def test_decomposition_rejects_wrong_graph():
         verify_decomposition(v.certificate, other, 2)
 
 
+def test_verdict_flipped_by_dataclasses_replace_is_refused():
+    import dataclasses
+
+    g = k3_zero()
+    v = is_2_realizable(g)
+    flipped = dataclasses.replace(v, answer=False)
+    assert flipped == (2, False, v.certificate)
+    assert [f.name for f in dataclasses.fields(flipped)] == list(v._fields)
+    with pytest.raises(CertificateError, match='certifies "yes", not "no"'):
+        flipped.verify(g)
+
+
 def test_decomposition_rejects_tampering():
     g = counterexample_a()
     tree = is_2_realizable(g).certificate
