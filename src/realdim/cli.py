@@ -8,11 +8,11 @@ errors, 3 for exceeded size bounds or running out of memory.
 
 Each ``cmd_*`` imports the modules it runs when it runs, so a process
 compiles no more of the package than its command needs: ``balance`` and
-``lift`` load the document reader and the graphs; ``minor`` and
-``verify-cert`` add the certificates and minors; ``classify`` adds the
-deciders.  The framework commands (stress, superstable, flatten, lift
---framework) add only the numeric layer, and with it numpy, which no
-graph command imports.
+``lift`` on a graph document load the document reader and the graphs;
+``minor`` and ``verify-cert`` add the certificates and minors;
+``classify`` adds the deciders.  The framework commands (stress,
+superstable, flatten, and lift on a framework document) add only the
+numeric layer, and with it numpy, which no graph command imports.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BoundExceededError, DocumentError, RealdimError
+
+if TYPE_CHECKING:  # each command imports what it runs
+    from .graphs import GainGraph
 
 PATTERN_NAMES = ("k2-bullet", "k3-balanced", "k3-bulletbullet", "k4-balanced")
 
@@ -142,29 +146,41 @@ def _certificate_text(cert: dict, tables: dict) -> str:
     return f'{head}, "root": {{"rows": [\n{tables[id(root)]}\n]}}}}\n'
 
 
+def _batch(directory: str, cert_out: str | None) -> dict:
+    """``{document: certificate prefix or None}`` for the graph documents in
+    a directory.  The files this run writes certificates to are not read,
+    and two documents that would write the same files are refused."""
+    try:
+        paths = sorted(Path(directory).iterdir())
+    except OSError as exc:  # a missing path or a plain file cannot be listed
+        raise DocumentError(f"cannot list {directory}: {exc.strerror}") from None
+    files = {p: cert_out and f"{cert_out}.{p.stem}" for p in paths
+             if p.suffix in (".graph", ".json", ".txt")}
+    written = {Path(f"{q}.d{d}.json").resolve() for q in files.values() if q for d in (1, 2)}
+    files = {p: q for p, q in files.items() if p.resolve() not in written}
+    owner: dict = {}
+    for p, q in files.items():
+        if q and owner.setdefault(q, p) != p:
+            raise DocumentError(f"{owner[q]} and {p} would both write {q}.d1.json and .d2.json")
+    return files
+
+
 def cmd_classify(args) -> int:
     out = _Output(args.json)
-    if args.batch:
-        results = []
-        worst = 0
-        try:  # a missing path or a plain file cannot be listed
-            paths = list(Path(args.graph).iterdir())
-        except OSError as exc:
-            raise DocumentError(f"cannot list {args.graph}: {exc.strerror}") from None
-        files = sorted(p for p in paths if p.suffix in (".graph", ".json", ".txt"))
-        if not files:
-            raise DocumentError(f"no graph documents found in {args.graph}")
-        for p in files:
-            sub = _Output(args.json)
-            prefix = f"{args.cert_out}.{p.stem}" if args.cert_out else None
-            code = _classify_one(str(p), sub, prefix)
-            worst = max(worst, code)
-            results.append(sub.data)
-            out.lines.extend(sub.lines)
-        out.put(results=results)
-        return out.flush(worst)
-    code = _classify_one(args.graph, out, args.cert_out)
-    return out.flush(code)
+    if not Path(args.graph).is_dir():
+        return out.flush(_classify_one(args.graph, out, args.cert_out))
+    prefixes = _batch(args.graph, args.cert_out)
+    if not prefixes:
+        raise DocumentError(f"no graph documents found in {args.graph}")
+    results = []
+    worst = 0
+    for p, prefix in prefixes.items():
+        sub = _Output(args.json)
+        worst = max(worst, _classify_one(str(p), sub, prefix))
+        results.append(sub.data)
+        out.lines.extend(sub.lines)
+    out.put(results=results)
+    return out.flush(worst)
 
 
 # -- other commands ------------------------------------------------------------------
@@ -291,46 +307,33 @@ def cmd_lift(args) -> int:
     from .documents import (
         FrameworkDocument,
         GraphDocument,
+        parse_document,
         serialize_framework_document,
         serialize_graph_document,
     )
 
     out = _Output(args.json)
-    fw = None
-    if args.framework:
-        fw, _ = _read_framework(args.framework)
+    doc = parse_document(_read_text(args.document))
+    if isinstance(doc, FrameworkDocument):
+        fw, _ = doc.to_framework()
         g = fw.graph
-        if args.graph != args.framework:
-            other = _read_graph(args.graph)
-            mine = {e.orbit_key() for e in g.edges}
-            theirs = {e.orbit_key() for e in other.edges}
-            if g.vertices != other.vertices or mine != theirs:
-                raise DocumentError("framework and graph documents disagree")
     else:
         if args.svg:
-            raise DocumentError("--svg needs --framework for coordinates")
-        g = _read_graph(args.graph)
+            raise DocumentError("--svg needs a framework document for coordinates")
+        fw, g = None, doc.to_graph()
     window = g.lift_window(args.start, args.end)
     order = sorted(window.vertices)
     index = {vs: i for i, vs in enumerate(order, start=1)}
-    lines = [f"# lift window of {args.graph} for shifts {args.start}..{args.end}"]
+    lines = [f"# lift window of {args.document} for shifts {args.start}..{args.end}"]
     for (v, s), i in sorted(index.items(), key=lambda kv: kv[1]):
         lines.append(f"# vertex {i} = orbit {v}, shift {s}")
-    gdoc = GraphDocument(
-        len(order),
-        tuple(
-            (index[a], index[b], 0)
-            for a, b in sorted(tuple(sorted(e)) for e in window.edges)
-        ),
-        name=None,
-    )
+    edges = sorted((*sorted(index[x] for x in e), 0) for e in window.edges)
+    gdoc = GraphDocument(len(order), tuple(edges))
     if fw is None:
         body = serialize_graph_document(gdoc, as_json=args.json)
     else:
-        positions = tuple(
-            (index[(v, s)], tuple(float(c) for c in fw.position(v) + s * fw.lattice))
-            for (v, s) in order
-        )
+        positions = tuple((i, tuple(map(float, fw.position(v) + s * fw.lattice)))
+                          for i, (v, s) in enumerate(order, start=1))
         fdoc = FrameworkDocument(gdoc, fw.dim, positions, tuple(float(c) for c in fw.lattice))
         body = serialize_framework_document(fdoc, as_json=args.json)
         if args.svg:
@@ -517,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="decide 1- and 2-realizability with certificates")
-    p.add_argument("graph", help="graph document (or a directory with --batch)")
-    p.add_argument("--batch", action="store_true", help="classify every document in a directory")
+    p.add_argument("graph", help="graph document, or a directory: classify each document in it")
     p.add_argument("--cert-out", help="prefix for emitted certificate files")
     p.set_defaults(func=cmd_classify)
 
@@ -548,11 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flatten)
 
     p = sub.add_parser("lift", help="materialize a finite window of the periodic lift")
-    p.add_argument("graph")
+    p.add_argument("document", help="graph document, or framework document for positions")
     p.add_argument("--from", dest="start", type=int, required=True, metavar="SHIFT")
     p.add_argument("--to", dest="end", type=int, required=True, metavar="SHIFT")
-    p.add_argument("--framework", help="framework document supplying coordinates")
-    p.add_argument("--svg", help="write a drawing here (2-dimensional frameworks)")
+    p.add_argument("--svg", help="write a drawing here (2-dimensional framework documents)")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("verify-cert", help="replay a certificate emitted by classify")

@@ -64,18 +64,15 @@ class _GraphFields(NamedTuple):
     vertex_count: int
     edges: tuple  # of (tail, head, label)
     name: str | None = None
-    version: str = VERSION
 
 
 class GraphDocument(_GraphFields):
-    """The tuple ``(vertex_count, edges, name, version)``.  A subclass of the
+    """The tuple ``(vertex_count, edges, name)``.  A subclass of the
     NamedTuple, so that ``edge_lines``, the line of each edge in a text
-    document, can be an attribute outside the tuple and out of equality."""
+    document, can be an attribute outside the tuple and out of equality:
+    the reader sets it, and other documents and copies have none."""
 
-    def __new__(cls, vertex_count, edges, name=None, version=VERSION, edge_lines=()):
-        doc = super().__new__(cls, vertex_count, edges, name, version)
-        doc.edge_lines = edge_lines
-        return doc
+    edge_lines: tuple = ()
 
     def to_graph(self) -> GainGraph:
         try:
@@ -87,10 +84,10 @@ class GraphDocument(_GraphFields):
             raise DocumentError("simplicity violation: " + "; ".join(parts)) from exc
 
     @classmethod
-    def from_graph(cls, g: GainGraph, name: str | None = None) -> "GraphDocument":
-        """The document of g on vertices 1..n, numbered in g.vertices order."""
+    def from_graph(cls, g: GainGraph) -> "GraphDocument":
+        """The unnamed document of g on vertices 1..n, numbered in g.vertices order."""
         index = {v: i for i, v in enumerate(g.vertices, start=1)}
-        return cls(g.n, tuple((index[e.tail], index[e.head], e.label) for e in g.edges), name)
+        return cls(g.n, tuple((index[e.tail], index[e.head], e.label) for e in g.edges))
 
 
 class FrameworkDocument(NamedTuple):
@@ -109,20 +106,13 @@ class FrameworkDocument(NamedTuple):
         return fw, None if self.stress is None else _stress_vector(g, self.stress)
 
     @classmethod
-    def from_framework(
-        cls,
-        fw: QuotientFramework,
-        stress: StressVector | None = None,
-        name: str | None = None,
-    ) -> "FrameworkDocument":
-        """The document of fw, its vertices numbered 1..n as in from_graph."""
+    def from_framework(cls, fw: QuotientFramework) -> "FrameworkDocument":
+        """The unnamed, unstressed document of fw, its vertices numbered
+        1..n as in from_graph."""
         g = fw.graph
         positions = tuple((i, tuple(map(float, fw.position(v))))
                           for i, v in enumerate(g.vertices, start=1))
-        items = None if stress is None else tuple(
-            (i, stress.weights[e.id]) for i, e in enumerate(g.edges, 1)) + (("L", stress.lattice),)
-        return cls(GraphDocument.from_graph(g, name), fw.dim, positions,
-                   tuple(map(float, fw.lattice)), items)
+        return cls(GraphDocument.from_graph(g), fw.dim, positions, tuple(map(float, fw.lattice)))
 
 
 def _stress_vector(g: GainGraph, items) -> StressVector:
@@ -257,8 +247,8 @@ def _read(data: dict, edge_lines: list, kinds: tuple):
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError(f"name must be text, got {name!r}")
-    graph = GraphDocument(n, tuple(map(tuple, edges)), " ".join((name or "").split()) or None,
-                          VERSION, tuple(edge_lines))
+    graph = GraphDocument(n, tuple(map(tuple, edges)), " ".join((name or "").split()) or None)
+    graph.edge_lines = tuple(edge_lines)
     if kind == GRAPH_MAGIC:
         return graph
     d = _integer(data["dimension"], "dimension", least=1)
@@ -281,10 +271,15 @@ def _read(data: dict, edge_lines: list, kinds: tuple):
     return FrameworkDocument(graph, d, tuple(sorted(pos.items())), lattice, stress)
 
 
+def parse_document(text: str) -> GraphDocument | FrameworkDocument:
+    """A graph or a framework document, as its kind says."""
+    return _read(*_twin(text), (GRAPH_MAGIC, FRAMEWORK_MAGIC))
+
+
 def parse_graph_document(text: str) -> GraphDocument:
     """A graph document, or the graph part of a framework document (whose
     other fields are checked all the same)."""
-    doc = _read(*_twin(text), (GRAPH_MAGIC, FRAMEWORK_MAGIC))
+    doc = parse_document(text)
     return doc.graph if isinstance(doc, FrameworkDocument) else doc
 
 
@@ -313,7 +308,7 @@ def _render(doc, as_json: bool) -> str:
     twin, and per edge, position and stress entry."""
     fw = doc if isinstance(doc, FrameworkDocument) else None
     g = fw.graph if fw else doc
-    twin = {"kind": FRAMEWORK_MAGIC if fw else GRAPH_MAGIC, "version": g.version,
+    twin = {"kind": FRAMEWORK_MAGIC if fw else GRAPH_MAGIC, "version": VERSION,
             "name": g.name or None, "dimension": fw and fw.dimension,
             "vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
     if fw:

@@ -522,13 +522,13 @@ class GainGraph:
         self.edge(eid)
         return GainGraph(self.vertices, [f.inverted() if f.id == eid else f for f in self.edges])
 
-    def contract_edge(self, eid: int, survivor: int | None = None) -> "GainGraph":
-        """Contract a non-loop: switch its head by its label, merge the other
-        end into ``survivor`` (the smaller end by default), and keep the
-        smallest id of each orbit (deterministic; any choice gives an
-        isomorphic graph).  No edge becomes a zero-label loop: one parallel
-        to the contracted edge lies in another orbit, so keeps a nonzero gain."""
-        return self.minor([("contract_edge", eid, survivor)])
+    def contract_edge(self, eid: int) -> "GainGraph":
+        """Contract a non-loop: switch its head by its label, merge the larger
+        end into the smaller, and keep the smallest id of each orbit
+        (deterministic; any choice gives an isomorphic graph).  No edge
+        becomes a zero-label loop: one parallel to the contracted edge lies
+        in another orbit, so keeps a nonzero gain."""
+        return self.minor([("contract_edge", eid, None)])
 
     def minor(self, ops) -> "GainGraph":
         """Apply ``(kind, target, survivor)`` ops, kinds from ``OP_KINDS``,

@@ -282,15 +282,14 @@ def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
     return reaches, strip, reaches(*(_strip(*root) if strip else root))
 
 
-def has_minor(host: GainGraph, pattern: MinorPattern,
-              max_vertices: int = DEFAULT_VERTEX_BOUND,
-              max_edges: int = DEFAULT_EDGE_BOUND) -> MinorWitness | None:
-    """Complete search for a pattern minor; returns a witness that replays.
+def has_minor(host: GainGraph, pattern: MinorPattern) -> MinorWitness | None:
+    """Complete search for a pattern minor within the ``DEFAULT_*_BOUND``
+    sizes; returns a witness that replays.
 
     The witness is the greedy path described in the module docstring.  A
     step's index names an edge, since ``orbit_state`` keeps edge order."""
     try:
-        reaches, strip, found = _search(host, (pattern,), max_vertices, max_edges)
+        reaches, strip, found = _search(host, (pattern,), DEFAULT_VERTEX_BOUND, DEFAULT_EDGE_BOUND)
         if not found:
             return None
         ops, g = [], host

@@ -144,19 +144,49 @@ def test_forest_certificates_differ_only_in_dimension(tmp_path, capsys, monkeypa
 def test_classify_batch(tmp_path, capsys):
     (tmp_path / "a.graph").write_text(K2)
     (tmp_path / "b.graph").write_text(COUNTEREXAMPLE_C)
-    code, out_text = run(capsys, "--json", "classify", tmp_path, "--batch")
+    code, out_text = run(capsys, "--json", "classify", tmp_path)
     assert code == 1
     data = json.loads(out_text)
     assert len(data["results"]) == 2
 
 
-@pytest.mark.parametrize("name", ["absent", "plain.graph"])
+@pytest.mark.parametrize("name", ["absent"])
 def test_classify_batch_needs_a_directory(tmp_path, capsys, name):
-    (tmp_path / "plain.graph").write_text(K2)
     path = tmp_path / name
-    assert main(["classify", str(path), "--batch"]) == 2
+    assert main(["classify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and str(path) in err
+
+
+def test_classify_batch_refuses_documents_sharing_a_stem(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text(K2)
+    (tmp_path / "a.json").write_text(json.dumps({"kind": "gaingraph", "vertices": 2,
+                                                 "edges": [[1, 2, 1]]}))
+    prefix = tmp_path / "c"
+    assert main(["classify", str(tmp_path), "--cert-out", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error")
+    assert str(tmp_path / "a.graph") in err and str(tmp_path / "a.json") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.graph", "a.json"]
+    # Without certificates nothing is overwritten.
+    assert main(["classify", str(tmp_path)]) == 0
+
+
+def test_classify_batch_rerun_skips_its_own_certificates(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text(K2)
+    (tmp_path / "b.graph").write_text(COUNTEREXAMPLE_C)
+    argv = ["--json", "classify", str(tmp_path), "--cert-out", str(tmp_path / "c")]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 1
+        runs.append(json.loads(capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert [r["graph"] for r in runs[1]["results"]] == [str(tmp_path / n)
+                                                        for n in ("a.graph", "b.graph")]
+    for stem in ("a", "b"):
+        for dim in (1, 2):
+            cert = tmp_path / f"c.{stem}.d{dim}.json"
+            assert main(["verify-cert", str(tmp_path / f"{stem}.graph"), str(cert)]) == 0
 
 
 def test_stress_exact_output(ladder_file, capsys):
@@ -244,13 +274,19 @@ def test_lift_window_disjoint_edges(tmp_path, capsys):
 
 def test_lift_with_framework_and_svg(ladder_file, tmp_path, capsys):
     svg = tmp_path / "win.svg"
-    code, out_text = run(
-        capsys, "lift", ladder_file, "--from", 0, "--to", 1,
-        "--framework", ladder_file, "--svg", svg,
-    )
+    code, out_text = run(capsys, "lift", ladder_file, "--from", 0, "--to", 1, "--svg", svg)
     assert code == 0
     assert svg.read_text().startswith("<svg")
     assert "position" in out_text
+
+
+def test_lift_svg_needs_a_framework_document(tmp_path, capsys):
+    p = tmp_path / "k2.graph"
+    p.write_text(K2)
+    svg = tmp_path / "win.svg"
+    assert main(["lift", str(p), "--from", "0", "--to", "1", "--svg", str(svg)]) == 2
+    assert "--svg needs a framework document" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_lift_window_over_the_bound_exits_three(tmp_path, capsys):
@@ -383,15 +419,6 @@ def test_document_read_by_declared_kind(tmp_path, capsys, name, text):
     code, out_text = run(capsys, "classify", p)
     assert code in (0, 1)
     assert "2-realizable:" in out_text
-
-
-def test_lift_accepts_edge_written_inverted(ladder_file, tmp_path, capsys):
-    # The ladder's edges, each written the other way round with the label negated.
-    g = tmp_path / "inverted.graph"
-    g.write_text("gaingraph v1\nvertices 3\nedge 2 1 0\nedge 1 3 0\nedge 1 3 -1\n"
-                 "edge 2 3 0\nedge 2 3 -1\n")
-    code, _ = run(capsys, "lift", g, "--from", 0, "--to", 1, "--framework", ladder_file)
-    assert code == 0
 
 
 # A triangle with its 1-2 pair doubled: 2-realizable, and not 1-realizable
@@ -899,6 +926,8 @@ def test_graph_commands_do_not_import_numpy(ladder_file, tmp_path):
         ("verify-cert", str(graph), cert + ".d1.json"): [0, [], CERTIFICATE_PATH, []],
         ("verify-cert", str(graph), cert + ".d2.json"): [0, [], CERTIFICATE_PATH, []],
         ("lift", str(graph), "--from", "0", "--to", "1"): [0, [], GRAPH_PATH, []],
+        ("lift", str(ladder_file), "--from", "0", "--to", "1"):
+            [0, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
         ("stress", str(ladder_file)): [0, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
         ("superstable", str(ladder_file)): [0, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
         ("flatten", str(ladder_file)): [1, [], FRAMEWORK_PATH, ["numpy", "inspect"]],
@@ -910,6 +939,21 @@ def test_graph_commands_do_not_import_numpy(ladder_file, tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen[argv] = json.loads(proc.stdout)
     assert seen == expected
+
+
+def test_cli_annotations_resolve_as_a_type_checker_reads_them(monkeypatch):
+    # A fresh copy of the module, run with its TYPE_CHECKING imports.
+    import importlib.util
+    import inspect
+    import typing
+
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.find_spec("realdim.cli")
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+    for fn in vars(cli).values():
+        if inspect.isfunction(fn) and fn.__module__ == cli.__name__:
+            typing.get_type_hints(fn)
 
 
 def test_star_import_binds_every_public_name():

@@ -3,6 +3,7 @@ import pytest
 from realdim.documents import (
     FrameworkDocument,
     GraphDocument,
+    parse_document,
     parse_framework_document,
     parse_graph_document,
     parse_weights_document,
@@ -37,7 +38,7 @@ stress L -1
 
 
 def test_graph_document_roundtrip_text():
-    doc = GraphDocument.from_graph(ladder_graph(), name="ladder")
+    doc = GraphDocument.from_graph(ladder_graph())._replace(name="ladder")
     text = serialize_graph_document(doc)
     back = parse_graph_document(text)
     assert back == doc
@@ -51,7 +52,10 @@ def test_graph_document_roundtrip_json():
 
 
 def test_framework_document_roundtrip_both_ways():
-    doc = FrameworkDocument.from_framework(ladder_framework(), ladder_stress(), "worked-example")
+    doc = FrameworkDocument.from_framework(ladder_framework())
+    stress = ladder_stress()
+    doc = doc._replace(graph=doc.graph._replace(name="worked-example"),
+                       stress=(*stress.weights.items(), ("L", stress.lattice)))
     for as_json in (False, True):
         text = serialize_framework_document(doc, as_json=as_json)
         back = parse_framework_document(text)
@@ -72,6 +76,13 @@ def test_duplicate_edges_error_names_lines():
     with pytest.raises(DocumentError) as err:
         doc.to_graph()
     assert "lines 3, 4" in str(err.value)
+
+
+def test_copies_of_a_graph_document_have_no_edge_lines():
+    doc = parse_graph_document("gaingraph v1\nvertices 2\nedge 1 1 0\n")
+    for copy in (doc._replace(name="y"), GraphDocument._make(doc)):
+        with pytest.raises(DocumentError, match="selfloop 1 at 1 has label 0$"):
+            copy.to_graph()
 
 
 def test_zero_lattice_rejected():
@@ -149,6 +160,8 @@ def test_graph_reader_takes_the_graph_part_of_a_framework():
     with pytest.raises(DocumentError):
         parse_framework_document(serialize_graph_document(lone, as_json=True))
     assert parse_graph_document(LADDER_TEXT) == parse_framework_document(LADDER_TEXT).graph
+    assert parse_document(serialize_graph_document(lone)) == lone
+    assert parse_document(LADDER_TEXT) == parse_framework_document(LADDER_TEXT)
     with pytest.raises(DocumentError, match="position of vertex 1"):
         parse_graph_document(LADDER_TEXT.replace("position 1 4 0", "position 1 4 nan"))
 
