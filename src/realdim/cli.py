@@ -176,7 +176,10 @@ def cmd_classify(args) -> int:
     worst = 0
     for p, prefix in prefixes.items():
         sub = _Output(args.json)
-        worst = max(worst, _classify_one(str(p), sub, prefix))
+        try:
+            worst = max(worst, _classify_one(str(p), sub, prefix))
+        except DocumentError as exc:
+            raise DocumentError(f"{p}: {exc}") from None
         results.append(sub.data)
         out.lines.extend(sub.lines)
     out.put(results=results)

@@ -10,9 +10,13 @@ It searches states ``(n, orbit keys)`` on vertices 1..n, as
 tuples: delete a key, delete an isolated vertex, or contract a non-loop,
 which shifts the gains at the merged vertex, drops zero loops and merges
 equal orbits.  Successors below the patterns' vertex or edge minimum are
-dropped; the rest are canonicalized (:func:`graphs.canonical_state`,
-the least encoding over BFS vertex orderings that branch only where a
-vertex invariant ties), each distinct sorted state once, and whether
+dropped, and so are those whose cycle rank m - n + c (a selfloop counts
+as an edge, an isolated vertex as a component) is below the least rank
+of the patterns: deleting an edge or an isolated vertex, contracting a
+non-loop and stripping never raise it.  The rest are canonicalized
+(:func:`graphs.canonical_state`, the least encoding over BFS vertex
+orderings that branch only where a vertex invariant ties), each
+distinct sorted state once, and whether
 the patterns are reachable from each class is kept too.  Both tables
 are LRU caches that every query shares, trimmed to a fixed size after
 each query so that one query expands a class once.  When no pattern has
@@ -37,7 +41,8 @@ matched by shape predicates because they are closed under isomorphism.
 
 Finite-graph checks read a neighbour map, a loopless ``{vertex:
 neighbours}`` mapping: a cycle test for a K3 minor, series-parallel
-reduction (:func:`graphs.has_k4_minor`) for K4, and branch sets for K5, K222.
+reduction (:func:`graphs.has_k4_minor`) for K4, and branch sets for K5, K222,
+searched only when the map's cycle rank reaches the pattern's (6 and 7).
 """
 
 from __future__ import annotations
@@ -220,6 +225,24 @@ def _drop(triples, x: int) -> list:
     return [(a - (a > x), b - (b > x), z) for a, b, z in triples]
 
 
+def _cycle_rank(triples) -> int:
+    """m - n + c of a graph given by its edges ``(a, b, label)``, a selfloop
+    counting as an edge and an isolated vertex as a component: the number
+    of edges whose ends the earlier ones already join.  No minor step
+    raises it."""
+    up, rank = {}, 0
+    for a, b, _ in triples:
+        while a in up:
+            a = up[a]
+        while b in up:
+            b = up[b]
+        if a == b:
+            rank += 1
+        else:
+            up[a] = b
+    return rank
+
+
 def _strip(n: int, triples):
     """Delete the selfloops, then the isolated vertices, renumbering 1..k."""
     triples = [t for t in triples if t[0] != t[1]]
@@ -257,11 +280,13 @@ def _search(host: GainGraph, patterns, max_vertices: int, max_edges: int):
         )
     need_v = min(p.min_vertices() for p in patterns)
     need_e = min(p.min_edges() for p in patterns)
+    need_r = min(p.min_edges() - p.min_vertices() + 1 if p.graph is None
+                 else _cycle_rank(p._key[1][1]) for p in patterns)
     strip = all(p._strips for p in patterns)
     patterns_key = tuple(p._key for p in patterns)
 
     def reaches(n: int, triples) -> bool:
-        if n < need_v or len(triples) < need_e:
+        if n < need_v or len(triples) < need_e or _cycle_rank(triples) < need_r:
             return False
         raw = n, tuple(sorted(triples))
         state = _CANON.get(raw)
@@ -343,10 +368,11 @@ def _has_simple_minor_branch_sets(adj: Mapping, pattern: str) -> bool:
     needs a complete class graph, K222 needs the non-adjacent class pairs
     to form a matching.
     """
-    k = 5 if pattern == "K5" else 6
+    k, rank = (5, 6) if pattern == "K5" else (6, 7)
     verts = sorted(adj)
     n = len(verts)
-    if n < k:
+    # A simple map on fewer than k vertices is below the rank too.
+    if _cycle_rank((v, w, None) for v in verts for w in adj[v] if v < w) < rank:
         return False
 
     def class_graph_ok(class_adj, used):

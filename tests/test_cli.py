@@ -189,6 +189,17 @@ def test_classify_batch_rerun_skips_its_own_certificates(tmp_path, capsys):
             assert main(["verify-cert", str(tmp_path / f"{stem}.graph"), str(cert)]) == 0
 
 
+def test_classify_batch_names_the_malformed_document(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text(K2)
+    (tmp_path / "b.json").write_text(json.dumps({"kind": "gaingraph", "edges": [[1, 2, 1]]}))
+    assert main(["classify", str(tmp_path), "--cert-out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {tmp_path / 'b.json'}: ")
+    assert "vertices" in err and "Traceback" not in err
+    # What the documents before it wrote stays written.
+    assert (tmp_path / "c.a.d1.json").exists() and (tmp_path / "c.a.d2.json").exists()
+
+
 def test_stress_exact_output(ladder_file, capsys):
     code, out_text = run(capsys, "stress", ladder_file)
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter, OrderedDict, deque
@@ -21,7 +22,7 @@ from realdim.minors import (
     has_minor,
 )
 from realdim.randgen import random_isomorphic_copy, random_simple_gain_graph
-from realdim.realizability import is_2_realizable
+from realdim.realizability import is_2_realizable, realizable_dimension_bounds
 from test_acceptance import random_minor_operation
 from test_graphs import components, counterexample_c, k3_zero, k4_zero, ladder_graph
 
@@ -475,7 +476,7 @@ def test_a_query_expands_each_class_once_whatever_the_cap(monkeypatch):
     monkeypatch.setattr(minors, "_CACHE", OrderedDict())
     monkeypatch.setattr(minors, "_CACHE_SIZE", 1)
     # A balanced fan is 2-realizable, so the search visits every class.
-    fan = GainGraph.of(6, [(1, i, 0) for i in range(2, 7)] + [(i, i + 1, 0) for i in range(2, 6)])
+    fan = GainGraph.of(8, [(1, i, 0) for i in range(2, 9)] + [(i, i + 1, 0) for i in range(2, 8)])
     assert not contains_forbidden(fan, 2)
     assert len(expanded) > 50 and max(expanded.values()) == 1
     assert len(minors._CACHE) == 1
@@ -496,6 +497,71 @@ def test_sparse_eight_vertex_host_answers_quickly(monkeypatch):
     assert found is False
     assert found == (not is_2_realizable(h).answer)
     assert min(times) < 0.5, times
+
+
+def test_ten_vertex_reroute_host_answers_quickly(monkeypatch):
+    # The host of test_unbalanced_rest_routing_that_must_reroute: most of
+    # its minors are trees and unicyclic graphs, which the rank prune drops.
+    h = GainGraph.of(10, [
+        (1, 2, 0), (1, 2, 1), (1, 3, 0), (2, 4, 0), (2, 5, 0), (3, 4, 0), (4, 6, 0),
+        (6, 7, 0), (6, 8, 0), (7, 8, 1), (5, 9, 0), (9, 10, 0), (10, 7, 0),
+    ])
+    times = []
+    for _ in range(3):
+        monkeypatch.setattr(minors, "_CACHE", OrderedDict())
+        monkeypatch.setattr(minors, "_CANON", OrderedDict())
+        start = time.perf_counter()
+        found = contains_forbidden(h, 2, max_vertices=10)
+        times.append(time.perf_counter() - start)
+    assert found is True
+    assert min(times) < 0.5, times
+
+
+def random_state(rng):
+    return random_simple_gain_graph(rng, max_vertices=6, max_edges=10).orbit_state()
+
+
+def test_no_search_step_raises_the_cycle_rank():
+    rng = random.Random(59)
+    shapes = Counter()
+    for _ in range(2000):
+        n, triples = random_state(rng)
+        shapes["loop"] += any(a == b for a, b, _ in triples)
+        shapes["isolated"] += n > len({v for t in triples for v in t[:2]})
+        rank = minors._cycle_rank(triples)
+        assert rank == len(triples) - n + len(components(
+            range(1, n + 1), [(a, b) for a, b, _ in triples if a != b]))
+        for strip in (False, True):
+            for kind, k, (_, rest) in minors._steps(n, triples, strip):
+                shapes[kind] += 1
+                assert minors._cycle_rank(rest) <= rank, (n, triples, kind, k, strip)
+    assert min(shapes.values()) >= 300, shapes
+
+
+def test_the_rank_prune_changes_no_answer_and_no_witness(monkeypatch):
+    rng = random.Random(61)
+    cases, kinds = [], set()
+    for _ in range(300):
+        g = random_simple_gain_graph(rng, max_vertices=6, max_edges=8)
+        p = MinorPattern.exact(random_simple_gain_graph(rng, max_vertices=3, max_edges=3))
+        if any(e.is_loop for e in p.graph.edges):
+            kinds.add("loop")
+        if p.graph.n > len({v for e in p.graph.edges for v in (e.tail, e.head)}):
+            kinds.add("isolated")
+        cases.append((g, NAMED_PATTERNS + (p,)))
+    assert kinds == {"loop", "isolated"}
+
+    def answers():
+        monkeypatch.setattr(minors, "_CACHE", OrderedDict())
+        monkeypatch.setattr(minors, "_CANON", OrderedDict())
+        return [(contains_forbidden(g, 1), contains_forbidden(g, 2),
+                 [None if (w := has_minor(g, p)) is None else w.ops for p in patterns])
+                for g, patterns in cases]
+
+    pruned = answers()
+    monkeypatch.setattr(minors, "_cycle_rank", lambda triples: math.inf)
+    assert answers() == pruned
+    assert {found[:2] for found in pruned} == {(False, False), (True, False), (True, True)}
 
 
 def test_pattern_match_keeps_the_canonical_form_bound():
@@ -543,6 +609,46 @@ def test_finite_rd_upper3_values():
     assert finite_rd_upper3(neighbour_map((1, 2), ())) == 0
     assert finite_rd_upper3(complete_simple(4)) == 3
     assert finite_rd_upper3(complete_simple(5)) == ">=4"
+
+
+def test_the_rank_check_changes_no_finite_answer(monkeypatch):
+    # The wheels W4-W9, then random simple graphs on 5-8 vertices; on 9 or
+    # 10, a branch-set search that finds no minor can take a second.
+    rng = random.Random(67)
+    shapes = [(k + 1, [(1, v) for v in range(2, k + 2)]
+               + [(v, v % k + 2) for v in range(2, k + 2)]) for k in range(4, 10)]
+    for _ in range(60):
+        n, p = rng.randint(5, 8), rng.choice((0.3, 0.45, 0.6))
+        shapes.append((n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                           if rng.random() < p]))
+    maps = [neighbour_map(range(1, n + 1), pairs) for n, pairs in shapes]
+    graphs = [GainGraph.of(n, [(a, b, (3 * j) % 5 - 2) for j, (a, b) in enumerate(pairs)])
+              for n, pairs in shapes]
+    searched = {}
+    branch_sets = minors._has_simple_minor_branch_sets
+
+    def shared(adj, pattern):
+        # Both callers search the same maps, and W9's searches take a
+        # second; the key keeps the runs with and without the check apart.
+        key = minors._cycle_rank, pattern, frozenset((v, frozenset(adj[v])) for v in adj)
+        if key not in searched:
+            searched[key] = branch_sets(adj, pattern)
+        return searched[key]
+
+    def answers():
+        return [(finite_rd_upper3(adj), realizable_dimension_bounds(g))
+                for adj, g in zip(maps, graphs)]
+
+    monkeypatch.setattr(minors, "_has_simple_minor_branch_sets", shared)
+    checked = answers()
+    ranks = [minors._cycle_rank((v, w, None) for v in adj for w in adj[v] if v < w)
+             for adj in maps]
+    monkeypatch.setattr(minors, "_cycle_rank", lambda triples: math.inf)
+    assert answers() == checked
+    # A K4 minor sends the map on to the K5 and K222 searches, which the
+    # check ends at once below rank 6 and 7.
+    assert sum(f == 3 and r < 7 for (f, _), r in zip(checked, ranks)) >= 10
+    assert sum(f == ">=4" and b.lower == 4 for f, b in checked) >= 5
 
 
 def test_series_parallel_reduction_on_theta():
