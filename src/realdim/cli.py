@@ -178,8 +178,9 @@ def cmd_classify(args) -> int:
         sub = _Output(args.json)
         try:
             worst = max(worst, _classify_one(str(p), sub, prefix))
-        except DocumentError as exc:
-            raise DocumentError(f"{p}: {exc}") from None
+        except RealdimError as exc:  # named, and of the same class for the exit code
+            exc.args = (f"{p}: {exc}",)
+            raise
         results.append(sub.data)
         out.lines.extend(sub.lines)
     out.put(results=results)

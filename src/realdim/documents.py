@@ -144,14 +144,16 @@ def _number(token: str):
 
 
 def _twin(text: str):
-    """A document's JSON twin, and the line number of each edge of a text
-    document, whose first line may be a '<kind> v1' header."""
+    """A document's JSON twin, and the lines of a text document's entries:
+    ``{"edges": [line of each edge], "positions" and "stress": {key:
+    line}}``.  A text document's first line may be a '<kind> v1' header."""
+    lines = {"edges": [], "positions": {}, "stress": {}}
     if text.lstrip().startswith("{"):
         try:
-            return json.loads(text), []
+            return json.loads(text), lines
         except (ValueError, RecursionError) as exc:
             raise DocumentError(f"invalid JSON: {exc}") from None
-    data, edge_lines = {}, []
+    data = {}
     for lineno, (word, *args) in _logical_lines(text):
         if word in _FIELDS and not data:
             if len(args) != 1:
@@ -166,11 +168,12 @@ def _twin(text: str):
         values = [_number(t) for t in args]
         if word == "edge":
             data.setdefault(key, []).append(values)
-            edge_lines.append(lineno)
+            lines[key].append(lineno)
             continue
         slot = data
         if word in ("position", "stress"):
             slot = data.setdefault(key, {})
+            lines[key][args[0]] = lineno
             key, values = args[0], values[1] if word == "stress" else values[1:]
         elif word == "name":
             values = " ".join(args)
@@ -180,7 +183,7 @@ def _twin(text: str):
             raise DocumentError(f"duplicate {word} {args[0] if slot is not data else 'line'}",
                                 line=lineno)
         slot[key] = values
-    return data, edge_lines
+    return data, lines
 
 
 def _integer(x, what: str, line=None, least=None) -> int:
@@ -190,37 +193,40 @@ def _integer(x, what: str, line=None, least=None) -> int:
     return x
 
 
-def _floats(values, what: str, count: int) -> tuple:
+def _floats(values, what: str, count: int, line=None) -> tuple:
     """A list of count finite reals (exact ints or finite floats, not bools) as floats."""
     if not isinstance(values, list) or len(values) != count:
-        raise DocumentError(f"{what} must be a list of {count} numbers, got {values!r}")
+        raise DocumentError(f"{what} must be a list of {count} numbers, got {values!r}", line=line)
     for x in values:
         if not (type(x) is int or type(x) is float and math.isfinite(x)):
-            raise DocumentError(f"{what} must be a finite real, got {x!r}")
+            raise DocumentError(f"{what} must be a finite real, got {x!r}", line=line)
     try:
         return tuple(map(float, values))
     except OverflowError:
-        raise DocumentError(f"{what} is too large for a float") from None
+        raise DocumentError(f"{what} is too large for a float", line=line) from None
 
 
-def _stress_items(stress, m: int) -> tuple:
-    """The entries of a stress record: (k, weight) for each of e1..e<m>, ("L", weight)."""
+def _stress_items(stress, m: int, lines: dict) -> tuple:
+    """The entries of a stress record: (k, weight) for each of e1..e<m>,
+    ("L", weight); errors in a text entry name its line."""
     if not isinstance(stress, dict):
         raise DocumentError(f"stress must map e<k> and L to weights, got {stress!r}")
     index = {**{f"e{k}": k for k in range(1, m + 1)}, "L": "L"}
     for key, value in stress.items():
         if key not in index:
-            raise DocumentError(f"stress key must be e1..e{m} or L, got {key!r}")
-        _floats([value], f"stress {key}", 1)  # a finite real that fits a float
+            raise DocumentError(f"stress key must be e1..e{m} or L, got {key!r}",
+                                line=lines.get(key))
+        _floats([value], f"stress {key}", 1, lines.get(key))  # a finite real that fits a float
     missing = [key for key in index if key not in stress]
     if missing:
         raise DocumentError(f"stress record misses entries {missing}")
     return tuple((index[key], value) for key, value in stress.items())
 
 
-def _read(data: dict, edge_lines: list, kinds: tuple):
+def _read(data: dict, lines: dict, kinds: tuple):
     """The GraphDocument or FrameworkDocument a twin describes, its fields
-    checked; errors in a text document's edges name their lines."""
+    checked; errors in a text document's edges, positions and stress
+    entries name their lines."""
     kind = data.get("kind")
     if kind not in kinds:
         raise DocumentError(f"expected a '{kinds[0]} {VERSION}' document, got kind {kind!r}")
@@ -233,7 +239,7 @@ def _read(data: dict, edge_lines: list, kinds: tuple):
     if missing:
         raise DocumentError(f"{kind} document misses field {missing[0]!r}", field=missing[0])
     n = _integer(data["vertices"], "vertex count", least=0)
-    edges = data.get("edges", [])
+    edges, edge_lines = data.get("edges", []), lines["edges"]
     if not isinstance(edges, list):
         raise DocumentError(f"edges must be a list of [tail, head, label], got {edges!r}")
     for i, edge in enumerate(edges):
@@ -257,17 +263,19 @@ def _read(data: dict, edge_lines: list, kinds: tuple):
         raise DocumentError(f"positions must map vertices to coordinates, got {positions!r}")
     pos: dict = {}
     for key, coords in positions.items():
-        v = _integer(_number(key), "vertex")
+        line = lines["positions"].get(key)
+        v = _integer(_number(key), "vertex", line)
         if v in pos or not 1 <= v <= n:
-            raise DocumentError(f"position of vertex {v} repeats or is outside 1..{n}")
-        pos[v] = _floats(coords, f"position of vertex {v}", d)
+            raise DocumentError(f"position of vertex {v} repeats or is outside 1..{n}", line=line)
+        pos[v] = _floats(coords, f"position of vertex {v}", d, line)
     if len(pos) < n:
         missing = [v for v in range(1, n + 1) if v not in pos]
         raise DocumentError(f"missing positions for vertices {missing}")
     lattice = _floats(data["lattice"], "lattice", d)
     if not any(lattice):
         raise DocumentError("lattice vector must be nonzero")
-    stress = _stress_items(data["stress"], len(edges)) if "stress" in data else None
+    stress = (_stress_items(data["stress"], len(edges), lines["stress"])
+              if "stress" in data else None)
     return FrameworkDocument(graph, d, tuple(sorted(pos.items())), lattice, stress)
 
 
@@ -290,10 +298,10 @@ def parse_framework_document(text: str) -> FrameworkDocument:
 def parse_weights_document(text: str, g: GainGraph) -> StressVector:
     """A stress record on its own: 'stress e<k> <w>' lines plus 'stress L <w>',
     or a JSON object whose one field ``stress`` maps the same keys to weights."""
-    data, _ = _twin(text)
+    data, lines = _twin(text)
     if set(data) != {"stress"}:
         raise DocumentError(f"a weights document has the one field stress, got {sorted(data)}")
-    return _stress_vector(g, _stress_items(data["stress"], g.m))
+    return _stress_vector(g, _stress_items(data["stress"], g.m, lines["stress"]))
 
 
 # -- one writer -----------------------------------------------------------------------

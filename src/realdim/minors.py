@@ -41,8 +41,15 @@ matched by shape predicates because they are closed under isomorphism.
 
 Finite-graph checks read a neighbour map, a loopless ``{vertex:
 neighbours}`` mapping: a cycle test for a K3 minor, series-parallel
-reduction (:func:`graphs.has_k4_minor`) for K4, and branch sets for K5, K222,
-searched only when the map's cycle rank reaches the pattern's (6 and 7).
+reduction (:func:`graphs.has_k4_minor`) for K4, and for K5 and K222 a
+search that deletes vertices and contracts edges.  Both patterns have k
+= 5 or 6 vertices, all of degree four, so a map on k vertices has the
+pattern iff its minimum degree is four, and a smaller map never has it.
+A vertex of degree below four cannot be a branch set by itself, so while
+one exists the search only deletes the least-degree vertex or contracts
+it into each neighbour; otherwise it tries every vertex deletion and
+every edge contraction.  Each distinct map, keyed by its vertices and
+their neighbour sets so that isolated vertices count, is searched once.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ K3_BULLETBULLET = "k3-bulletbullet"
 
 DEFAULT_VERTEX_BOUND = 8
 DEFAULT_EDGE_BOUND = 16
-# Largest simple host whose K5 and K222 minors are searched by brute force.
+# Largest simple host whose K5 and K222 minors are searched.
 FINITE_MINOR_BOUND = 10
 
 
@@ -359,93 +366,45 @@ def contains_forbidden(host: GainGraph, dimension: int,
 
 # -- finite simple-graph checks ---------------------------------------------------
 
-def _has_simple_minor_branch_sets(adj: Mapping, pattern: str) -> bool:
-    """Branch-set search for K5 / K222 minors of a neighbour map.
+def _has_simple_minor(adj: Mapping, k: int) -> bool:
+    """Delete-or-contract search for a K5 (k = 5) or K222 (k = 6) minor of
+    a neighbour map, as the module docstring describes.  A map seen before
+    has no minor, since finding one ends the search."""
+    seen = set()
 
-    Vertices are assigned to pattern classes (or left unused) with classes
-    introduced in first-use order; a final check asks each class to be
-    connected and the class-adjacency graph to contain the pattern.  K5
-    needs a complete class graph, K222 needs the non-adjacent class pairs
-    to form a matching.
-    """
-    k, rank = (5, 6) if pattern == "K5" else (6, 7)
-    verts = sorted(adj)
-    n = len(verts)
-    # A simple map on fewer than k vertices is below the rank too.
-    if _cycle_rank((v, w, None) for v in verts for w in adj[v] if v < w) < rank:
-        return False
-
-    def class_graph_ok(class_adj, used):
-        missing = [
-            (i, j)
-            for i in range(used)
-            for j in range(i + 1, used)
-            if j not in class_adj[i]
-        ]
-        if pattern == "K5":
-            return not missing
-        deg = [0] * used
-        for i, j in missing:
-            deg[i] += 1
-            deg[j] += 1
-        return all(d <= 1 for d in deg)
-
-    def classes_connected(assign, used):
-        for c in range(used):
-            members = [v for v, a in assign.items() if a == c]
-            seen = {members[0]}
-            stack = [members[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if assign.get(w) == c and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(members):
-                return False
-        return True
-
-    def extend(idx, assign, used, class_adj):
-        remaining = n - idx
-        if used + remaining < k:
+    def reaches(g: dict) -> bool:
+        if len(g) <= k:
+            return len(g) == k and min(map(len, g.values())) >= 4
+        key = frozenset(g.items())
+        if key in seen:
             return False
-        if idx == n:
-            if used != k:
-                return False
-            return class_graph_ok(class_adj, used) and classes_connected(assign, used)
-        v = verts[idx]
-        nbr_classes = {assign[w] for w in adj[v] if w in assign}
-        choices = list(range(used)) + ([used] if used < k else [])
-        for c in choices:
-            assign[v] = c
-            if c == used:
-                class_adj.append(set())
-                new_used = used + 1
-            else:
-                new_used = used
-            added = [(c, d) for d in nbr_classes if d != c and d not in class_adj[c]]
-            for c1, c2 in added:
-                class_adj[c1].add(c2)
-                class_adj[c2].add(c1)
-            if extend(idx + 1, assign, new_used, class_adj):
-                return True
-            for c1, c2 in added:
-                class_adj[c1].discard(c2)
-                class_adj[c2].discard(c1)
-            if c == used:
-                class_adj.pop()
-            del assign[v]
-        # v unused
-        return extend(idx + 1, assign, used, class_adj)
+        seen.add(key)
+        v = min(g, key=lambda w: len(g[w]))
+        if len(g[v]) < 4:
+            steps = [(v, None), *((v, u) for u in g[v])]
+        else:
+            steps = [*((w, None) for w in g), *((w, u) for w in g for u in g[w] if w < u)]
+        return any(reaches(_merge(g, *step)) for step in steps)
 
-    return extend(0, {}, 0, [])
+    return reaches({v: frozenset(ns) for v, ns in adj.items()})
+
+
+def _merge(g: dict, v, u) -> dict:
+    """A neighbour map without v, or with v contracted into its neighbour u."""
+    out = {w: ns - {v} for w, ns in g.items() if w != v}
+    if u is not None:
+        rest = g[v] - {u}
+        for w in rest:
+            out[w] = out[w] | {u}
+        out[u] = out[u] | rest
+    return out
 
 
 def finite_has_minor(adj: Mapping, pattern: str) -> bool:
     """Minor test of a neighbour map against one of K3, K4, K5, K222.
 
     K3 and K4 run at any size (cycle test, series-parallel reduction);
-    K5 and K222 brute-force branch sets, on at most ``FINITE_MINOR_BOUND``
+    K5 and K222 delete and contract, on at most ``FINITE_MINOR_BOUND``
     vertices.
     """
     if pattern == "K3":
@@ -455,9 +414,9 @@ def finite_has_minor(adj: Mapping, pattern: str) -> bool:
     if pattern in ("K5", "K222"):
         if len(adj) > FINITE_MINOR_BOUND:
             raise BoundExceededError(
-                f"brute-force minor bound is {FINITE_MINOR_BOUND} vertices"
+                f"finite minor bound is {FINITE_MINOR_BOUND} vertices"
             )
-        return _has_simple_minor_branch_sets(adj, pattern)
+        return _has_simple_minor(adj, 5 if pattern == "K5" else 6)
     raise RealdimError(f"unknown finite pattern {pattern!r}")
 
 

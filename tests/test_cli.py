@@ -200,6 +200,14 @@ def test_classify_batch_names_the_malformed_document(tmp_path, capsys):
     assert (tmp_path / "c.a.d1.json").exists() and (tmp_path / "c.a.d2.json").exists()
 
 
+def test_classify_batch_names_the_document_of_any_error(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text(K2)
+    (tmp_path / "b.graph").write_text("gaingraph v1\nvertices 0\n")
+    assert main(["classify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'b.graph'}: realizability is undefined for the empty graph\n"
+
+
 def test_stress_exact_output(ladder_file, capsys):
     code, out_text = run(capsys, "stress", ladder_file)
     assert code == 0

@@ -166,6 +166,9 @@ def test_graph_reader_takes_the_graph_part_of_a_framework():
         parse_graph_document(LADDER_TEXT.replace("position 1 4 0", "position 1 4 nan"))
 
 
+SEGMENT_TEXT = "framework v1\ndimension 1\nvertices 2\nlattice 3\nposition 1 0\nposition 2 1\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -181,6 +184,10 @@ def test_graph_reader_takes_the_graph_part_of_a_framework():
         (LADDER_TEXT.replace("position 1 4 0", "position 1 1" + "0" * 400 + " 0"),
          "too large for a float"),
         (LADDER_TEXT.replace("stress L -1", "stress L -1\nstress 3 1"), "got '3'"),
+        (SEGMENT_TEXT + "position 3 1\n", r"outside 1\.\.2 \(line 7\)"),
+        (SEGMENT_TEXT.replace("position 2 1", "position 2 1 5"), r"list of 1 numbers.*\(line 6\)"),
+        (SEGMENT_TEXT.replace("position 2 1", "position 2 nan"), r"got nan \(line 6\)"),
+        (LADDER_TEXT + "stress e7 1\n", r"got 'e7' \(line 20\)"),
     ],
 )
 def test_reader_checks_fields(text, message):

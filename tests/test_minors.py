@@ -611,44 +611,80 @@ def test_finite_rd_upper3_values():
     assert finite_rd_upper3(complete_simple(5)) == ">=4"
 
 
-def test_the_rank_check_changes_no_finite_answer(monkeypatch):
-    # The wheels W4-W9, then random simple graphs on 5-8 vertices; on 9 or
-    # 10, a branch-set search that finds no minor can take a second.
+def pairs_of(adj):
+    return [(a, b) for a in adj for b in adj[a] if a < b]
+
+
+def wheel(k):
+    """Hub 1 and the rim 2..k+1."""
+    return neighbour_map(range(1, k + 2), [(1, v) for v in range(2, k + 2)]
+                         + [(v, (v - 1) % k + 2) for v in range(2, k + 2)])
+
+
+OCTAHEDRON = MinorPattern.exact(GainGraph.of(6, [(a, b, 0) for a, b in pairs_of(k222_simple())]))
+
+
+def test_finite_minors_agree_with_the_labelled_engine():
+    # A zero-labelled host's labelled minors are its finite minors, all
+    # labelled 0.  The wheels W4-W7, then seeded random maps on 5-8
+    # vertices with at most 16 edges, within the engine's bounds.
     rng = random.Random(67)
-    shapes = [(k + 1, [(1, v) for v in range(2, k + 2)]
-               + [(v, v % k + 2) for v in range(2, k + 2)]) for k in range(4, 10)]
-    for _ in range(60):
+    shapes = [(k + 1, pairs_of(wheel(k))) for k in range(4, 8)]
+    while len(shapes) < 304:
         n, p = rng.randint(5, 8), rng.choice((0.3, 0.45, 0.6))
-        shapes.append((n, [e for e in itertools.combinations(range(1, n + 1), 2)
-                           if rng.random() < p]))
-    maps = [neighbour_map(range(1, n + 1), pairs) for n, pairs in shapes]
-    graphs = [GainGraph.of(n, [(a, b, (3 * j) % 5 - 2) for j, (a, b) in enumerate(pairs)])
-              for n, pairs in shapes]
-    searched = {}
-    branch_sets = minors._has_simple_minor_branch_sets
+        pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        if len(pairs) <= 16:
+            shapes.append((n, pairs))
+    found = Counter()
+    for n, pairs in shapes:
+        adj = neighbour_map(range(1, n + 1), pairs)
+        host = GainGraph.of(n, [(a, b, 0) for a, b in pairs])
+        for pattern, engine in (("K5", balanced_complete_pattern(5)), ("K222", OCTAHEDRON)):
+            answer = finite_has_minor(adj, pattern)
+            assert answer == (has_minor(host, engine) is not None), (n, pairs, pattern)
+            found[pattern, answer] += 1
+        g = GainGraph.of(n, [(a, b, (3 * j) % 5 - 2) for j, (a, b) in enumerate(pairs)])
+        found["bound 4"] += (finite_rd_upper3(adj) == ">=4"
+                             and realizable_dimension_bounds(g).lower == 4)
+    assert min(found.values()) >= 5, found
 
-    def shared(adj, pattern):
-        # Both callers search the same maps, and W9's searches take a
-        # second; the key keeps the runs with and without the check apart.
-        key = minors._cycle_rank, pattern, frozenset((v, frozenset(adj[v])) for v in adj)
-        if key not in searched:
-            searched[key] = branch_sets(adj, pattern)
-        return searched[key]
 
-    def answers():
-        return [(finite_rd_upper3(adj), realizable_dimension_bounds(g))
-                for adj, g in zip(maps, graphs)]
+def test_finite_minors_of_named_maps():
+    antiprism = neighbour_map(range(1, 11), [
+        e for i in range(5) for e in ((i + 1, (i + 1) % 5 + 1), (i + 6, (i + 1) % 5 + 6),
+                                      (i + 1, i + 6), (i + 1, (i + 1) % 5 + 6))])
+    bipyramid = neighbour_map(range(1, 11), [(i, i % 8 + 1) for i in range(1, 9)]
+                              + [(a, i) for a in (9, 10) for i in range(1, 9)])
+    petersen = neighbour_map(range(1, 11), [(i, i % 5 + 1) for i in range(1, 6)]
+                             + [(i, i + 5) for i in range(1, 6)]
+                             + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+    k33 = neighbour_map(range(1, 7), [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+    for adj, k5, k222 in ((wheel(8), False, False), (wheel(9), False, False),
+                          (petersen, True, False), (antiprism, False, True),
+                          (bipyramid, False, True), (k33, False, False)):
+        assert (finite_has_minor(adj, "K5"), finite_has_minor(adj, "K222")) == (k5, k222)
 
-    monkeypatch.setattr(minors, "_has_simple_minor_branch_sets", shared)
-    checked = answers()
-    ranks = [minors._cycle_rank((v, w, None) for v in adj for w in adj[v] if v < w)
-             for adj in maps]
-    monkeypatch.setattr(minors, "_cycle_rank", lambda triples: math.inf)
-    assert answers() == checked
-    # A K4 minor sends the map on to the K5 and K222 searches, which the
-    # check ends at once below rank 6 and 7.
-    assert sum(f == 3 and r < 7 for (f, _), r in zip(checked, ranks)) >= 10
-    assert sum(f == ">=4" and b.lower == 4 for f, b in checked) >= 5
+
+def test_k5_minor_beside_an_isolated_vertex():
+    adj = neighbour_map(range(1, 9), [(1, 5), (1, 6), (1, 7), (1, 8), (3, 5), (3, 6), (3, 8),
+                                      (4, 5), (4, 6), (4, 7), (4, 8), (5, 6), (5, 8), (6, 8),
+                                      (7, 8)])
+    assert not adj[2]
+    branch_sets = ({1, 7}, {4}, {5}, {6}, {8})
+    assert 7 in adj[1] and all(any(adj[v] & b for v in a)
+                               for a, b in itertools.combinations(branch_sets, 2))
+    assert finite_has_minor(adj, "K5")
+
+
+def test_wheel_bounds_answer_quickly():
+    g = GainGraph.of(10, [(a, b, (3 * j) % 5 - 2) for j, (a, b) in enumerate(pairs_of(wheel(9)))])
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        bounds = realizable_dimension_bounds(g)
+        times.append(time.perf_counter() - start)
+    assert tuple(bounds) == (3, 10)
+    assert min(times) < 0.1, times
 
 
 def test_series_parallel_reduction_on_theta():
